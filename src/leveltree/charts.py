@@ -20,15 +20,16 @@ resulting identities exactly, as integer-exponent monomial equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .contraction import ContractionResult, contract
 from .errors import DomainError, MonomialError, VerificationError
 from .levels import (IndexPartition, Level, LevelData, SpecialMap,
-                     WeightedLevelTree, as_level, cross_section,
-                     default_special, edge_span, index_partition, level_data,
-                     validate_special)
+                     WeightedLevelTree, cross_section, default_special,
+                     index_partition, level_data, level_mask,
+                     level_successor, validate_special)
 from .monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum, Symbol,
                        compose, equal_on_stratum)
 from .tree import Edge
@@ -47,6 +48,13 @@ class ChartFrame:
 
     ``flavor`` prefixes every coordinate symbol, so distinct charts over the
     same tree can coexist inside one identity.
+
+    The frame tabulates, per level rank ``k`` of ``I_plus`` (see
+    ``WeightedLevelTree.ranks``; entry 0 stands for level 0): the special
+    edge ``special_at[k]``, the special edges met by the ascent from ``k``
+    (``ascent[k]``), the edges of its climbing product (``chain_edges[k]``)
+    and that product (``up_chain(k)``), and the gap coordinate
+    ``eps_at[k]``.
     """
 
     t: WeightedLevelTree
@@ -55,12 +63,34 @@ class ChartFrame:
     flavor: str = ""
     part: IndexPartition = field(init=False, compare=False, repr=False)
     data: LevelData = field(init=False, compare=False, repr=False)
+    special_at: tuple = field(init=False, compare=False, repr=False)
+    ascent: tuple = field(init=False, compare=False, repr=False)
+    chain_edges: tuple = field(init=False, compare=False, repr=False)
+    eps_at: tuple = field(init=False, compare=False, repr=False)
+    _specials: frozenset = field(init=False, compare=False, repr=False)
+    _chains: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        validate_special(self.t, self.special)
-        object.__setattr__(self, "special", dict(self.special))
-        object.__setattr__(self, "part", index_partition(self.t))
-        object.__setattr__(self, "data", level_data(self.t))
+        t = self.t
+        validate_special(t, self.special)
+        put = partial(object.__setattr__, self)
+        put("special", dict(self.special))
+        put("part", index_partition(t))
+        put("data", level_data(t))
+        put("_specials", frozenset(self.special.values()))
+        ranks = t.ranks()
+        top = range(1, self.data.m_rank + 1)
+        put("special_at", (None,) + tuple(self.special[ranks.levels[k]] for k in top))
+        ascent: list[tuple[Edge, ...]] = [()]
+        for k in top:
+            se = self.special_at[k]
+            ascent.append((se,) + ascent[ranks.of_vertex[t.tree.parent[se]]])
+        put("ascent", tuple(ascent))
+        # the last special edge of an ascent hangs from the root
+        put("chain_edges", tuple(tuple(t.tree.parent[e] for e in a[:-1]) for a in ascent))
+        put("eps_at", (None,) + tuple(self.eps(ranks.levels[k]) for k in top))
+        put("_chains", tuple(_prod(self.u_mon(e) for e in edges)
+                             for edges in self.chain_edges))
 
     def _kind(self, bare: str) -> str:
         return self.flavor + bare
@@ -80,7 +110,7 @@ class ChartFrame:
         return Symbol(self._kind("w"), j)
 
     def special_edges(self) -> frozenset[Edge]:
-        return frozenset(self.special.values())
+        return self._specials
 
     def u_mon(self, e: Edge) -> Monomial:
         """The ``u`` coordinate of a hat edge, with the special-edge convention."""
@@ -99,25 +129,10 @@ class ChartFrame:
 
     # chains ----------------------------------------------------------------
 
-    def up_chain_edges(self, i: Level) -> tuple[Edge, ...]:
-        """Edges of the climbing product at level ``i``: at each ascent step,
-        the parent edge of the current special vertex's parent (absent once
-        the parent is the root)."""
-        t = self.t
-        out = []
-        h = i
-        while h != 0:
-            p = t.tree.parent[self.special[h]]
-            if p == t.root:
-                break
-            out.append(p)  # the parent edge of the special vertex is named p
-            h = t.level[p]
-        return tuple(out)
-
-    def up_chain(self, i: Level) -> Monomial:
-        if i == 0:
-            return ONE
-        return _prod(self.u_mon(e) for e in self.up_chain_edges(i))
+    def up_chain(self, k: int) -> Monomial:
+        """The climbing product at level rank ``k``: the ``u`` of the parent
+        edge of each special vertex's parent along the ascent (1 at rank 0)."""
+        return self._chains[k]
 
     def dn_chain(self, e: Edge) -> Monomial:
         """Denominator chain of a hat edge: the parent edge of ``v_e^+``
@@ -126,7 +141,11 @@ class ChartFrame:
         v_plus = t.tree.parent[e]
         if v_plus == t.root:
             return ONE
-        return self.u_mon(v_plus) * self.up_chain(t.level[v_plus])
+        return self.u_mon(v_plus) * self.up_chain(t.ranks().of_vertex[v_plus])
+
+    def gaps(self, lo: int, hi: int) -> Monomial:
+        """The product of the gap coordinates of the ranks in ``[lo, hi)``."""
+        return _prod(Monomial.sym(self.eps_at[k]) for k in range(lo, hi))
 
 
 # zeta/sigma name the base modular and extra parameters; they are shared by
@@ -148,10 +167,11 @@ def build_theta(frame: ChartFrame) -> MonomialMap:
     chain ratio times the product of the level gaps it crosses; non-hat edges
     and extra parameters pass through."""
     t = frame.t
+    rank = t.ranks().of_vertex
     assignment: dict[Symbol, Monomial] = {}
-    for e in frame.data.hat_edges:
-        gaps = _prod(Monomial.sym(frame.eps(h)) for h in edge_span(t, e))
-        num = frame.u_mon(e) * frame.up_chain(frame.data.edge_level[e])
+    for e, k in frame.data.edge_rank.items():
+        gaps = frame.gaps(rank[t.tree.parent[e]] + 1, k + 1)  # the span of e
+        num = frame.u_mon(e) * frame.up_chain(k)
         assignment[zeta(e)] = num / frame.dn_chain(e) * gaps
     for e in frame.part.i_minus:
         assignment[zeta(e)] = Monomial.sym(frame.zsym(e))
@@ -182,16 +202,18 @@ def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
     return TwistedChart(frame=frame, theta=build_theta(frame))
 
 
-def _contracted_zeta_ratio(chart: TwistedChart, i_plus: frozenset[Level],
+def _contracted_zeta_ratio(chart: TwistedChart, plus_mask: int,
                            above_of: Edge | None) -> Monomial:
     """Product of the pulled-back modular parameters of all fully collapsed
-    edges strictly above the given edge (empty product for ``None``)."""
+    edges strictly above the given edge (empty product for ``None``); the
+    collapsed levels are given as a rank bitmask."""
     if above_of is None:
         return ONE
     t = chart.frame.t
+    span = chart.frame.data.span
     out = ONE
     for anc in t.tree.ancestors_gt(above_of):
-        if edge_span(t, anc) <= i_plus:
+        if not span[anc] & ~plus_mask:
             out = out * chart.theta.assignment[zeta(anc)]
     return out
 
@@ -203,16 +225,19 @@ def build_mu(chart: TwistedChart, subset: Iterable) -> dict[tuple[Level, Edge], 
     frame = chart.frame
     t = frame.t
     i_plus, _, _ = frame.part.split(subset)
+    mask = level_mask(t, i_plus)
+    levels = t.ranks().levels
     table: dict[tuple[Level, Edge], Monomial] = {}
-    for i in sorted(frame.part.i_plus - i_plus, reverse=True):
-        num_ratio = _contracted_zeta_ratio(chart, i_plus, frame.special[i])
+    for k in range(1, frame.data.m_rank + 1):  # surviving levels, top down
+        if mask >> k & 1:
+            continue
+        i = levels[k]
+        num_ratio = _contracted_zeta_ratio(chart, mask, frame.special_at[k])
         for e in cross_section(t, i):
-            le = frame.data.edge_level[e]
-            val = frame.u_mon(e) * frame.up_chain(le) / frame.up_chain(i)
-            val = val * num_ratio / _contracted_zeta_ratio(chart, i_plus, e)
-            val = val * _prod(Monomial.sym(frame.eps(h))
-                              for h in t.levels_in(le, i, include_lo=True))
-            table[(i, e)] = val
+            le = frame.data.edge_rank[e]
+            val = frame.u_mon(e) * frame.up_chain(le) / frame.up_chain(k)
+            val = val * num_ratio / _contracted_zeta_ratio(chart, mask, e)
+            table[(i, e)] = val * frame.gaps(k + 1, le + 1)
     return table
 
 
@@ -240,14 +265,16 @@ def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
     frame = chart.frame
     strat = stratum_of(frame, subset)
     res = contract(frame.t, subset)
+    # the contraction keeps the levels of t, so one rank table serves both
+    rank = frame.t.ranks().of_level
     for (i, e), mon in chart.mu(subset).items():
         if e in res.contracted:
             return False  # cross-section edges must survive contraction
-        new_level = res.tree.level[e]
-        if new_level == i:
+        new_rank, k = rank[res.tree.level[e]], rank[i]
+        if new_rank == k:
             if not strat.is_unit(mon):
                 return False
-        elif new_level < i:
+        elif new_rank > k:
             if not strat.reduce(mon).is_zero:
                 return False
         else:
@@ -342,7 +369,9 @@ def stratum_target(frame: ChartFrame, subset: Iterable) -> StratumTarget:
     # the two descriptions of the readout coordinates must agree
     hat_new = level_data(tpr).hat_edges
     specials_new = {frame.special[i] for i in new_part.i_plus}
-    assert frozenset(free_mu) == hat_new - specials_new - new_part.i_m
+    if frozenset(free_mu) != hat_new - specials_new - new_part.i_m:
+        raise VerificationError("readout coordinates disagree with the contraction's "
+                                "hat edges", witness=(frame.t, frozenset(subset)))
     return StratumTarget(frame=frame, result=res, free_mu=frozenset(free_mu))
 
 
@@ -374,11 +403,12 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     t = frame.t
     subset = frozenset(subset)
     i_plus, i_m, i_minus = frame.part.split(subset)
+    mask = level_mask(t, i_plus)
+    rank = t.ranks().of_vertex
     target = stratum_target(frame, subset)
     res = target.result
     tpr = res.tree
     new_part = index_partition(tpr)
-    new_m = min(sorted(new_part.i_plus) or [as_level(0)])
 
     def zeta_val(e: Edge) -> Monomial:
         return Monomial.sym(zeta(e)) if e in res.contracted else ZERO
@@ -400,52 +430,49 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
             return ONE
         return built[frame.usym(e)]
 
-    def chain_val(i: Level) -> Monomial:
-        if i == 0:
-            return ONE
-        return _prod(u_val(e) for e in frame.up_chain_edges(i))
+    def chain_val(k: int) -> Monomial:
+        return _prod(u_val(e) for e in frame.chain_edges[k])
 
     def collapsed_ratio(above_of: Edge) -> Monomial:
         out = ONE
         for anc in t.tree.ancestors_gt(above_of):
-            if edge_span(t, anc) <= i_plus:
+            if not frame.data.span[anc] & ~mask:
                 out = out * zeta_val(anc)
         return out
 
-    def eps_prod(levels: Iterable[Level]) -> Monomial:
-        return _prod(built[frame.eps(h)] for h in levels)
+    def eps_prod(lo: int, hi: int) -> Monomial:
+        """The built gap coordinates of the ranks in ``[lo, hi)``."""
+        return _prod(built[frame.eps_at[h]] for h in range(lo, hi))
 
-    for i in sorted(frame.part.i_plus, reverse=True):
-        se = frame.special[i]
-        i1 = t.level[t.tree.parent[se]]
-        window = t.levels_in(i, i1, include_lo=True)
-        if i not in i_plus:
-            built[frame.eps(i)] = ZERO
-        elif window <= i_plus:
+    for k in range(1, frame.data.m_rank + 1):  # levels top down
+        se = frame.special_at[k]
+        k1 = rank[t.tree.parent[se]]
+        open_gaps = ((2 << k) - (2 << k1)) & ~mask  # ranks k1+1..k left standing
+        if not mask >> k & 1:
+            built[frame.eps_at[k]] = ZERO
+        elif not open_gaps:
             # the special edge collapsed: read its parameter, strip the gaps above
-            built[frame.eps(i)] = zeta_val(se) / eps_prod(
-                t.levels_in(i, i1, include_lo=False))
+            built[frame.eps_at[k]] = zeta_val(se) / eps_prod(k1 + 1, k)
         else:
-            ihat = min(window - i_plus)
-            val = mu_val(se) * chain_val(ihat) / chain_val(i)
-            val = val * collapsed_ratio(se) / collapsed_ratio(frame.special[ihat])
-            built[frame.eps(i)] = val / eps_prod(
-                t.levels_in(i, ihat, include_lo=False))
+            khat = open_gaps.bit_length() - 1  # the lowest level left standing
+            val = mu_val(se) * chain_val(khat) / chain_val(k)
+            val = val * collapsed_ratio(se) / collapsed_ratio(frame.special_at[khat])
+            built[frame.eps_at[k]] = val / eps_prod(khat + 1, k)
         for e in sorted(frame.data.hat_edges):
-            if frame.data.edge_level[e] != i or e == se:
+            if frame.data.edge_rank[e] != k or e == se:
                 continue
-            top = t.level[t.tree.parent[e]]
-            window_e = t.levels_in(i, top, include_lo=True)
-            if not window_e <= i_plus:
-                kappa = min(window_e - i_plus)
-                val = mu_val(e) * chain_val(kappa) / chain_val(i)
-                val = val * collapsed_ratio(e) / collapsed_ratio(frame.special[kappa])
-                val = val / eps_prod(t.levels_in(i, kappa, include_lo=True))
+            top = rank[t.tree.parent[e]]
+            open_e = frame.data.span[e] & ~mask
+            if open_e:
+                kappa = open_e.bit_length() - 1
+                val = mu_val(e) * chain_val(kappa) / chain_val(k)
+                val = val * collapsed_ratio(e) / collapsed_ratio(frame.special_at[kappa])
+                val = val / eps_prod(kappa + 1, k + 1)
             else:
                 v_plus = t.tree.parent[e]
                 den = ONE if v_plus == t.root else u_val(v_plus) * chain_val(top)
-                val = zeta_val(e) * den / chain_val(i)
-                val = val / eps_prod(window_e)
+                val = zeta_val(e) * den / chain_val(k)
+                val = val / eps_prod(top + 1, k + 1)
             built[frame.usym(e)] = val
 
     for e in frame.part.i_minus:
@@ -453,11 +480,17 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     for j in frame.extra_tags:
         built[frame.wsym(j)] = Monomial.sym(sigma(j))
 
-    # sanity: vanishing pattern promised by the induction
-    for i in frame.part.i_plus:
-        assert built[frame.eps(i)].is_zero == (i not in i_plus)
+    # the vanishing pattern promised by the induction
+    for k in range(1, frame.data.m_rank + 1):
+        if built[frame.eps_at[k]].is_zero != (not mask >> k & 1):
+            raise VerificationError("a gap coordinate of the inverse vanishes off "
+                                    "the collapsed levels",
+                                    witness=(frame.t, subset, frame.eps_at[k]))
     for e in frame.data.hat_edges - frame.special_edges():
-        assert built[frame.usym(e)].is_zero == (e in frame.part.i_m - i_m)
+        if built[frame.usym(e)].is_zero != (e in frame.part.i_m - i_m):
+            raise VerificationError("a u coordinate of the inverse vanishes off "
+                                    "the surviving dropping edges",
+                                    witness=(frame.t, subset, frame.usym(e)))
 
     return MonomialMap(source_coords=target.coords(),
                        target_coords=frame.coords(), assignment=built)
@@ -500,36 +533,21 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
     chart = build_chart(t, special_a, tags=tags)
     other = build_chart(t, special_b, tags=tags, flavor="a:")
     fa, fb = chart.frame, other.frame
-    occ = set(t.level.values())
-
-    def succ(i: Level) -> Level:
-        return min(x for x in occ if x > i)
 
     def chain(edges: Iterable[Edge]) -> Monomial:
         return _prod(fa.u_mon(e) for e in edges)
 
-    def d_edges(i: Level) -> tuple[Edge, ...]:
-        out = []
-        h = i
-        while h != 0:
-            out.append(special_b[h])
-            p = t.tree.parent[special_b[h]]
-            h = t.level[p]
-        return tuple(out)
-
-    def chain_at(builder, i: Level) -> Monomial:
-        return ONE if i == 0 else chain(builder(i))
-
     assignment: dict[Symbol, Monomial] = {}
-    for i in fa.part.i_plus:
-        s = succ(i)
-        val = Monomial.sym(fa.eps(i))
-        val = val * chain_at(fa.up_chain_edges, i) / chain_at(fa.up_chain_edges, s)
-        val = val * chain_at(d_edges, i) / chain_at(d_edges, s)
-        val = val * chain_at(fb.up_chain_edges, s) / chain_at(fb.up_chain_edges, i)
-        assignment[fb.eps(i)] = val
-    for e in fa.data.hat_edges - fb.special_edges():
-        assignment[fb.usym(e)] = fa.u_mon(e) / fa.u_mon(special_b[fa.data.edge_level[e]])
+    for k in range(1, fa.data.m_rank + 1):
+        up = k - 1  # the rank of the level's successor
+        val = Monomial.sym(fa.eps_at[k])
+        val = val * fa.up_chain(k) / fa.up_chain(up)
+        val = val * chain(fb.ascent[k]) / chain(fb.ascent[up])
+        val = val * chain(fb.chain_edges[up]) / chain(fb.chain_edges[k])
+        assignment[fb.eps_at[k]] = val
+    for e, k in fa.data.edge_rank.items():
+        if e not in fb.special_edges():
+            assignment[fb.usym(e)] = fa.u_mon(e) / fa.u_mon(fb.special_at[k])
     for e in fa.part.i_minus:
         assignment[fb.zsym(e)] = Monomial.sym(fa.zsym(e))
     for j in tags:
@@ -565,26 +583,17 @@ def verify_parameter_transition(t: WeightedLevelTree, special: SpecialMap | None
     chart = build_chart(t, special, tags=tags)
     hat_chart = build_chart(t, special, tags=tags, flavor="hat:")
     fa, fh = chart.frame, hat_chart.frame
-    occ = set(t.level.values())
 
-    def fchain(i: Level) -> Monomial:
-        if i == 0:
-            return ONE
-        out = ONE
-        h = i
-        while h != 0:
-            out = out * Monomial.sym(Symbol("f", special[h]))
-            h = t.level[t.tree.parent[special[h]]]
-        return out
+    def fchain(k: int) -> Monomial:
+        return _prod(Monomial.sym(Symbol("f", e)) for e in fa.ascent[k])
 
     assignment: dict[Symbol, Monomial] = {}
-    for i in fa.part.i_plus:
-        s = min(x for x in occ if x > i)
-        assignment[fh.eps(i)] = Monomial.sym(fa.eps(i)) * fchain(i) / fchain(s)
-    for e in fa.data.hat_edges - fa.special_edges():
-        le = fa.data.edge_level[e]
-        assignment[fh.usym(e)] = (fa.u_mon(e) * _f_product(t, e)
-                                  / _f_product(t, special[le]))
+    for k in range(1, fa.data.m_rank + 1):
+        assignment[fh.eps_at[k]] = Monomial.sym(fa.eps_at[k]) * fchain(k) / fchain(k - 1)
+    for e, k in fa.data.edge_rank.items():
+        if e not in fa.special_edges():
+            assignment[fh.usym(e)] = (fa.u_mon(e) * _f_product(t, e)
+                                      / _f_product(t, fa.special_at[k]))
     for e in fa.part.i_minus:
         assignment[fh.zsym(e)] = Monomial.sym(fa.zsym(e))
     for j in tags:
@@ -607,11 +616,12 @@ def verify_parameter_transition(t: WeightedLevelTree, special: SpecialMap | None
 
     for subset in _all_subsets(fa.part.labels()):
         i_plus, _, _ = fa.part.split(subset)
+        mask = level_mask(t, i_plus)
 
         def f_not_collapsed(e: Edge) -> Monomial:
             return _prod(Monomial.sym(Symbol("f", a))
                          for a in t.tree.descendants_geq(e)
-                         if not edge_span(t, a) <= i_plus)
+                         if fa.data.span[a] & ~mask)
 
         mu_plain = chart.mu(subset)
         for (i, e), mon in hat_chart.mu(subset).items():
@@ -643,42 +653,25 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable,
     fp = prime.frame
     mu_I = chart.mu(subset)
     theta = chart.theta.assignment
-    occ_new = set(tpr.level.values())
+    mask = level_mask(t, i_plus)
 
     for i in new_part.i_plus:  # the cross-sections must be preserved
         if cross_section(t, i) != cross_section(tpr, i):
             raise VerificationError("cross-section changed under contraction",
                                     witness=(subset, i))
 
-    def collapsed_ratio(above_of: Edge | None) -> Monomial:
-        if above_of is None:
-            return ONE
-        out = ONE
-        for anc in t.tree.ancestors_gt(above_of):
-            if edge_span(t, anc) <= i_plus:
-                out = out * theta[zeta(anc)]
-        return out
-
     def mu_chain(j: Level) -> Monomial:
-        out = ONE
-        h = j
-        while h != 0:
-            p = tpr.tree.parent[special_new[h]]
-            if p == tpr.root:
-                break
-            out = out * mu_I[(tpr.level[p], p)]
-            h = tpr.level[p]
-        return out
+        return _prod(mu_I[(tpr.level[p], p)] for p in fp.chain_edges[tpr.level_rank(j)])
 
     assignment: dict[Symbol, Monomial] = {}
     for i in new_part.i_plus:
-        iup = min(x for x in occ_new if x > i)
-        val = Monomial.sym(frame.eps(i))
-        val = val * _prod(Monomial.sym(frame.eps(h))
-                          for h in t.levels_in(i, iup, include_lo=False))
+        iup = level_successor(tpr, i)
+        k, kup = t.level_rank(i), t.level_rank(iup)
+        val = Monomial.sym(frame.eps_at[k]) * frame.gaps(kup + 1, k)
         up_special = special_new.get(iup)  # None when the next level is the root's
-        val = val * collapsed_ratio(up_special) / collapsed_ratio(special[i])
-        val = val * frame.up_chain(i) / frame.up_chain(iup)
+        val = val * (_contracted_zeta_ratio(chart, mask, up_special)
+                     / _contracted_zeta_ratio(chart, mask, special[i]))
+        val = val * frame.up_chain(k) / frame.up_chain(kup)
         val = val * mu_chain(iup) / mu_chain(i)
         assignment[fp.eps(i)] = val
     data_new = level_data(tpr)
@@ -727,17 +720,16 @@ def remark_identities(chart: TwistedChart) -> bool:
     t = frame.t
     if not frame.part.i_plus:
         raise DomainError("identities need a nonempty level index")
-    m = frame.data.m
-    all_eps = _prod(Monomial.sym(frame.eps(i)) for i in frame.part.i_plus)
-    base = frame.up_chain(m) * all_eps
+    m_rank = frame.data.m_rank
+    base = frame.up_chain(m_rank) * frame.gaps(1, m_rank + 1)
 
     def anc_product(e: Edge) -> Monomial:
         return _prod(chart.theta.assignment[zeta(a)]
                      for a in t.tree.descendants_geq(e))
 
-    if anc_product(frame.special[m]) != base:
+    if anc_product(frame.special_at[m_rank]) != base:
         return False
-    for e in cross_section(t, m):
+    for e in cross_section(t, frame.data.m):
         if anc_product(e) != frame.u_mon(e) * base:
             return False
     return True

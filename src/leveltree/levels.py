@@ -11,8 +11,14 @@ levels and weights we derive
   hat edges dropping below ``m``, and non-hat edges),
 * ascent sequences through a chosen family of special vertices.
 
-Levels are exact ``Fraction`` values throughout; only their order matters,
-and the equivalence relation below quotients out relabelings.
+Only the order of the levels matters, and the equivalence relation below
+quotients out relabelings.  So levels are exact ``Fraction`` values at the
+boundary -- in level maps, labels, JSON and CLI output -- while the derived
+data is computed on integer order ranks: rank 0 is level 0 and ranks grow
+downwards through the occupied levels.  Each tree builds its rank tables
+once, on first use, in its memo: the occupied levels and every vertex's
+rank (``WeightedLevelTree.ranks``), each hat edge's span as a bitmask over
+ranks (``LevelData.span``), and the cross-sections.
 """
 
 from __future__ import annotations
@@ -32,6 +38,22 @@ IndexSubset = frozenset
 
 def as_level(x) -> Level:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+@dataclass(frozen=True)
+class LevelRanks:
+    """The level map as integer order positions.
+
+    ``levels[k]`` is the occupied level of rank ``k``, descending from
+    ``levels[0] == 0``; ``of_level`` inverts it; ``of_vertex`` gives each
+    vertex the rank of its level; ``at[k]`` lists the vertices of rank ``k``
+    in sorted order.  A level above another has the smaller rank.
+    """
+
+    levels: tuple[Level, ...]
+    of_level: Mapping[Level, int]
+    of_vertex: Mapping[Vertex, int]
+    at: tuple[tuple[Vertex, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -76,19 +98,37 @@ class WeightedLevelTree:
     def edges(self) -> frozenset[Edge]:
         return self.base.tree.edges
 
+    def ranks(self) -> LevelRanks:
+        """The rank table of the level map, built once on first use."""
+        memo = self._memo
+        if "ranks" not in memo:
+            by_level: dict[Level, list[Vertex]] = {}
+            for v, x in self.level.items():
+                by_level.setdefault(x, []).append(v)
+            ordered = sorted(by_level.items(), key=lambda item: item[0], reverse=True)
+            levels = tuple(x for x, _ in ordered)
+            of_vertex = {v: k for k, (_, vs) in enumerate(ordered) for v in vs}
+            memo["ranks"] = LevelRanks(
+                levels=levels, of_level={x: k for k, x in enumerate(levels)},
+                of_vertex=of_vertex, at=tuple(tuple(sorted(vs)) for _, vs in ordered))
+        return memo["ranks"]
+
     def occupied_levels(self) -> tuple[Level, ...]:
         """All occupied levels, descending from 0."""
-        memo = self._memo
-        if "occ" not in memo:
-            memo["occ"] = tuple(sorted(set(self.level.values()), reverse=True))
-        return memo["occ"]
+        return self.ranks().levels
+
+    def level_rank(self, x) -> int:
+        """The rank of an occupied level."""
+        k = self.ranks().of_level.get(as_level(x))
+        if k is None:
+            raise DomainError(f"level {x} is not occupied")
+        return k
 
     def levels_in(self, lo: Level, hi: Level, include_lo: bool) -> frozenset[Level]:
-        """Occupied levels in ``[lo, hi)`` or ``(lo, hi)``."""
-        vals = self.occupied_levels()
-        if include_lo:
-            return frozenset(x for x in vals if lo <= x < hi)
-        return frozenset(x for x in vals if lo < x < hi)
+        """Occupied levels in ``[lo, hi)`` or ``(lo, hi)``; both bounds must
+        be occupied levels."""
+        top, bottom = self.level_rank(hi), self.level_rank(lo)
+        return frozenset(self.ranks().levels[top + 1:bottom + 1 if include_lo else bottom])
 
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
@@ -120,10 +160,18 @@ def make_level_tree(root: Vertex, parent: Mapping[Vertex, Vertex],
 
 @dataclass(frozen=True)
 class LevelData:
+    """``m`` and the hat edges.  ``m_rank`` is the rank of ``m``; a hat
+    edge's ``edge_rank`` is the rank of its edge level, and its ``span`` is
+    the bitmask of the ranks of the levels it crosses (those of
+    ``edge_span``)."""
+
     m: Level
     hat_edges: frozenset[Edge]
     edge_level: Mapping[Edge, Level]
     occupied_levels: tuple[Level, ...]
+    m_rank: int
+    edge_rank: Mapping[Edge, int]
+    span: Mapping[Edge, int]
 
 
 def level_data(t: WeightedLevelTree) -> LevelData:
@@ -134,46 +182,67 @@ def level_data(t: WeightedLevelTree) -> LevelData:
     positive = t.base.positive_vertices()
     if not positive:
         raise DomainError("no positively weighted vertex: m is undefined")
-    m = max(t.level[v] for v in positive)
-    tree = t.tree
-    hat = frozenset(e for e in tree.edges if t.level[tree.parent[e]] > m)
-    edge_level = {e: max(t.level[e], m) for e in hat}
-    out = LevelData(m=m, hat_edges=hat, edge_level=edge_level,
-                    occupied_levels=t.occupied_levels())
+    ranks = t.ranks()
+    rank = ranks.of_vertex
+    m_rank = min(rank[v] for v in positive)
+    parent = t.tree.parent
+    edge_rank = {e: min(rank[e], m_rank) for e, p in parent.items() if rank[p] < m_rank}
+    out = LevelData(
+        m=ranks.levels[m_rank], hat_edges=frozenset(edge_rank),
+        edge_level={e: ranks.levels[k] for e, k in edge_rank.items()},
+        occupied_levels=ranks.levels, m_rank=m_rank, edge_rank=edge_rank,
+        # the ranks strictly below the upper endpoint, down to the edge level
+        span={e: (2 << k) - (2 << rank[parent[e]]) for e, k in edge_rank.items()})
     memo["level_data"] = out
     return out
 
 
+def level_mask(t: WeightedLevelTree, levels: Iterable[Level]) -> int:
+    """The bitmask over ranks of a set of occupied levels, e.g. the level
+    part of an index subset."""
+    of_level = t.ranks().of_level
+    mask = 0
+    for x in levels:
+        mask |= 1 << of_level[x]
+    return mask
+
+
 def level_successor(t: WeightedLevelTree, i) -> Level:
     """The occupied level immediately above ``i``."""
-    i = as_level(i)
-    occ = set(t.level.values())
-    if i == 0 or i not in occ:
+    k = t.ranks().of_level.get(as_level(i))
+    if not k:  # unoccupied, or level 0
         raise DomainError(f"level {i} has no successor (unoccupied or zero)")
-    return min(x for x in occ if x > i)
+    return t.ranks().levels[k - 1]
 
 
 def edge_span(t: WeightedLevelTree, e: Edge) -> frozenset[Level]:
     """Occupied levels in ``[edge_level(e), level(v_e^+))`` for a hat edge:
     the levels whose gap the edge crosses."""
-    data = level_data(t)
-    if e not in data.hat_edges:
+    memo = t._memo
+    if "spans" not in memo:
+        data = level_data(t)
+        levels, rank = t.ranks().levels, t.ranks().of_vertex
+        memo["spans"] = {e: frozenset(levels[rank[t.tree.parent[e]] + 1:k + 1])
+                         for e, k in data.edge_rank.items()}
+    spans = memo["spans"]
+    if e not in spans:
         raise DomainError(f"edge {e!r} has no span: it is not a hat edge")
-    return t.levels_in(data.edge_level[e], t.level[t.tree.parent[e]], include_lo=True)
+    return spans[e]
 
 
 def cross_section(t: WeightedLevelTree, i) -> frozenset[Edge]:
     """Edges spanning the gap above level ``i``: ``edge_level(e) <= i < level(v_e^+)``."""
-    i = as_level(i)
-    data = level_data(t)
-    if not (data.m <= i < 0) or i not in data.occupied_levels:
+    memo = t._memo
+    if "sections" not in memo:
+        data = level_data(t)
+        levels = t.ranks().levels
+        memo["sections"] = {
+            levels[k]: frozenset(e for e, span in data.span.items() if span >> k & 1)
+            for k in range(1, data.m_rank + 1)}
+    section = memo["sections"].get(as_level(i))
+    if section is None:
         raise DomainError(f"level {i} is not an occupied level in [m, 0)")
-    tree = t.tree
-    out = set()
-    for e in data.hat_edges:
-        if data.edge_level[e] <= i < t.level[tree.parent[e]]:
-            out.add(e)
-    return frozenset(out)
+    return section
 
 
 @dataclass(frozen=True)
@@ -207,11 +276,11 @@ def index_partition(t: WeightedLevelTree) -> IndexPartition:
     if "index_partition" in memo:
         return memo["index_partition"]
     data = level_data(t)
-    tree = t.tree
-    i_plus = frozenset(x for x in data.occupied_levels if data.m <= x < 0)
-    i_m = frozenset(e for e in data.hat_edges if t.level[e] < data.m)
-    i_minus = tree.edges - data.hat_edges
-    out = IndexPartition(i_plus=i_plus, i_m=i_m, i_minus=i_minus)
+    rank = t.ranks().of_vertex
+    out = IndexPartition(
+        i_plus=frozenset(data.occupied_levels[1:data.m_rank + 1]),
+        i_m=frozenset(e for e in data.hat_edges if rank[e] > data.m_rank),
+        i_minus=t.tree.edges - data.hat_edges)
     memo["index_partition"] = out
     return out
 
@@ -225,11 +294,8 @@ SpecialMap = Mapping[Level, Edge]  # level in I_plus -> its special edge
 
 def special_choices(t: WeightedLevelTree) -> dict[Level, tuple[Edge, ...]]:
     """For each level of ``I_plus``, the edges whose lower endpoint sits there."""
-    part = index_partition(t)
-    out: dict[Level, tuple[Edge, ...]] = {}
-    for i in part.i_plus:
-        out[i] = tuple(sorted(v for v in t.tree.edges if t.level[v] == i))
-    return out
+    ranks = t.ranks()
+    return {ranks.levels[k]: ranks.at[k] for k in range(1, level_data(t).m_rank + 1)}
 
 
 def default_special(t: WeightedLevelTree) -> dict[Level, Edge]:
@@ -271,22 +337,27 @@ def ascent_sequence(t: WeightedLevelTree, special: SpecialMap, i) -> tuple[Level
 
 def is_equivalent(t: WeightedLevelTree, t2: WeightedLevelTree) -> bool:
     """Same weighted tree, and the level order on vertices at or above ``m(t)``
-    is preserved: equal levels stay equal, strict drops stay strict."""
+    is preserved: equal levels stay equal, strict drops stay strict.
+
+    On ranks: from the bottom of ``t`` up, each class of ``t`` at or above
+    ``m`` must take a single rank in ``t2``, strictly above every ``t2``
+    rank of the lower classes of ``t``.
+    """
     if t.base != t2.base:
         return False
     try:
-        m = level_data(t).m
+        m_rank = level_data(t).m_rank
     except DomainError:
         return False
-    verts = sorted(t.tree.vertices)
-    for v in verts:
-        if t.level[v] < m:
-            continue
-        for w in verts:
-            if t.level[v] == t.level[w] and t2.level[v] != t2.level[w]:
-                return False
-            if t.level[v] > t.level[w] and not t2.level[v] > t2.level[w]:
-                return False
+    at = t.ranks().at
+    rank2 = t2.ranks().of_vertex
+    lowest = len(t2.ranks().levels)  # below every rank of t2
+    for k in range(len(at) - 1, -1, -1):
+        here = [rank2[v] for v in at[k]]
+        top = min(here)
+        if k <= m_rank and not (top == max(here) and top < lowest):
+            return False
+        lowest = min(lowest, top)
     return True
 
 
@@ -294,12 +365,7 @@ def equiv_key(t: WeightedLevelTree):
     """A canonical key equal for two trees iff they are equivalent: the
     weighted tree together with the ordered partition of the at-or-above-``m``
     vertices by level."""
-    m = level_data(t).m
-    by_level: dict[Level, list[Vertex]] = {}
-    for v in t.tree.vertices:
-        if t.level[v] >= m:
-            by_level.setdefault(t.level[v], []).append(v)
-    ordered = tuple(tuple(sorted(by_level[x])) for x in sorted(by_level, reverse=True))
+    ordered = t.ranks().at[:level_data(t).m_rank + 1]
     base_key = (t.root, tuple(sorted(t.tree.parent.items())),
                 tuple(sorted(t.weight.items())))
     return (base_key, ordered)
@@ -309,16 +375,15 @@ def canonical_form(t: WeightedLevelTree) -> WeightedLevelTree:
     """The class representative with at-or-above-``m`` levels renumbered to
     ``0, -1, -2, ...`` and every lower vertex placed by its depth below the
     ``m`` frontier (``m-1``, ``m-2``, ... along chains)."""
-    m = level_data(t).m
-    above = sorted({x for x in t.level.values() if x >= m}, reverse=True)
-    rank = {x: Fraction(-k) for k, x in enumerate(above)}
+    m_rank = level_data(t).m_rank
+    rank = t.ranks().of_vertex
     new_level: dict[Vertex, Level] = {}
     for v in t.tree.preorder():  # parents before children
-        if t.level[v] >= m:
-            new_level[v] = rank[t.level[v]]
+        if rank[v] <= m_rank:
+            new_level[v] = Fraction(-rank[v])
         else:
             par = t.tree.parent[v]
-            base = new_level[par] if t.level[par] < m else rank[m]
+            base = new_level[par] if rank[par] > m_rank else Fraction(-m_rank)
             new_level[v] = base - 1
     return WeightedLevelTree(base=t.base, level=new_level)
 
@@ -328,12 +393,10 @@ def phi_bijection(t: WeightedLevelTree, t2: WeightedLevelTree, subset: Iterable)
     vertex-level correspondence, edge labels stay put."""
     if not is_equivalent(t, t2):
         raise DomainError("phi is only defined between equivalent trees")
-    part = index_partition(t)
-    plus, mid, minus = part.split(subset)
+    plus, mid, minus = index_partition(t).split(subset)
+    ranks, ranks2 = t.ranks(), t2.ranks()
     moved = set()
     for i in plus:
-        for v in t.tree.vertices:
-            if t.level[v] == i:
-                moved.add(t2.level[v])
-                break
+        v = ranks.at[ranks.of_level[i]][0]  # any vertex at level i
+        moved.add(ranks2.levels[ranks2.of_vertex[v]])
     return frozenset(moved) | mid | minus

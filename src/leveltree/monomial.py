@@ -54,6 +54,10 @@ class Symbol:
     def sort_key(self) -> tuple:
         return (self.kind, _key_str(self.key))
 
+    def __reduce__(self):
+        # unpickling goes through the constructor, which re-interns
+        return (Symbol, (self.kind, self.key))
+
     # interning makes default object identity/hash correct and fast
 
 
@@ -106,6 +110,11 @@ class Monomial:
         # exps is None for the zero monomial, else a tuple of (Symbol, int)
         # sorted by symbol id with no zero exponents.
         self.exps = exps
+
+    def __reduce__(self):
+        # symbol ids depend on the order of interning, which differs between
+        # processes, so the factors are sorted again on unpickling
+        return (_from_exps, (self.exps,))
 
     # -- constructors -----------------------------------------------------
 
@@ -235,6 +244,12 @@ class Monomial:
 
 Monomial._ONE = Monomial(())
 Monomial._ZERO = Monomial(None)
+
+
+def _from_exps(exps: tuple | None) -> Monomial:
+    if exps is None:
+        return Monomial._ZERO
+    return Monomial(tuple(sorted(exps, key=lambda it: it[0].sid)))
 
 
 def parse_monomial(text: str) -> Monomial:

@@ -186,8 +186,9 @@ class WeightedTree:
         if set(self.weight) != verts:
             raise StructureError("weight map must cover exactly the vertex set")
         for v, w in self.weight.items():
-            if not isinstance(w, int) or w < 0:
-                raise StructureError(f"weight of {v!r} must be a nonnegative integer")
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                raise StructureError(f"weight of {v!r} must be a nonnegative "
+                                     f"integer, not {w!r}")
 
     @property
     def root(self) -> Vertex:
@@ -218,7 +219,7 @@ class WeightedTree:
     def from_json_dict(cls, data: dict) -> "WeightedTree":
         tree = RootedTree.from_json_dict(data)
         try:
-            weights = {v: int(w) for v, w in data["weights"].items()}
+            weights = dict(data["weights"])
         except KeyError as exc:
             raise StructureError(f"missing tree field {exc}") from exc
         return cls(tree=tree, weight=weights)

@@ -13,7 +13,7 @@ from leveltree.charts import (BasePoint, build_chart, build_inverse,
                               verify_stratum_transition, zeta)
 from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
-from leveltree.errors import DomainError
+from leveltree.errors import DomainError, VerificationError
 from leveltree.levels import index_partition, special_choices
 from leveltree.monomial import Monomial, parse_monomial
 
@@ -222,3 +222,25 @@ def test_theta_vanishes_exactly_on_surviving_edges():
                 assert reduced.is_zero == (e in surviving)
                 if e not in surviving:
                     assert strat.is_unit(reduced)
+
+
+def test_stratum_target_invariant_raises_without_asserts(nested_chart, monkeypatch):
+    import dataclasses
+
+    from leveltree import charts
+    real = charts.level_data
+    # the contraction's hat edges, misreported: the readout coordinates disagree
+    monkeypatch.setattr(charts, "level_data",
+                        lambda t: dataclasses.replace(real(t), hat_edges=frozenset()))
+    with pytest.raises(VerificationError) as info:
+        charts.stratum_target(nested_chart.frame, frozenset())
+    assert info.value.witness == (nested_chart.frame.t, frozenset())
+
+
+def test_inverse_vanishing_invariant_raises_without_asserts(nested_chart, monkeypatch):
+    from leveltree import charts
+    # closed gaps no longer read as zero, so the promised pattern breaks
+    monkeypatch.setattr(charts, "ZERO", Monomial.one())
+    with pytest.raises(VerificationError) as info:
+        build_inverse(nested_chart, frozenset())
+    assert info.value.witness[1] == frozenset()

@@ -128,3 +128,31 @@ def test_enumerate_env_override(tree_file, capsys, monkeypatch):
 
 def test_missing_file(capsys):
     assert run(["validate", "/nonexistent/tree.json"]) == 2
+
+
+@pytest.mark.parametrize("weight", [True, 1.7, "1"])
+def test_validate_rejects_non_integer_weights(tmp_path, capsys, weight):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({
+        "root": "o", "parents": {"a": "o"}, "weights": {"o": weight, "a": 1},
+        "levels": {"o": "0", "a": "-1"}}))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight of 'o' must be a nonnegative integer")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["contract", "--levels=x"],
+                                  ["contract", "--levels=-1/0"],
+                                  ["chart", "--special=x=b,-2=a"]])
+def test_bad_level_arguments_are_usage_errors(tree_file, capsys, argv):
+    assert run([argv[0], tree_file] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad level") and len(err.splitlines()) == 1
+
+
+def test_non_integer_edge_bound_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LEVELTREE_MAX_EDGES", "four")
+    assert run(["enumerate", "--count-only"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: LEVELTREE_MAX_EDGES must be an integer, not 'four'\n"

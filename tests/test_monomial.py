@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,20 @@ def test_division_inverts_multiplication(a, b):
 def test_substitution_through_identity_is_identity(a):
     ident = {s: Monomial.sym(s) for s in (E1, E2, UB, UC, ZA)}
     assert a.substitute(ident) == a
+
+
+def test_symbols_and_monomials_survive_pickling():
+    s = Symbol("eps", 1)
+    assert pickle.loads(pickle.dumps(s)) is s
+    for text in ("0", "1", "eps(-1) * u_c^-2 * a:z_d"):
+        mon = parse_monomial(text)
+        back = pickle.loads(pickle.dumps(mon))
+        assert back == mon and str(back) == str(mon)
+
+
+def test_unpickled_monomials_are_normalized_by_symbol_id():
+    a, b = Symbol("u", "pickle-a"), Symbol("u", "pickle-b")
+    mon = Monomial.sym(a) * Monomial.sym(b)
+    # factors stored out of id order, as a foreign process may have them
+    data = pickle.dumps(Monomial(tuple(reversed(mon.exps))))
+    assert pickle.loads(data) == mon
