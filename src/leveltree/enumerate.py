@@ -2,8 +2,13 @@
 
 Weighted rooted trees are produced up to root-preserving isomorphism by
 building canonical encodings (weight plus the sorted multiset of child
-encodings) directly, so no post-hoc deduplication is needed.  Level trees
-are produced one canonical representative per equivalence class.
+encodings) directly; a child pool pairs each shape with its edge cost, so
+no shape is measured twice.  Level trees are produced one canonical
+representative per equivalence class by generating the class keys
+themselves -- the ordered partitions by level of the vertices at or above
+the highest weighted level -- each exactly once, so neither generator
+keeps a set of what it has seen.  Representatives are built and sorted on
+integer levels; ``Fraction`` levels are made only for the trees returned.
 """
 
 from __future__ import annotations
@@ -56,10 +61,9 @@ def _shapes(n_edges: int, max_weight: int) -> list[Shape]:
 def _child_partitions(budget: int, max_weight: int) -> list[tuple[Shape, ...]]:
     """Sorted tuples of child shapes using exactly ``budget`` edges (each child
     subtree costs its own edge count plus one for its parent edge)."""
-    pool: list[Shape] = []
-    for k in range(budget):
-        pool.extend(_shapes(k, max_weight))
-    pool.sort()
+    # (shape, cost) pairs sort as the shapes do, since the shapes are distinct
+    pool = sorted((shape, k + 1) for k in range(budget)
+                  for shape in _shapes(k, max_weight))
     out: list[tuple[Shape, ...]] = []
 
     def rec(remaining: int, start: int, acc: list[Shape]):
@@ -67,20 +71,15 @@ def _child_partitions(budget: int, max_weight: int) -> list[tuple[Shape, ...]]:
             out.append(tuple(acc))
             return
         for idx in range(start, len(pool)):
-            cost = 1 + _edge_count(pool[idx])
+            shape, cost = pool[idx]
             if cost > remaining:
                 continue
-            acc.append(pool[idx])
+            acc.append(shape)
             rec(remaining - cost, idx, acc)
             acc.pop()
 
     rec(budget, 0, [])
     return out
-
-
-def _edge_count(shape: Shape) -> int:
-    w, children = shape
-    return sum(1 + _edge_count(c) for c in children)
 
 
 def _materialize(shape: Shape) -> WeightedTree:
@@ -119,66 +118,87 @@ def gen_level_trees(base: WeightedTree, spec: EnumSpec) -> Iterator[WeightedLeve
     """One canonical representative per equivalence class of level maps on
     ``base`` with at most ``max_levels`` occupied levels.
 
-    A class is determined by the ordered partition by level of the vertices
-    at or above the highest weighted level, so rank assignments are deduped
-    by that key before any representative is materialized.
+    A class is determined by its key: the ordered partition by level of the
+    vertices at or above the highest weighted level (the frontier), whose
+    last part holds a weighted vertex unless the root is weighted.  The
+    recursion builds each key exactly once.  Taking the non-root vertices in
+    preorder, a vertex whose parent lies at or above the frontier either
+    stays below it, joins a class strictly below its parent's class, or
+    founds a new class at any position strictly below it.  A weighted vertex
+    may only join or found the last class, which closes the frontier: no
+    class may come after it.  A weighted root closes it at the start.  The
+    representative puts the key's classes on levels -1, -2, ... and every
+    vertex below the frontier one level below its parent or the frontier,
+    whichever is lower.  The classes are returned sorted by level map.
     """
     if not base.positive_vertices():
         raise DomainError("level trees need at least one positive weight")
     tree = base.tree
-    order = [v for v in tree.preorder() if v != tree.root]
-    weighted = [v for v in tree.vertices if base.weight[v] > 0 and v != tree.root]
-    root_weighted = base.weight[tree.root] > 0
+    root, parent = tree.root, tree.parent
+    order = [v for v in tree.preorder() if v != root]
+    weighted = {v for v in order if base.weight[v] > 0}
+    names = sorted(tree.vertices)
     n = len(order)
-    seen: set = set()
-    results: list[WeightedLevelTree] = []
+    classes: list[list[Vertex]] = []
+    class_of: dict[Vertex, list[Vertex]] = {}
+    found: list[tuple[int, ...]] = []  # integer level maps, in ``names`` order
 
-    def finish(classes: list[list[Vertex]]):
-        rank = {v: k + 1 for k, cls in enumerate(classes) for v in cls}
-        r_m = 0 if root_weighted else min(rank[v] for v in weighted)
-        key = tuple(tuple(sorted(cls)) for cls in classes[:r_m])
-        if key in seen:
-            return
-        seen.add(key)
-        # canonical levels directly: the classes at or above the weighted
-        # frontier take consecutive levels, everything lower goes by depth
-        levels = {tree.root: Fraction(0)}
-        bottom = Fraction(-r_m)
+    def finish():
+        # ranks: the key's classes take 1..r_m, everything lower goes by depth
+        r_m = len(classes)
+        rank = {root: 0}
+        for k, cls in enumerate(classes, 1):
+            for v in cls:
+                rank[v] = k
         for v in order:
-            if rank[v] <= r_m:
-                levels[v] = Fraction(-rank[v])
-            else:
-                par = tree.parent[v]
-                levels[v] = min(levels[par], bottom) - 1
-        if len(set(levels.values())) <= spec.max_levels:
-            results.append(WeightedLevelTree(base=base, level=levels))
+            if v not in rank:
+                rank[v] = max(rank[parent[v]], r_m) + 1
+        # the ranks are consecutive, so the deepest one counts the levels
+        if max(rank.values()) < spec.max_levels:
+            found.append(tuple(-rank[v] for v in names))
 
-    # each order type of levels along the tree is built exactly once: a vertex
-    # either joins a class strictly below its parent's or founds a new class
-    # at any position strictly below it
-    def rec(idx: int, classes: list, class_of: dict):
+    def rec(idx: int, closed: bool):
         if idx == n:
-            finish(classes)
+            if closed:
+                finish()
             return
+        rec(idx + 1, closed)  # order[idx] stays below the frontier
         v = order[idx]
-        par = tree.parent[v]
-        lo = classes.index(class_of[par]) if par != tree.root else -1
-        for j in range(lo + 1, len(classes)):
+        par = parent[v]
+        if par == root:
+            lo = 0
+        elif par in class_of:
+            lo = classes.index(class_of[par]) + 1
+        else:
+            return
+        # a new class may go at any position from ``lo`` up to the end, but
+        # never after a closed frontier
+        end = len(classes) + (not closed)
+        if v in weighted:
+            joins = range(max(lo, len(classes) - 1), len(classes))
+            founds = range(len(classes), end)
+            closed = True
+        else:
+            joins, founds = range(lo, len(classes)), range(lo, end)
+        for j in joins:
             classes[j].append(v)
             class_of[v] = classes[j]
-            rec(idx + 1, classes, class_of)
+            rec(idx + 1, closed)
             classes[j].pop()
         fresh = [v]
         class_of[v] = fresh
-        for j in range(lo + 1, len(classes) + 1):
+        for j in founds:
             classes.insert(j, fresh)
-            rec(idx + 1, classes, class_of)
+            rec(idx + 1, closed)
             classes.pop(j)
         del class_of[v]
 
-    rec(0, [], {})
-    results.sort(key=lambda t: tuple(sorted((v, t.level[v]) for v in t.level)))
-    yield from results
+    rec(0, base.weight[root] > 0)
+    found.sort()
+    levels = [Fraction(-k) for k in range(n + 1)]
+    for key in found:
+        yield WeightedLevelTree(base=base, level={
+            v: levels[-x] for v, x in zip(names, key)})
 
 
 def gen_instances(spec: EnumSpec, stable_only: bool = False) -> Iterator[WeightedLevelTree]:

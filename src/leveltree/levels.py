@@ -23,12 +23,13 @@ ranks (``LevelData.span``), and the cross-sections.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError, StructureError
-from .tree import Edge, RootedTree, Vertex, WeightedTree
+from .tree import Edge, RootedTree, Vertex, WeightedTree, json_object
 
 Level = Fraction
 # An index subset mixes levels (Fraction) and edges (str).
@@ -68,15 +69,18 @@ class WeightedLevelTree:
             raise StructureError("level map must cover exactly the vertex set")
         lv = {v: as_level(x) for v, x in self.level.items()}
         object.__setattr__(self, "level", lv)
+        # compared as integers: a Fraction's denominator is positive, so its
+        # sign is its numerator's, and p/q > r/s iff p*s > r*q
         for v, x in lv.items():
-            if x > 0:
+            if x.numerator > 0:
                 raise StructureError(f"level of {v!r} must be nonpositive")
-            if x == 0 and v != tree.root:
+            if x.numerator == 0 and v != tree.root:
                 raise StructureError(f"only the root may sit at level 0, not {v!r}")
-        if lv[tree.root] != 0:
+        if lv[tree.root].numerator != 0:
             raise StructureError("root must sit at level 0")
         for child, par in tree.parent.items():
-            if not lv[par] > lv[child]:
+            above, below = lv[par], lv[child]
+            if not above.numerator * below.denominator > below.numerator * above.denominator:
                 raise StructureError(
                     f"levels must strictly decrease along edges ({par!r} -> {child!r})"
                 )
@@ -138,12 +142,17 @@ class WeightedLevelTree:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedLevelTree":
         base = WeightedTree.from_json_dict(data)
-        try:
-            levels = {v: Fraction(s) for v, s in data["levels"].items()}
-        except KeyError as exc:
-            raise StructureError(f"missing tree field {exc}") from exc
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructureError(f"bad level value: {exc}") from exc
+        raw = json_object(data, "levels")
+        levels = {}
+        for v, s in raw.items():
+            # a JSON number would be read through a binary float
+            if not isinstance(s, str):
+                raise StructureError(f"level of {v!r} must be a string such as "
+                                     f"\"-1/2\", not {json.dumps(s)}")
+            try:
+                levels[v] = Fraction(s)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise StructureError(f"bad level value: {exc}") from exc
         return cls(base=base, level=levels)
 
 

@@ -167,10 +167,17 @@ class RootedTree:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RootedTree":
+        if not isinstance(data, dict):
+            raise StructureError(f"a tree file must hold a JSON object, not {_json_kind(data)}")
         try:
-            return cls(root=data["root"], parent=dict(data["parents"]))
+            root = data["root"]
         except KeyError as exc:
             raise StructureError(f"missing tree field {exc}") from exc
+        parents = json_object(data, "parents")
+        for v in [root, *parents.values()]:
+            if not isinstance(v, str):
+                raise StructureError(f"vertex names must be strings, not {json.dumps(v)}")
+        return cls(root=root, parent=parents)
 
 
 @dataclass(frozen=True)
@@ -218,11 +225,30 @@ class WeightedTree:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedTree":
         tree = RootedTree.from_json_dict(data)
-        try:
-            weights = dict(data["weights"])
-        except KeyError as exc:
-            raise StructureError(f"missing tree field {exc}") from exc
-        return cls(tree=tree, weight=weights)
+        return cls(tree=tree, weight=json_object(data, "weights"))
+
+
+def _json_kind(value) -> str:
+    """The JSON type of a decoded value, with its article."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    kinds = {dict: "an object", list: "an array", str: "a string"}
+    return kinds.get(type(value), "null")
+
+
+def json_object(data: dict, field: str) -> dict:
+    """A tree-file field that maps vertices to values, checked to be a JSON
+    object."""
+    try:
+        value = data[field]
+    except KeyError as exc:
+        raise StructureError(f"missing tree field {exc}") from exc
+    if not isinstance(value, dict):
+        raise StructureError(f"tree field {field!r} must be a JSON object, "
+                             f"not {_json_kind(value)}")
+    return value
 
 
 def to_dot(wt: WeightedTree, levels: Mapping[Vertex, object] | None = None) -> str:

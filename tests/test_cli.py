@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,55 @@ def test_non_integer_edge_bound_is_a_usage_error(capsys, monkeypatch):
     assert run(["enumerate", "--count-only"]) == 2
     err = capsys.readouterr().err
     assert err == "error: LEVELTREE_MAX_EDGES must be an integer, not 'four'\n"
+
+
+GOOD = {"root": "o", "parents": {"a": "o"}, "weights": {"o": 0, "a": 1},
+        "levels": {"o": "0", "a": "-1"}}
+
+
+@pytest.mark.parametrize("blob, message", [
+    (["o"], "a tree file must hold a JSON object, not an array"),
+    ("o", "a tree file must hold a JSON object, not a string"),
+    (dict(GOOD, parents=["a"]), "tree field 'parents' must be a JSON object, not an array"),
+    (dict(GOOD, weights=[0, 1]), "tree field 'weights' must be a JSON object, not an array"),
+    (dict(GOOD, levels="0"), "tree field 'levels' must be a JSON object, not a string"),
+    (dict(GOOD, root=["o"]), 'vertex names must be strings, not ["o"]'),
+    (dict(GOOD, parents={"a": 0}), "vertex names must be strings, not 0"),
+])
+def test_validate_rejects_malformed_tree_shapes(tmp_path, capsys, blob, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(blob))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("level, shown", [(-0.1, "-0.1"), (-1, "-1"),
+                                          (True, "true"), (False, "false")])
+def test_validate_rejects_non_string_levels(tmp_path, capsys, level, shown):
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(dict(GOOD, levels={"o": "0", "a": level})))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f'error: level of \'a\' must be a string such as "-1/2", not {shown}\n')
+
+
+def test_cli_checks_survive_optimize_mode(tmp_path):
+    """Under ``python -O`` asserts are stripped, yet bad input still exits 2
+    and enumeration still counts every class."""
+    path = tmp_path / "upside_down.json"
+    path.write_text(json.dumps({
+        "root": "o", "parents": {"a": "o", "b": "a"}, "weights": {"o": 0, "a": 0, "b": 1},
+        "levels": {"o": "0", "a": "-2", "b": "-1"}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "LEVELTREE_MAX_EDGES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-O", "-m", "leveltree.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    upside_down = cli("validate", str(path))
+    assert upside_down.returncode == 2
+    assert upside_down.stderr == "error: levels must strictly decrease along edges ('a' -> 'b')\n"
+    count = cli("enumerate", "--max-edges", "3", "--count-only")
+    assert count.returncode == 0 and count.stdout == "451\n"

@@ -15,7 +15,7 @@ F = Fraction
 
 # first-run totals, frozen so regressions in either generator are loud
 GOLDEN_WEIGHTED_COUNTS = {0: 2, 1: 8, 2: 43, 3: 242, 4: 1476}
-GOLDEN_CLASS_COUNTS = {1: 10, 2: 63, 3: 451, 4: 3637}
+GOLDEN_CLASS_COUNTS = {1: 10, 2: 63, 3: 451, 4: 3637, 5: 29097}
 
 
 def test_weighted_tree_counts_match_hand_count():
@@ -60,6 +60,71 @@ def test_no_two_weighted_trees_are_isomorphic():
         key = encoding(wt, wt.root)
         assert key not in seen
         seen.add(key)
+
+
+def reference_level_maps(base: WeightedTree, spec: EnumSpec) -> list[dict]:
+    """The generator that direct class generation replaced: it builds every
+    order type of levels along the tree, keeps the first of each class key
+    and sorts the representatives' level maps."""
+    tree = base.tree
+    order = [v for v in tree.preorder() if v != tree.root]
+    weighted = [v for v in tree.vertices if base.weight[v] > 0 and v != tree.root]
+    root_weighted = base.weight[tree.root] > 0
+    seen = set()
+    results = []
+
+    def finish(classes):
+        rank = {v: k + 1 for k, cls in enumerate(classes) for v in cls}
+        r_m = 0 if root_weighted else min(rank[v] for v in weighted)
+        key = tuple(tuple(sorted(cls)) for cls in classes[:r_m])
+        if key in seen:
+            return
+        seen.add(key)
+        levels = {tree.root: F(0)}
+        bottom = F(-r_m)
+        for v in order:
+            if rank[v] <= r_m:
+                levels[v] = F(-rank[v])
+            else:
+                levels[v] = min(levels[tree.parent[v]], bottom) - 1
+        if len(set(levels.values())) <= spec.max_levels:
+            results.append(levels)
+
+    # a vertex joins a class strictly below its parent's or founds a new
+    # class at any position strictly below it
+    def rec(idx, classes, class_of):
+        if idx == len(order):
+            finish(classes)
+            return
+        v = order[idx]
+        par = tree.parent[v]
+        lo = classes.index(class_of[par]) if par != tree.root else -1
+        for j in range(lo + 1, len(classes)):
+            classes[j].append(v)
+            class_of[v] = classes[j]
+            rec(idx + 1, classes, class_of)
+            classes[j].pop()
+        fresh = [v]
+        class_of[v] = fresh
+        for j in range(lo + 1, len(classes) + 1):
+            classes.insert(j, fresh)
+            rec(idx + 1, classes, class_of)
+            classes.pop(j)
+        del class_of[v]
+
+    rec(0, [], {})
+    results.sort(key=lambda levels: sorted(levels.items()))
+    return results
+
+
+@pytest.mark.parametrize("max_edges, max_weight, max_levels",
+                         [(4, 2, 2), (4, 2, 3), (4, 2, 5), (5, 1, 5)])
+def test_direct_generation_matches_order_type_enumeration(max_edges, max_weight,
+                                                          max_levels):
+    spec = EnumSpec(max_edges=max_edges, max_weight=max_weight, max_levels=max_levels)
+    for base in gen_weighted_trees(spec):
+        got = [t.level for t in gen_level_trees(base, spec)]
+        assert got == reference_level_maps(base, spec)
 
 
 def test_level_classes_cover_all_order_types_and_have_no_duplicates():

@@ -25,6 +25,19 @@ def test_level_map_validation():
                         {"o": 0, "a": -2, "b": -1})
 
 
+def test_level_map_validation_on_fractional_levels():
+    path = ("o", {"a": "o", "b": "a"}, {"o": 0, "a": 0, "b": 1})
+    t = make_level_tree(*path, {"o": "0", "a": "-1/3", "b": "-1/2"})
+    assert t.level == {"o": 0, "a": F(-1, 3), "b": F(-1, 2)}
+    decrease = r"^levels must strictly decrease along edges \('a' -> 'b'\)$"
+    with pytest.raises(StructureError, match=decrease):
+        make_level_tree(*path, {"o": "0", "a": "-1/2", "b": "-1/3"})
+    with pytest.raises(StructureError, match=decrease):  # -2/4 == -1/2
+        make_level_tree(*path, {"o": "0", "a": "-2/4", "b": "-1/2"})
+    with pytest.raises(StructureError, match=r"^level of 'b' must be nonpositive$"):
+        make_level_tree(*path, {"o": "0", "a": "-1/3", "b": "1/7"})
+
+
 def test_level_data_on_nested_tree(nested_tree):
     data = level_data(nested_tree)
     assert data.m == -2
