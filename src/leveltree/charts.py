@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .contraction import ContractionResult, contract
 from .errors import DomainError, MonomialError, VerificationError
@@ -194,6 +194,10 @@ class TwistedChart:
             self._mu_cache[key] = build_mu(self, key)
         return self._mu_cache[key]
 
+    def theta_of(self, e: Edge) -> Monomial:
+        """The edge's modular parameter pulled back to the chart."""
+        return self.theta.assignment[zeta(e)]
+
 
 def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
                 tags: Sequence[Hashable] = ("j1", "j2"), flavor: str = "") -> TwistedChart:
@@ -202,19 +206,18 @@ def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
     return TwistedChart(frame=frame, theta=build_theta(frame))
 
 
-def _contracted_zeta_ratio(chart: TwistedChart, plus_mask: int,
-                           above_of: Edge | None) -> Monomial:
-    """Product of the pulled-back modular parameters of all fully collapsed
-    edges strictly above the given edge (empty product for ``None``); the
-    collapsed levels are given as a rank bitmask."""
+def _collapsed_product(frame: ChartFrame, plus_mask: int, above_of: Edge | None,
+                       value: Callable[[Edge], Monomial]) -> Monomial:
+    """Product of ``value`` over all fully collapsed edges strictly above the
+    given edge (empty product for ``None``); the collapsed levels are given
+    as a rank bitmask."""
     if above_of is None:
         return ONE
-    t = chart.frame.t
-    span = chart.frame.data.span
+    span = frame.data.span
     out = ONE
-    for anc in t.tree.ancestors_gt(above_of):
+    for anc in frame.t.tree.ancestors_gt(above_of):
         if not span[anc] & ~plus_mask:
-            out = out * chart.theta.assignment[zeta(anc)]
+            out = out * value(anc)
     return out
 
 
@@ -232,11 +235,11 @@ def build_mu(chart: TwistedChart, subset: Iterable) -> dict[tuple[Level, Edge], 
         if mask >> k & 1:
             continue
         i = levels[k]
-        num_ratio = _contracted_zeta_ratio(chart, mask, frame.special_at[k])
+        num_ratio = _collapsed_product(frame, mask, frame.special_at[k], chart.theta_of)
         for e in cross_section(t, i):
             le = frame.data.edge_rank[e]
             val = frame.u_mon(e) * frame.up_chain(le) / frame.up_chain(k)
-            val = val * num_ratio / _contracted_zeta_ratio(chart, mask, e)
+            val = val * num_ratio / _collapsed_product(frame, mask, e, chart.theta_of)
             table[(i, e)] = val * frame.gaps(k + 1, le + 1)
     return table
 
@@ -433,13 +436,6 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     def chain_val(k: int) -> Monomial:
         return _prod(u_val(e) for e in frame.chain_edges[k])
 
-    def collapsed_ratio(above_of: Edge) -> Monomial:
-        out = ONE
-        for anc in t.tree.ancestors_gt(above_of):
-            if not frame.data.span[anc] & ~mask:
-                out = out * zeta_val(anc)
-        return out
-
     def eps_prod(lo: int, hi: int) -> Monomial:
         """The built gap coordinates of the ranks in ``[lo, hi)``."""
         return _prod(built[frame.eps_at[h]] for h in range(lo, hi))
@@ -456,7 +452,8 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
         else:
             khat = open_gaps.bit_length() - 1  # the lowest level left standing
             val = mu_val(se) * chain_val(khat) / chain_val(k)
-            val = val * collapsed_ratio(se) / collapsed_ratio(frame.special_at[khat])
+            val = val * (_collapsed_product(frame, mask, se, zeta_val)
+                         / _collapsed_product(frame, mask, frame.special_at[khat], zeta_val))
             built[frame.eps_at[k]] = val / eps_prod(khat + 1, k)
         for e in sorted(frame.data.hat_edges):
             if frame.data.edge_rank[e] != k or e == se:
@@ -466,7 +463,8 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
             if open_e:
                 kappa = open_e.bit_length() - 1
                 val = mu_val(e) * chain_val(kappa) / chain_val(k)
-                val = val * collapsed_ratio(e) / collapsed_ratio(frame.special_at[kappa])
+                val = val * (_collapsed_product(frame, mask, e, zeta_val)
+                             / _collapsed_product(frame, mask, frame.special_at[kappa], zeta_val))
                 val = val / eps_prod(kappa + 1, k + 1)
             else:
                 v_plus = t.tree.parent[e]
@@ -515,14 +513,6 @@ def verify_round_trip(chart: TwistedChart, subset: Iterable) -> bool:
 # Transition identities
 # ---------------------------------------------------------------------------
 
-def _all_subsets(labels: Iterable) -> list[frozenset]:
-    labels = sorted(labels, key=str)
-    out = [frozenset()]
-    for lab in labels:
-        out += [s | {lab} for s in out]
-    return out
-
-
 def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap,
                                      special_b: SpecialMap,
                                      tags: Sequence[Hashable] = ("j1",)) -> bool:
@@ -557,7 +547,7 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
 
     if compose(other.theta, g).assignment != chart.theta.assignment:
         return False
-    for subset in _all_subsets(fa.part.labels()):
+    for subset in fa.part.subsets():
         mu_a = chart.mu(subset)
         mu_b = other.mu(subset)
         for (i, e), mon in mu_b.items():
@@ -614,7 +604,7 @@ def verify_parameter_transition(t: WeightedLevelTree, special: SpecialMap | None
                 != chart.theta.assignment[sigma(j)]:
             return False
 
-    for subset in _all_subsets(fa.part.labels()):
+    for subset in fa.part.subsets():
         i_plus, _, _ = fa.part.split(subset)
         mask = level_mask(t, i_plus)
 
@@ -669,8 +659,8 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable,
         k, kup = t.level_rank(i), t.level_rank(iup)
         val = Monomial.sym(frame.eps_at[k]) * frame.gaps(kup + 1, k)
         up_special = special_new.get(iup)  # None when the next level is the root's
-        val = val * (_contracted_zeta_ratio(chart, mask, up_special)
-                     / _contracted_zeta_ratio(chart, mask, special[i]))
+        val = val * (_collapsed_product(frame, mask, up_special, chart.theta_of)
+                     / _collapsed_product(frame, mask, special[i], chart.theta_of))
         val = val * frame.up_chain(k) / frame.up_chain(kup)
         val = val * mu_chain(iup) / mu_chain(i)
         assignment[fp.eps(i)] = val
@@ -704,7 +694,7 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable,
             return False
 
     # recentered readout families come from the union subset
-    for subset2 in _all_subsets(new_part.labels()):
+    for subset2 in new_part.subsets():
         mu_union = chart.mu(subset | subset2)
         for (i, e), mon in prime.mu(subset2).items():
             if mon.substitute(g.assignment) != mu_union[(i, e)]:

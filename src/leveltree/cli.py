@@ -5,26 +5,30 @@ Subcommands: ``validate``, ``indices``, ``contract``, ``chart``, ``verify``,
 the form ``{"root": ..., "parents": {...}, "weights": {...}, "levels":
 {...}}`` with levels given as exact rational strings.  Exit codes: 0 on
 success, 1 on verification failure, 2 on usage or input errors.
+
+``verify`` runs the suites of the check registry in ``checks``, the same
+checks the acceptance sweeps run.  ``chart`` and the subset checks of
+``verify`` enumerate every index subset, so they refuse index sets above
+``levels.MAX_SUBSET_LABELS`` labels up front, with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import blowup as blowup_mod
 from . import charts as charts_mod
 from . import contraction as contraction_mod
 from . import enumerate as enum_mod
-from .errors import DomainError, LevelTreeError, VerificationError
+from .checks import SUITES, RunReport, run_checks
+from .errors import DomainError, LevelTreeError
 from .levels import (WeightedLevelTree, cross_section, default_special,
-                     index_partition, level_data, special_choices)
+                     index_partition, level_data)
 from .tree import to_dot, tree_json
 
 
@@ -36,152 +40,6 @@ def _load_level_tree(path: str) -> WeightedLevelTree:
 
 def _fmt_level(x: Fraction) -> str:
     return str(x)
-
-
-def _subsets(labels):
-    labels = sorted(labels, key=str)
-    out = [frozenset()]
-    for lab in labels:
-        out += [s | {lab} for s in out]
-    return out
-
-
-@dataclass
-class RunReport:
-    suite: str
-    instances: int = 0
-    counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
-
-    def check(self, operation: str, ok: bool, instance: str, detail: str = ""):
-        self.instances += 1
-        self.counts[operation] = self.counts.get(operation, 0) + 1
-        if not ok:
-            self.failures.append({"instance": instance, "operation": operation,
-                                  "detail": detail})
-
-    def record(self, instance: str, operation: str, detail: str = ""):
-        self.failures.append({"instance": instance, "operation": operation,
-                              "detail": detail})
-
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        # elapsed is intentionally omitted so identical inputs give
-        # byte-identical reports
-        return {"suite": self.suite, "instances": self.instances,
-                "checks": dict(sorted(self.counts.items())),
-                "failures": sorted(self.failures,
-                                   key=lambda f: (f["instance"], f["operation"]))}
-
-    def render(self) -> str:
-        lines = [f"suite {self.suite}: {self.instances} checks, "
-                 f"{len(self.failures)} failures ({self.elapsed:.2f}s)"]
-        for op, n in sorted(self.counts.items()):
-            lines.append(f"  {op}: {n}")
-        for f in self.to_json_dict()["failures"]:
-            lines.append(f"  FAIL {f['instance']} {f['operation']} {f['detail']}")
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# per-tree verification suites
-# ---------------------------------------------------------------------------
-
-def _relevelings(t: WeightedLevelTree):
-    """A deterministic family of equivalent relabelings of the level map."""
-    yield WeightedLevelTree(base=t.base,
-                            level={v: 2 * x for v, x in t.level.items()})
-    yield WeightedLevelTree(base=t.base,
-                            level={v: Fraction(3, 2) * x for v, x in t.level.items()})
-
-
-def run_contraction_suite(t: WeightedLevelTree, report: RunReport, name: str):
-    part = index_partition(t)
-    total = t.base.total_weight()
-    for subset in _subsets(part.labels()):
-        label = f"{name} I={sorted(map(str, subset))}"
-        try:
-            res = contraction_mod.contract(t, subset)
-            report.check("contract-validity", True, label)
-        except LevelTreeError as exc:
-            report.check("contract-validity", False, label, str(exc))
-            continue
-        report.check("weight-conservation",
-                     res.tree.base.total_weight() == total, label)
-        rep = contraction_mod.index_identity_report(t, subset, result=res)
-        report.check("index-identities", rep.all_corrected(), label)
-        for t2 in _relevelings(t):
-            report.check("equivalence-compat",
-                         contraction_mod.verify_equivalence_compat(t, t2, subset),
-                         label)
-
-
-def run_chart_suite(t: WeightedLevelTree, report: RunReport, name: str):
-    chart = charts_mod.build_chart(t)
-    part = index_partition(t)
-    for subset in _subsets(part.labels()):
-        label = f"{name} I={sorted(map(str, subset))}"
-        try:
-            report.check("round-trip",
-                         charts_mod.verify_round_trip(chart, subset), label)
-            report.check("mu-vanishing",
-                         charts_mod.check_mu_vanishing(chart, subset), label)
-        except LevelTreeError as exc:
-            report.check("round-trip", False, label, str(exc))
-        report.check("stratum-transition",
-                     charts_mod.verify_stratum_transition(t, subset), label)
-    if part.i_plus:
-        report.check("ancestor-product-identities",
-                     charts_mod.remark_identities(chart), name)
-    report.check("parameter-transition",
-                 charts_mod.verify_parameter_transition(t), name)
-    choices = special_choices(t)
-    keys = sorted(choices)
-    for combo_a in itertools.product(*(choices[i] for i in keys)):
-        for combo_b in itertools.product(*(choices[i] for i in keys)):
-            sa = dict(zip(keys, combo_a))
-            sb = dict(zip(keys, combo_b))
-            report.check("special-vertex-transition",
-                         charts_mod.verify_special_vertex_transition(t, sa, sb),
-                         name, f"{combo_a}->{combo_b}")
-
-
-def run_blowup_suite(t: WeightedLevelTree, report: RunReport, name: str):
-    chart = charts_mod.build_chart(t)
-    part = index_partition(t)
-    for k in range(1, len(t.edges()) + 1):
-        try:
-            blowup_mod.yk_pullback(chart, k, verify=True)
-            report.check("divisor-containment", True, name)
-        except VerificationError as exc:
-            report.check("divisor-containment", False, name,
-                         f"k={k}: {exc.witness}")
-    if part.i_plus:
-        report.check("bundle-identity", blowup_mod.bundle_identity(t), name)
-    report.check("blowup-chart-comparison", blowup_mod.psi2_chart_check(t), name)
-    for step in range(1, len(part.i_plus) + 2):
-        report.check("ideal-transform",
-                     blowup_mod.ideal_transform_check(t, step), name,
-                     f"step={step}")
-    if t.base.is_stable() and not part.i_m:
-        idx = sorted(int(-i) for i in part.i_plus)
-        try:
-            rebuilt = blowup_mod.psi2_level_tree(t.base, idx)
-            from .levels import is_equivalent
-            report.check("level-reconstruction", is_equivalent(t, rebuilt),
-                         name, "wrong class")
-        except LevelTreeError as exc:
-            report.check("level-reconstruction", False, name, str(exc))
-
-
-SUITES = {
-    "contraction": run_contraction_suite,
-    "charts": run_chart_suite,
-    "blowup": run_blowup_suite,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +123,25 @@ def _parse_special(t: WeightedLevelTree, text: str | None):
     return special
 
 
-def cmd_chart(args) -> int:
-    t = _load_level_tree(args.file)
-    special = _parse_special(t, args.special)
-    tags = tuple(s.strip() for s in args.tags.split(",")) if args.tags else ()
-    chart = charts_mod.build_chart(t, special, tags=tags)
-    part = index_partition(t)
-    lines = []
-    for e in sorted(t.edges()):
-        lines.append(f"theta zeta_{e} = {chart.theta.assignment[charts_mod.zeta(e)]}")
-    for j in tags:
-        lines.append(f"theta sig_{j} = {chart.theta.assignment[charts_mod.sigma(j)]}")
-    for subset in _subsets(part.labels()):
+def render_chart(chart: charts_mod.TwistedChart) -> str:
+    """What ``chart`` prints: the chart-to-base map, then the readout table
+    of every index subset."""
+    t, theta = chart.frame.t, chart.theta.assignment
+    lines = [f"theta zeta_{e} = {theta[charts_mod.zeta(e)]}" for e in sorted(t.edges())]
+    lines += [f"theta sig_{j} = {theta[charts_mod.sigma(j)]}" for j in chart.frame.extra_tags]
+    for subset in index_partition(t).subsets():
         table = chart.mu(subset)
         tag = "{" + ",".join(sorted(map(str, subset))) + "}"
         for (i, e) in sorted(table, key=lambda k: (-k[0], k[1])):
             lines.append(f"mu[I={tag}] level={_fmt_level(i)} edge={e}: {table[(i, e)]}")
-    print("\n".join(lines))
+    return "\n".join(lines) + "\n"
+
+
+def cmd_chart(args) -> int:
+    t = _load_level_tree(args.file)
+    special = _parse_special(t, args.special)
+    tags = tuple(s.strip() for s in args.tags.split(",")) if args.tags else ()
+    sys.stdout.write(render_chart(charts_mod.build_chart(t, special, tags=tags)))
     return 0
 
 
@@ -289,21 +149,18 @@ def cmd_verify(args) -> int:
     t = _load_level_tree(args.file)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
-    rc = 0
     for suite in names:
         report = RunReport(suite=suite)
         start = time.perf_counter()
-        SUITES[suite](t, report, os.path.basename(args.file))
+        run_checks(t, SUITES[suite], report, os.path.basename(args.file))
         report.elapsed = time.perf_counter() - start
         reports.append(report)
-        if not report.ok():
-            rc = 1
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True, indent=2))
     else:
         for r in reports:
             print(r.render())
-    return rc
+    return 0 if all(r.ok() for r in reports) else 1
 
 
 def cmd_blowup_report(args) -> int:

@@ -12,7 +12,7 @@ endpoint, and re-leveling:
   edges are lifted exactly to the new bottom level ``min(I_plus \\ I)``;
   everything else keeps the highest level merged into it.
 
-``verify_index_identities`` checks how the index data transforms.  The
+``index_identity_report`` checks how the index data transforms.  The
 literal bookkeeping identity for the minus part admits boundary
 counterexamples ("dropout" edges, see ``minus_part_dropouts``), so the strict
 and the corrected reading are exposed separately.
@@ -182,18 +182,6 @@ def index_identity_report(t: WeightedLevelTree, subset: Iterable,
         minus_ok_corrected=(new_part.i_minus == expected_minus_strict | dropouts),
         dropouts=dropouts,
     )
-
-
-def verify_index_identities(t: WeightedLevelTree, subset: Iterable,
-                            strict: bool = True) -> bool:
-    """Check the four index bookkeeping identities of the contraction.
-
-    ``strict=True`` asserts the minus part is exactly the uncontracted minus
-    labels; ``strict=False`` additionally allows the dropout edges, the only
-    reading consistent with recomputing the index partition from scratch.
-    """
-    report = index_identity_report(t, subset)
-    return report.all_strict() if strict else report.all_corrected()
 
 
 def verify_equivalence_compat(t: WeightedLevelTree, t2: WeightedLevelTree,

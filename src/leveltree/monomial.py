@@ -270,10 +270,6 @@ def parse_monomial(text: str) -> Monomial:
     return out
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return a * b
-
-
 @dataclass(frozen=True)
 class Stratum:
     """Coordinates pinned to zero and coordinates constrained to be units."""

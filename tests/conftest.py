@@ -55,11 +55,3 @@ def boundary_tree():
         weight={"o": 0, "p": 0, "r": 1, "q": 1},
         level={"o": 0, "p": -1, "r": -2, "q": -3},
     )
-
-
-def subsets(labels):
-    labels = sorted(labels, key=str)
-    out = [frozenset()]
-    for lab in labels:
-        out += [s | {lab} for s in out]
-    return out

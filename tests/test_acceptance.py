@@ -1,37 +1,29 @@
 """End-to-end acceptance checks, one per shipped criterion.
 
-Every sweep is exhaustive over the stated instance set and exact (integer
-exponents, no tolerances).  Sweeps whose checks depend only on the tree,
-the positivity pattern of the weights, and the levels are deduplicated on
-that key -- identical inputs are computed once -- while weight-dependent
-checks (conservation) run on every instance.  The two heavy sweeps fan out
-over a small process pool.
+Criteria 3-7 are rows of ``ROWS``: an instance set and the names of checks
+from the registry in ``leveltree.checks``, which ``_sweep`` runs exhaustively
+and exactly through the executor ``leveltree verify`` uses.  Instances that
+share the tree, the levels and the positivity pattern of the weights form a
+group: its checks run once, on its first instance, and weight conservation
+on every member.  The groups fan out over a small fork pool.
 
-Two documented readings are exercised where the source formulas have known
-boundary slips (see the README):
-
-* the minus-part bookkeeping identity of contractions acquires "dropout"
-  edges (surviving below-frontier edges whose upper endpoint lands exactly
-  on the new bottom level); the corrected identity is asserted and the
-  literal one is reported;
-* the level reconstruction from divisor slots round-trips the classes of
-  stable trees without dropping edges, which is its meaningful domain.
+Two documented readings of boundary slips in the source formulas (see the
+README) are exercised: the minus-part identity of contractions holds in its
+corrected form and fails literally only on "dropout" edges, which are
+counted; and levels are reconstructed from divisor slots on stable trees
+without dropping edges, the classes the slots determine.
 """
 
-import itertools
-import json
 import multiprocessing as mp
 import time
 from fractions import Fraction
 
-from conftest import subsets
 from leveltree import blowup as blowup_mod
 from leveltree import charts as charts_mod
-from leveltree import contraction as contraction_mod
-from leveltree.cli import run as cli_run
+from leveltree.checks import CHECKS, DROPOUT_REMARK, RunReport, run_checks
+from leveltree.cli import render_chart, run as cli_run
 from leveltree.enumerate import EnumSpec, gen_instances
-from leveltree.levels import (ascent_sequence, index_partition, is_equivalent,
-                              level_data, level_successor, special_choices)
+from leveltree.levels import ascent_sequence, level_successor
 from leveltree.monomial import parse_monomial
 from leveltree.tree import tree_json
 
@@ -40,12 +32,23 @@ FULL_SPEC = EnumSpec(max_edges=5, max_weight=2, max_levels=5)
 SMALL_SPEC = EnumSpec(max_edges=4, max_weight=2, max_levels=5)
 WORKERS = max(1, min(2, mp.cpu_count()))
 
-_INSTANCES = None
+# criterion -> (title, instance set, checks run on it, wall-clock budget in s)
+ROWS = {
+    3: ("contraction suite", FULL_SPEC,
+        ("contract-validity", "weight-conservation", "index-identities",
+         "equivalence-compat"), 120.0),
+    4: ("chart isomorphism suite", FULL_SPEC, ("round-trip", "mu-vanishing"), 300.0),
+    5: ("transition suite", SMALL_SPEC,
+        ("stratum-transition", "parameter-transition", "special-vertex-transition"),
+        300.0),
+    6: ("blowup suite", FULL_SPEC,
+        ("divisor-containment", "bundle-identity", "blowup-chart-comparison",
+         "ideal-transform", "level-reconstruction"), 120.0),
+    7: ("ancestor-product identities", FULL_SPEC, ("ancestor-product-identities",),
+        None),
+}
 
-
-def _init_pool(spec: EnumSpec):
-    global _INSTANCES
-    _INSTANCES = list(gen_instances(spec))
+_INSTANCES = None  # the instance set of the running sweep, inherited by fork
 
 
 def _positivity_key(t):
@@ -54,35 +57,63 @@ def _positivity_key(t):
             tuple(sorted(t.level.items())))
 
 
-def _dedup_indices(instances):
-    seen = set()
-    out = []
-    for k, t in enumerate(instances):
-        key = _positivity_key(t)
-        if key not in seen:
-            seen.add(key)
-            out.append(k)
-    return out
+def _sweep_groups(args):
+    groups, names = args
+    checks = [CHECKS[name] for name in names]
+    report = RunReport(suite="sweep")
+    for first, *rest in groups:
+        run_checks(_INSTANCES[first], checks, report, f"#{first}",
+                   members=[(f"#{k}", _INSTANCES[k]) for k in rest])
+    return report
 
 
-def _relevelings(t):
-    yield type(t)(base=t.base, level={v: 2 * x for v, x in t.level.items()})
-    yield type(t)(base=t.base, level={v: F(3, 2) * x for v, x in t.level.items()})
-    m = level_data(t).m
-    yield type(t)(base=t.base,
-                  level={v: (x if x >= m else x - 1) for v, x in t.level.items()})
+def _sweep(spec: EnumSpec, names):
+    """Run the named checks on every group of the instance set; the merged
+    report and the number of groups."""
+    global _INSTANCES
+    _INSTANCES = list(gen_instances(spec))
+    groups: dict = {}
+    for k, t in enumerate(_INSTANCES):
+        groups.setdefault(_positivity_key(t), []).append(k)
+    ordered = sorted(groups.values())
+    with mp.get_context("fork").Pool(WORKERS) as pool:
+        parts = pool.map(_sweep_groups,
+                         [(ordered[w::WORKERS], names) for w in range(WORKERS)])
+    total = RunReport(suite="sweep")
+    for part in parts:
+        total.instances += part.instances
+        for op, n in part.counts.items():
+            total.counts[op] = total.counts.get(op, 0) + n
+        for remark, n in part.remarks.items():
+            total.remarks[remark] = total.remarks.get(remark, 0) + n
+        total.failures += part.failures
+    return total, len(ordered)
 
 
-def _report(capsys, criterion: str, ok: bool, detail: str):
+def _report(capsys, criterion: str, ok: bool, detail: str, failures=()):
     with capsys.disabled():
         print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, f"{criterion}: {detail}"
+    assert ok, "\n".join([f"{criterion}: {detail}"] + [str(f) for f in failures[:10]])
+
+
+def _check_row(capsys, criterion: int, summary, failures=()):
+    """Sweep a row within its budget and report it; ``summary(report,
+    groups)`` says what was checked."""
+    title, spec, names, budget = ROWS[criterion]
+    start = time.perf_counter()
+    report, groups = _sweep(spec, names)
+    failures = [*failures, *report.failures]
+    elapsed = time.perf_counter() - start
+    ok = not failures and (budget is None or elapsed < budget)
+    _report(capsys, f"{criterion} {title}", ok,
+            f"{summary(report, groups)}, {len(failures)} failures, {elapsed:.1f}s"
+            + (f" < {budget:.0f}s" if budget else ""), failures)
 
 
 # -- criterion 1: golden chart reproduction ----------------------------------
 
 def test_criterion_1_golden_chart(nested_tree, capsys):
-    from test_charts import GOLDEN, render_chart
+    from test_charts import GOLDEN
     start = time.perf_counter()
     chart = charts_mod.build_chart(nested_tree,
                                    special={F(-1): "b", F(-2): "a"}, tags=())
@@ -103,246 +134,40 @@ def test_criterion_2_annotations(deep_fan, deep_fan_special, capsys):
     _report(capsys, "2 level annotations", ok, "successors and ascents exact")
 
 
-# -- criterion 3: contraction suite -------------------------------------------
-
-def _contraction_worker(groups):
-    from leveltree.levels import phi_bijection
-    checked = 0
-    failures = []
-    literal_dropout_failures = 0
-    for indices in groups:
-        rep_idx = indices[0]
-        t = _INSTANCES[rep_idx]
-        part = index_partition(t)
-        total = t.base.total_weight()
-        projections = {}
-        for I in subsets(part.labels()):
-            checked += 1
-            try:
-                res = contraction_mod.contract(t, I)
-            except Exception as exc:  # validity failure
-                failures.append(f"#{rep_idx} I={sorted(map(str, I))} contract: {exc}")
-                continue
-            projections[I] = res.projection
-            if res.tree.base.total_weight() != total:
-                failures.append(f"#{rep_idx} I={sorted(map(str, I))} weight")
-            rep = contraction_mod.index_identity_report(t, I, result=res)
-            if not rep.all_corrected():
-                failures.append(f"#{rep_idx} I={sorted(map(str, I))} identities")
-            if not rep.all_strict():
-                literal_dropout_failures += 1
-                if not rep.dropouts:
-                    failures.append(
-                        f"#{rep_idx} I={sorted(map(str, I))} non-dropout strict failure")
-            for t2 in _relevelings(t):
-                moved = phi_bijection(t, t2, I)
-                if not is_equivalent(res.tree,
-                                     contraction_mod.contract(t2, moved).tree):
-                    failures.append(f"#{rep_idx} I={sorted(map(str, I))} equivalence")
-        # the other members of the group share tree, levels, and positivity,
-        # so they share the contraction structure; re-check conservation of
-        # their own weights through the shared projections
-        for k in indices[1:]:
-            member = _INSTANCES[k]
-            for I, proj in projections.items():
-                checked += 1
-                pushed: dict = {}
-                for v, image in proj.items():
-                    pushed[image] = pushed.get(image, 0) + member.weight[v]
-                if sum(pushed.values()) != member.base.total_weight():
-                    failures.append(f"#{k} I={sorted(map(str, I))} weight")
-    return checked, failures, literal_dropout_failures
-
-
-def _grouped_chunks(instances, workers):
-    groups: dict = {}
-    for k, t in enumerate(instances):
-        groups.setdefault(_positivity_key(t), []).append(k)
-    ordered = sorted(groups.values())
-    return [ordered[w::workers] for w in range(workers)]
-
+# -- criteria 3-7: the check registry's sweeps -------------------------------
 
 def test_criterion_3_contraction_suite(capsys):
-    start = time.perf_counter()
-    with mp.get_context("fork").Pool(WORKERS, _init_pool, (FULL_SPEC,)) as pool:
-        _init_pool(FULL_SPEC)
-        chunks = _grouped_chunks(_INSTANCES, WORKERS)
-        results = pool.map(_contraction_worker, chunks)
-    checked = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
-    dropouts = sum(r[2] for r in results)
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 120.0
-    _report(capsys, "3 contraction suite", ok,
-            f"{checked} (tree, subset) pairs, {len(failures)} failures, "
-            f"literal minus-part identity fails only on {dropouts} dropout "
-            f"instances (corrected reading asserted), {elapsed:.1f}s < 120s")
-    if failures:
-        print("\n".join(failures[:10]))
-
-
-# -- criterion 4: chart isomorphism suite -------------------------------------
-
-def _chart_worker(indices):
-    checked = 0
-    failures = []
-    for k in indices:
-        t = _INSTANCES[k]
-        chart = charts_mod.build_chart(t, tags=())
-        for I in subsets(index_partition(t).labels()):
-            checked += 1
-            try:
-                if not charts_mod.verify_round_trip(chart, I):
-                    failures.append(f"#{k} I={sorted(map(str, I))} round-trip")
-                if not charts_mod.check_mu_vanishing(chart, I):
-                    failures.append(f"#{k} I={sorted(map(str, I))} vanishing")
-            except Exception as exc:
-                failures.append(f"#{k} I={sorted(map(str, I))} error: {exc}")
-    return checked, failures
+    _check_row(capsys, 3, lambda r, _: (
+        f"{r.counts['weight-conservation']} (tree, subset) pairs, literal minus-part "
+        f"identity fails only on {r.remarks.get(DROPOUT_REMARK, 0)} dropout instances "
+        "(corrected reading asserted)"))
 
 
 def test_criterion_4_chart_suite(capsys):
-    start = time.perf_counter()
-    with mp.get_context("fork").Pool(WORKERS, _init_pool, (FULL_SPEC,)) as pool:
-        _init_pool(FULL_SPEC)
-        reps = _dedup_indices(_INSTANCES)
-        chunks = [reps[w::WORKERS] for w in range(WORKERS)]
-        results = pool.map(_chart_worker, chunks)
-    checked = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 300.0
-    _report(capsys, "4 chart isomorphism suite", ok,
-            f"{checked} (tree, subset) pairs over {len(reps)} distinct charts, "
-            f"{len(failures)} failures, {elapsed:.1f}s < 300s")
-    if failures:
-        print("\n".join(failures[:10]))
-
-
-# -- criterion 5: transition suite --------------------------------------------
-
-def _transition_worker(indices):
-    checked = 0
-    failures = []
-    for k in indices:
-        t = _INSTANCES[k]
-        part = index_partition(t)
-        choices = special_choices(t)
-        keys = sorted(choices)
-        maps = [dict(zip(keys, combo))
-                for combo in itertools.product(*(choices[i] for i in keys))]
-        for sa in maps:
-            for sb in maps:
-                checked += 1
-                if not charts_mod.verify_special_vertex_transition(t, sa, sb):
-                    failures.append(f"#{k} special {sa}->{sb}")
-        checked += 1
-        if not charts_mod.verify_parameter_transition(t):
-            failures.append(f"#{k} parameter transition")
-        for I in subsets(part.labels()):
-            checked += 1
-            if not charts_mod.verify_stratum_transition(t, I):
-                failures.append(f"#{k} I={sorted(map(str, I))} stratum transition")
-    return checked, failures
+    _check_row(capsys, 4, lambda r, groups: (
+        f"{r.counts['round-trip']} (tree, subset) pairs over {groups} distinct charts"))
 
 
 def test_criterion_5_transition_suite(capsys):
-    start = time.perf_counter()
-    with mp.get_context("fork").Pool(WORKERS, _init_pool, (SMALL_SPEC,)) as pool:
-        _init_pool(SMALL_SPEC)
-        reps = _dedup_indices(_INSTANCES)
-        chunks = [reps[w::WORKERS] for w in range(WORKERS)]
-        results = pool.map(_transition_worker, chunks)
-    checked = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 300.0
-    _report(capsys, "5 transition suite", ok,
-            f"{checked} transitions over {len(reps)} distinct charts, "
-            f"{len(failures)} failures, {elapsed:.1f}s < 300s")
-    if failures:
-        print("\n".join(failures[:10]))
+    _check_row(capsys, 5, lambda r, groups: (
+        f"{r.instances} transitions over {groups} distinct charts"))
 
-
-# -- criterion 6: blowup suite -------------------------------------------------
 
 def test_criterion_6_blowup_suite(nested_tree, capsys):
-    start = time.perf_counter()
-    failures = []
-    checked = 0
-
     chart = charts_mod.build_chart(nested_tree, special={F(-1): "b", F(-2): "a"},
                                    tags=())
     expected = {1: "1", 2: "eps(-1)", 3: "eps(-1) * eps(-2)"}
-    for k, text in expected.items():
-        checked += 1
-        if blowup_mod.yk_pullback(chart, k) != parse_monomial(text):
-            failures.append(f"nested divisor k={k}")
+    failures = [f"nested divisor k={k}" for k, text in expected.items()
+                if blowup_mod.yk_pullback(chart, k) != parse_monomial(text)]
+    _check_row(capsys, 6, lambda r, groups: (
+        f"{len(expected) + r.instances} checks over {groups} distinct charts "
+        "(reconstruction on stable classes without dropping edges)"), failures)
 
-    _init_pool(FULL_SPEC)
-    reps = _dedup_indices(_INSTANCES)
-    for k in reps:
-        t = _INSTANCES[k]
-        part = index_partition(t)
-        ch = charts_mod.build_chart(t, tags=())
-        for j in range(1, len(t.edges()) + 1):
-            checked += 1
-            try:
-                blowup_mod.yk_pullback(ch, j, verify=True)
-            except Exception as exc:
-                failures.append(f"#{k} divisor containment k={j}: {exc}")
-        if part.i_plus:
-            checked += 1
-            if not blowup_mod.bundle_identity(t):
-                failures.append(f"#{k} bundle identity")
-        checked += 1
-        if not blowup_mod.psi2_chart_check(t):
-            failures.append(f"#{k} blowup chart comparison")
-        for step in range(1, len(part.i_plus) + 2):
-            checked += 1
-            if not blowup_mod.ideal_transform_check(t, step):
-                failures.append(f"#{k} ideal transform step {step}")
-        if t.base.is_stable() and not part.i_m:
-            checked += 1
-            try:
-                rebuilt = blowup_mod.psi2_level_tree(
-                    t.base, sorted(int(-i) for i in part.i_plus))
-                if not is_equivalent(t, rebuilt):
-                    failures.append(f"#{k} reconstruction class mismatch")
-            except Exception as exc:
-                failures.append(f"#{k} reconstruction: {exc}")
-
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 120.0
-    _report(capsys, "6 blowup suite", ok,
-            f"{checked} checks over {len(reps)} distinct charts "
-            f"(reconstruction on stable classes without dropping edges), "
-            f"{len(failures)} failures, {elapsed:.1f}s < 120s")
-    if failures:
-        print("\n".join(failures[:10]))
-
-
-# -- criterion 7: ancestor-product identities ---------------------------------
 
 def test_criterion_7_ancestor_product_identities(capsys):
-    start = time.perf_counter()
-    _init_pool(FULL_SPEC)
-    reps = _dedup_indices(_INSTANCES)
-    checked = 0
-    failures = []
-    for k in reps:
-        t = _INSTANCES[k]
-        if not index_partition(t).i_plus:
-            continue
-        checked += 1
-        chart = charts_mod.build_chart(t, tags=())
-        if not charts_mod.remark_identities(chart):
-            failures.append(f"#{k}")
-    elapsed = time.perf_counter() - start
-    ok = not failures
-    _report(capsys, "7 ancestor-product identities", ok,
-            f"{checked} charts (bottom-level index product reading), "
-            f"{len(failures)} failures, {elapsed:.1f}s")
+    _check_row(capsys, 7, lambda r, _: (
+        f"{r.counts['ancestor-product-identities']} charts (bottom-level index "
+        "product reading)"))
 
 
 # -- criterion 8: determinism ---------------------------------------------------

@@ -4,13 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import subsets
 from leveltree.charts import (BasePoint, build_chart, build_inverse,
                               check_mu_vanishing, evaluate, forward_map,
                               remark_identities, verify_parameter_transition,
                               verify_round_trip,
                               verify_special_vertex_transition,
                               verify_stratum_transition, zeta)
+from leveltree.cli import render_chart
 from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, VerificationError
@@ -24,18 +24,6 @@ GOLDEN = Path(__file__).parent / "golden" / "nested_chart.txt"
 @pytest.fixture
 def nested_chart(nested_tree):
     return build_chart(nested_tree, special={F(-1): "b", F(-2): "a"}, tags=())
-
-
-def render_chart(chart):
-    t = chart.frame.t
-    lines = [f"theta zeta_{e} = {chart.theta.assignment[zeta(e)]}"
-             for e in sorted(t.edges())]
-    for I in subsets(index_partition(t).labels()):
-        tag = "{" + ",".join(sorted(map(str, I))) + "}"
-        table = chart.mu(I)
-        for (i, e) in sorted(table, key=lambda k: (-k[0], k[1])):
-            lines.append(f"mu[I={tag}] level={i} edge={e}: {table[(i, e)]}")
-    return "\n".join(lines) + "\n"
 
 
 def test_nested_chart_matches_golden_file(nested_chart):
@@ -79,7 +67,7 @@ def test_mu_examples(nested_chart):
 
 
 def test_mu_vanishing_on_nested_tree(nested_chart, nested_tree):
-    for I in subsets(index_partition(nested_tree).labels()):
+    for I in index_partition(nested_tree).subsets():
         assert check_mu_vanishing(nested_chart, I)
 
 
@@ -138,7 +126,7 @@ def test_inverse_mixed_subset(nested_chart):
 
 
 def test_round_trips_on_nested_tree(nested_chart, nested_tree):
-    for I in subsets(index_partition(nested_tree).labels()):
+    for I in index_partition(nested_tree).subsets():
         assert verify_round_trip(nested_chart, I)
 
 
@@ -155,7 +143,7 @@ def test_round_trips_on_deep_fan(deep_fan, deep_fan_special):
 def test_extra_tags_do_not_affect_identities(nested_tree):
     for tags in ((), ("j1", "j2")):
         chart = build_chart(nested_tree, tags=tags)
-        for I in subsets(index_partition(nested_tree).labels()):
+        for I in index_partition(nested_tree).subsets():
             assert verify_round_trip(chart, I)
         assert remark_identities(chart)
 
@@ -176,13 +164,13 @@ def test_parameter_transition(nested_tree, deep_fan, boundary_tree):
 
 
 def test_stratum_transition(nested_tree):
-    for I in subsets(index_partition(nested_tree).labels()):
+    for I in index_partition(nested_tree).subsets():
         assert verify_stratum_transition(nested_tree, I)
 
 
 def test_stratum_transition_on_boundary_tree(boundary_tree):
     # the dropout edge becomes an honest vanishing coordinate downstairs
-    for I in subsets(index_partition(boundary_tree).labels()):
+    for I in index_partition(boundary_tree).subsets():
         assert verify_stratum_transition(boundary_tree, I)
 
 
@@ -203,7 +191,7 @@ def test_remark_identity_single_edge():
 def test_chart_suite_exhaustively_tiny():
     for t in gen_instances(EnumSpec(max_edges=2, max_weight=1)):
         chart = build_chart(t, tags=("j1",))
-        for I in subsets(index_partition(t).labels()):
+        for I in index_partition(t).subsets():
             assert verify_round_trip(chart, I)
             assert check_mu_vanishing(chart, I)
 
@@ -214,7 +202,7 @@ def test_theta_vanishes_exactly_on_surviving_edges():
     from leveltree.charts import stratum_of
     for t in gen_instances(EnumSpec(max_edges=3, max_weight=1)):
         chart = build_chart(t, tags=())
-        for I in subsets(index_partition(t).labels()):
+        for I in index_partition(t).subsets():
             strat = stratum_of(chart.frame, I)
             surviving = contract(t, I).tree.edges()
             for e in t.edges():

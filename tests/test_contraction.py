@@ -2,13 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import subsets
 from leveltree.contraction import (contract, contracted_edges,
                                    index_identity_report,
                                    minus_part_dropouts,
                                    nested_contraction_coherent,
-                                   verify_equivalence_compat,
-                                   verify_index_identities)
+                                   verify_equivalence_compat)
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
 from leveltree.levels import (WeightedLevelTree, index_partition,
@@ -72,8 +70,6 @@ def test_boundary_dropout_is_the_only_strict_failure(boundary_tree):
     assert rep.minus_ok_corrected
     assert rep.dropouts == {"q"}
     assert minus_part_dropouts(boundary_tree, {F(-2)}) == {"q"}
-    assert not verify_index_identities(boundary_tree, {F(-2)}, strict=True)
-    assert verify_index_identities(boundary_tree, {F(-2)}, strict=False)
 
 
 def test_dropout_edge_lands_in_the_minus_part(boundary_tree):
@@ -85,21 +81,21 @@ def test_dropout_edge_lands_in_the_minus_part(boundary_tree):
 
 def test_identities_exhaustively_small():
     for t in gen_instances(EnumSpec(max_edges=3, max_weight=1)):
-        for I in subsets(index_partition(t).labels()):
-            assert verify_index_identities(t, I, strict=False)
+        for I in index_partition(t).subsets():
+            assert index_identity_report(t, I).all_corrected()
 
 
 def test_weight_conservation_exhaustively_small():
     for t in gen_instances(EnumSpec(max_edges=3, max_weight=2)):
         total = t.base.total_weight()
-        for I in subsets(index_partition(t).labels()):
+        for I in index_partition(t).subsets():
             assert contract(t, I).tree.base.total_weight() == total
 
 
 def test_equivalence_compat(nested_tree):
     doubled = WeightedLevelTree(base=nested_tree.base,
                                 level={v: 2 * x for v, x in nested_tree.level.items()})
-    for I in subsets(index_partition(nested_tree).labels()):
+    for I in index_partition(nested_tree).subsets():
         assert verify_equivalence_compat(nested_tree, doubled, I)
     assert verify_equivalence_compat(nested_tree, nested_tree, {F(-1)})
 
@@ -116,16 +112,16 @@ def test_contraction_depends_only_on_the_class(deep_fan):
     deeper = WeightedLevelTree(
         base=deep_fan.base,
         level={v: (x if x >= -3 else x - 2) for v, x in deep_fan.level.items()})
-    for I in subsets(index_partition(deep_fan).labels()):
+    for I in index_partition(deep_fan).subsets():
         assert verify_equivalence_compat(deep_fan, deeper, I)
 
 
 def test_nested_contraction_coherence_exhaustively_small():
     for t in gen_instances(EnumSpec(max_edges=3, max_weight=1)):
         part = index_partition(t)
-        for I in subsets(part.labels()):
+        for I in part.subsets():
             inner = index_partition(contract(t, I).tree)
-            for I2 in subsets(inner.labels()):
+            for I2 in inner.subsets():
                 assert nested_contraction_coherent(t, I, I2), (t.level, I, I2)
 
 
@@ -133,7 +129,7 @@ def test_surviving_cross_sections_are_preserved():
     for t in gen_instances(EnumSpec(max_edges=3, max_weight=1)):
         from leveltree.levels import cross_section
         part = index_partition(t)
-        for I in subsets(part.labels()):
+        for I in part.subsets():
             res = contract(t, I)
             for i in index_partition(res.tree).i_plus:
                 assert cross_section(t, i) == cross_section(res.tree, i)

@@ -200,10 +200,9 @@ def test_strata_poset_single_vertex():
 
 
 def test_strata_poset_arrows_match_contraction_reachability(boundary_tree):
-    from conftest import subsets
     from leveltree.contraction import contract
     poset = strata_poset(boundary_tree)
     top = class_key(boundary_tree)
-    for I in subsets(index_partition(boundary_tree).labels()):
+    for I in index_partition(boundary_tree).subsets():
         dst = class_key(contract(boundary_tree, I).tree)
         assert poset.reachable(top, dst)

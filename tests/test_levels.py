@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import subsets
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, StructureError
 from leveltree.levels import (WeightedLevelTree, ascent_sequence,
@@ -209,7 +208,7 @@ def test_phi_bijection_examples(nested_tree):
     assert phi_bijection(nested_tree, nested_tree, {F(-1)}) == {F(-1)}
     assert phi_bijection(nested_tree, doubled, {F(-1)}) == {F(-2)}
     part = index_partition(nested_tree)
-    for I in subsets(part.labels()):
+    for I in part.subsets():
         moved = phi_bijection(nested_tree, doubled, I)
         assert phi_bijection(doubled, nested_tree, moved) == I
 

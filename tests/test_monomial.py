@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from leveltree.errors import MonomialError
 from leveltree.monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum,
-                                Symbol, compose, equal_on_stratum, mono_mul,
+                                Symbol, compose, equal_on_stratum,
                                 parse_monomial, parse_symbol)
 
 E1 = Symbol("eps", Fraction(-1))
@@ -121,7 +121,6 @@ monomials = st.lists(st.tuples(symbols, exponents), max_size=4).map(lambda ps: m
 def test_multiplication_is_associative_and_commutative(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
-    assert mono_mul(a, b) == a * b
 
 
 @given(monomials, monomials)

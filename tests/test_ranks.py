@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import subsets
 from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
@@ -130,7 +129,7 @@ def test_contract_memo_returns_only_its_own_subset(instances):
     for t in instances:
         copy = WeightedLevelTree(base=t.base, level=dict(t.level))
         previous = None
-        for I in subsets(index_partition(t).labels()):
+        for I in index_partition(t).subsets():
             res = contract(t, I)
             assert res is not previous
             assert contract(t, set(I)) is res
