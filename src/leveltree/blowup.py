@@ -10,22 +10,28 @@ cross-section has at most ``k`` edges.
 
 The reconstruction direction rebuilds a weighted level tree over a weighted
 tree from prescribed level slots, placing every vertex as high as the slots,
-the weight cap, and its parent allow.  Formal line-bundle bookkeeping is done
-with integer exponent vectors over one basis symbol per edge.
+the weight cap, and its parent allow.  A tree's own slots are the ranks of
+its ``I_plus`` levels, so every level map of a class gives the same slots.
+
+Levels are read only through the rank tables of ``levels`` (see
+``WeightedLevelTree.ranks``): a divisor slot and a blowup stage are level
+ranks.  Line-bundle classes are ``Monomial``s over one symbol ``L_e`` per
+edge, so their bookkeeping is monomial arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .charts import (ONE, ChartFrame, TwistedChart, _prod, build_chart,
                      sigma, zeta)
 from .errors import DomainError, InfeasibleError, VerificationError
-from .levels import (Level, SpecialMap, WeightedLevelTree, as_level,
-                     cross_section, default_special, edge_span,
-                     index_partition, level_data, validate_special)
+from .levels import (Level, SpecialMap, WeightedLevelTree, cross_section,
+                     default_special, index_partition, level_data,
+                     validate_special)
 from .monomial import Monomial, MonomialMap, Symbol, compose
 from .tree import Cmp, Edge, RootedTree, Vertex, WeightedTree
 
@@ -33,22 +39,15 @@ TraverseSection = frozenset
 
 
 def traverse_sections(tree: RootedTree) -> frozenset[TraverseSection]:
-    """The complete set of traverse sections, built recursively: each child
+    """The complete set of traverse sections, built bottom-up: each child
     subtree is covered either by its own parent edge or by a section of the
     subtree below it.  The edgeless tree has none."""
-    def below(v: Vertex) -> list[frozenset]:
-        options_per_child = []
-        for c in tree.children(v):
-            child_opts = [frozenset([c])] + below(c)
-            options_per_child.append(child_opts)
-        if not options_per_child:
-            return []
-        out = []
-        for pick in itertools.product(*options_per_child):
-            out.append(frozenset().union(*pick))
-        return out
-
-    return frozenset(below(tree.root))
+    below: dict[Vertex, list[frozenset]] = {}
+    for v in reversed(list(tree.preorder())):  # children before parents
+        options = [[frozenset([c])] + below.pop(c) for c in tree.children(v)]
+        below[v] = ([frozenset().union(*pick) for pick in itertools.product(*options)]
+                    if options else [])
+    return frozenset(below[tree.root])
 
 
 def is_traverse_section(tree: RootedTree, edges: Iterable[Edge]) -> bool:
@@ -137,15 +136,16 @@ def yk_pullback(chart: TwistedChart, k: int, verify: bool = True) -> Monomial:
     if k < 1:
         raise DomainError("divisor index must be positive")
     frame = chart.frame
-    t = frame.t
-    qualifying = {i for i in frame.part.i_plus if len(cross_section(t, i)) <= k}
-    divisor = _prod(Monomial.sym(frame.eps(i)) for i in sorted(qualifying, reverse=True))
+    t, data = frame.t, frame.data
+    levels = t.ranks().levels
+    qualifying = [r for r in range(1, data.m_rank + 1)
+                  if len(cross_section(t, levels[r])) <= k]
+    divisor = _prod(Monomial.sym(frame.eps_at[r]) for r in qualifying)
     if verify:
-        keep = frame.data.hat_edges - frame.part.i_m
+        keep = data.hat_edges - frame.part.i_m
+        closed = sum(1 << r for r in qualifying)
         for s in zk_components(t, k):
-            witnesses = [e for e in s & keep
-                         if all(h in qualifying for h in edge_span(t, e))]
-            if not witnesses:
+            if not any(not data.span[e] & ~closed for e in s & keep):
                 raise VerificationError(
                     "no witness edge places the component inside the divisor",
                     witness=s)
@@ -156,6 +156,12 @@ def yk_pullback(chart: TwistedChart, k: int, verify: bool = True) -> Monomial:
 # Level reconstruction from divisor slots
 # ---------------------------------------------------------------------------
 
+def divisor_slots(t: WeightedLevelTree) -> list[int]:
+    """The divisor slots of ``t``: the ranks ``1..|I_plus|`` of its
+    ``I_plus`` levels, the same for every level map of its class."""
+    return list(range(1, level_data(t).m_rank + 1))
+
+
 def psi2_level_tree(tau: WeightedTree, divisor_indices: Sequence[int]) -> WeightedLevelTree:
     """Rebuild the weighted level tree over ``tau`` whose level index is
     exactly ``{-i_k, ..., -i_1}``: every vertex goes to the highest slot
@@ -165,18 +171,18 @@ def psi2_level_tree(tau: WeightedTree, divisor_indices: Sequence[int]) -> Weight
     idx = [int(i) for i in divisor_indices]
     if any(i <= 0 for i in idx) or sorted(set(idx)) != idx:
         raise DomainError("divisor indices must be strictly increasing and positive")
-    slots = [as_level(-i) for i in idx]  # descending: -i_1 > ... > -i_k
+    slots = [Fraction(-i) for i in idx]  # descending: -i_1 > ... > -i_k
     if not slots:
         if tau.weight[tau.root] == 0:
             raise InfeasibleError("an empty index needs a positively weighted root")
-    bottom = slots[-1] if slots else as_level(0)
+    bottom = slots[-1] if slots else Fraction(0)
     tree = tau.tree
-    level: dict[Vertex, Level] = {tau.root: as_level(0)}
+    level: dict[Vertex, Level] = {tau.root: Fraction(0)}
     for v in tree.preorder():
         if v == tau.root:
             continue
         par_level = level[tree.parent[v]]
-        cap = bottom if tau.weight[v] > 0 else as_level(0)
+        cap = bottom if tau.weight[v] > 0 else Fraction(0)
         candidates = [s for s in slots if s < par_level and s <= cap]
         if candidates:
             level[v] = max(candidates)
@@ -192,75 +198,35 @@ def psi2_level_tree(tau: WeightedTree, divisor_indices: Sequence[int]) -> Weight
 
 
 # ---------------------------------------------------------------------------
-# Formal line bundles
+# Line bundles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormalBundle:
-    """An integer combination of the per-edge basis classes."""
-
-    exponents: Mapping[Edge, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents",
-                           {e: n for e, n in self.exponents.items() if n})
-
-    @staticmethod
-    def basis(e: Edge) -> "FormalBundle":
-        return FormalBundle({e: 1})
-
-    @staticmethod
-    def trivial() -> "FormalBundle":
-        return FormalBundle({})
-
-    def __mul__(self, other: "FormalBundle") -> "FormalBundle":
-        out = dict(self.exponents)
-        for e, n in other.exponents.items():
-            out[e] = out.get(e, 0) + n
-        return FormalBundle(out)
-
-    def dual(self) -> "FormalBundle":
-        return FormalBundle({e: -n for e, n in self.exponents.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalBundle) and dict(self.exponents) == dict(other.exponents)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.exponents.items())))
+def _bundle(e: Edge) -> Monomial:
+    """The basis line-bundle class of an edge."""
+    return Monomial.sym(Symbol("L", e))
 
 
-def ancestor_bundle(t: WeightedLevelTree, e: Edge) -> FormalBundle:
+def ancestor_bundle(t: WeightedLevelTree, e: Edge) -> Monomial:
     """The product of the basis classes over all edges at or above ``e``."""
-    out = FormalBundle.trivial()
-    for a in t.tree.descendants_geq(e):
-        out = out * FormalBundle.basis(a)
-    return out
+    return _prod(_bundle(a) for a in t.tree.descendants_geq(e))
 
 
 def twisted_bundles(t: WeightedLevelTree, special: SpecialMap
-                    ) -> tuple[dict[Level, FormalBundle], dict[Edge, FormalBundle]]:
-    """The per-level and per-hat-edge twisted classes, built downward: each
-    one is its basis class divided by the twisted classes of the levels
-    strictly inside its ascent gap (resp. its span gap)."""
+                    ) -> tuple[tuple[Monomial, ...], dict[Edge, Monomial]]:
+    """The twisted classes per level rank of ``I_plus`` (entry 0, level 0,
+    is 1) and per hat edge, built downward: each one is its basis class
+    divided by the twisted classes of the ranks strictly inside its ascent
+    gap (resp. its span gap)."""
     validate_special(t, special)
-    part = index_partition(t)
-    data = level_data(t)
-    by_level: dict[Level, FormalBundle] = {}
-    for i in sorted(part.i_plus, reverse=True):
-        se = special[i]
-        i1 = t.level[t.tree.parent[se]]
-        out = FormalBundle.basis(se)
-        for j in t.levels_in(i, i1, include_lo=False):
-            out = out * by_level[j].dual()
-        by_level[i] = out
-    by_edge: dict[Edge, FormalBundle] = {}
-    for e in data.hat_edges:
-        out = FormalBundle.basis(e)
-        for j in t.levels_in(data.edge_level[e], t.level[t.tree.parent[e]],
-                             include_lo=False):
-            out = out * by_level[j].dual()
-        by_edge[e] = out
-    return by_level, by_edge
+    ranks, data = t.ranks(), level_data(t)
+    by_rank = [ONE]
+    for k in range(1, data.m_rank + 1):
+        se = special[ranks.levels[k]]
+        top = ranks.of_vertex[t.tree.parent[se]]
+        by_rank.append(_bundle(se) / _prod(by_rank[top + 1:k]))
+    by_edge = {e: _bundle(e) / _prod(by_rank[ranks.of_vertex[t.tree.parent[e]] + 1:k])
+               for e, k in data.edge_rank.items()}
+    return tuple(by_rank), by_edge
 
 
 def bundle_identity(t: WeightedLevelTree, special: SpecialMap | None = None) -> bool:
@@ -269,19 +235,14 @@ def bundle_identity(t: WeightedLevelTree, special: SpecialMap | None = None) -> 
     classes strictly above its level."""
     if special is None:
         special = default_special(t)
-    part = index_partition(t)
-    if not part.i_plus:
-        raise DomainError("the identity needs a nonempty level index")
-    by_level, by_edge = twisted_bundles(t, special)
     data = level_data(t)
-    for e in data.hat_edges:
-        lhs = by_edge[e]
-        for a in t.tree.ancestors_gt(e):
-            lhs = lhs * by_edge[a] * by_level[data.edge_level[a]].dual()
-        rhs = ancestor_bundle(t, e)
-        for j in t.levels_in(data.edge_level[e], as_level(0), include_lo=False):
-            rhs = rhs * by_level[j].dual()
-        if lhs != rhs:
+    if not data.m_rank:
+        raise DomainError("the identity needs a nonempty level index")
+    by_rank, by_edge = twisted_bundles(t, special)
+    for e, k in data.edge_rank.items():
+        lhs = by_edge[e] * _prod(by_edge[a] / by_rank[data.edge_rank[a]]
+                                 for a in t.tree.ancestors_gt(e))
+        if lhs != ancestor_bundle(t, e) / _prod(by_rank[1:k]):
             return False
     return True
 
@@ -290,10 +251,11 @@ def bundle_identity(t: WeightedLevelTree, special: SpecialMap | None = None) -> 
 # The blowup-side chart and its comparison with the twisted chart
 # ---------------------------------------------------------------------------
 
-def _tilde_syms(frame: ChartFrame):
-    def teps(i: Level) -> Symbol:
-        return Symbol("t:eps", i)
+def _teps(i: Level) -> Symbol:
+    return Symbol("t:eps", i)
 
+
+def _tilde_syms(frame: ChartFrame):
     def rho(e: Edge) -> Monomial:
         if e in frame.special_edges():
             return ONE
@@ -308,7 +270,7 @@ def _tilde_syms(frame: ChartFrame):
     def s_tag(j: Hashable) -> Symbol:
         return Symbol("s", j)
 
-    return teps, rho, zcheck, ztilde, s_tag
+    return rho, zcheck, ztilde, s_tag
 
 
 def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
@@ -323,10 +285,12 @@ def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
         special = default_special(t)
     chart = build_chart(t, special, tags=tags)
     frame = chart.frame
-    teps, rho, zcheck, ztilde, s_tag = _tilde_syms(frame)
+    rho, zcheck, ztilde, s_tag = _tilde_syms(frame)
     data, part = frame.data, frame.part
+    top = range(1, data.m_rank + 1)
+    teps_at = (None,) + tuple(_teps(t.ranks().levels[k]) for k in top)
 
-    source = {teps(i) for i in part.i_plus}
+    source = {teps_at[k] for k in top}
     source |= {Symbol("rho", e)
                for e in data.hat_edges - part.i_m - frame.special_edges()}
     source |= {zcheck(e) for e in part.i_m}
@@ -336,7 +300,7 @@ def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
 
     proj_assign: dict[Symbol, Monomial] = {}
     for e in data.hat_edges:
-        gaps = _prod(Monomial.sym(teps(h)) for h in edge_span(t, e))
+        gaps = _prod(Monomial.sym(teps_at[k]) for k in top if data.span[e] >> k & 1)
         head = Monomial.sym(zcheck(e)) if e in part.i_m else rho(e)
         proj_assign[zeta(e)] = head * gaps
     for e in part.i_minus:
@@ -352,10 +316,10 @@ def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
         return _prod(rho(a) for a in edges)
 
     cmp_assign: dict[Symbol, Monomial] = {}
-    for i in part.i_plus:
-        cmp_assign[frame.eps(i)] = Monomial.sym(teps(i))
+    for k in top:
+        cmp_assign[frame.eps_at[k]] = Monomial.sym(teps_at[k])
     for e in data.hat_edges - frame.special_edges():
-        anchor = rho_anc(special[data.edge_level[e]], strict=False)
+        anchor = rho_anc(frame.special_at[data.edge_rank[e]], strict=False)
         if e in part.i_m:
             cmp_assign[frame.usym(e)] = (Monomial.sym(zcheck(e))
                                          * rho_anc(e, strict=True) / anchor)
@@ -382,7 +346,8 @@ def psi2_chart_check(t: WeightedLevelTree, special: SpecialMap | None = None,
 def stage_ideals(t: WeightedLevelTree, step: int
                  ) -> tuple[frozenset[Monomial], frozenset[Monomial], Monomial]:
     """Generators of the stage-center ideal and of the cumulative-center
-    ideal at the given stage, plus the principal scaling monomial.
+    ideal at the given stage, plus the principal scaling monomial.  Stage
+    ``step`` is the level of rank ``step``, for ``step`` in ``1..|I_plus|``.
 
     The stage center is cut out by one coordinate per edge of the stage's
     cross-section: a repeated-center coordinate (``zch``) when the edge
@@ -392,18 +357,15 @@ def stage_ideals(t: WeightedLevelTree, step: int
     """
     if step < 1:
         raise DomainError("step must be positive")
-    part = index_partition(t)
-    cur = as_level(-step)
-    if cur not in part.i_plus:
+    if step > level_data(t).m_rank:
         raise DomainError(f"this chart sees no center at stage {step}")
-    prev = as_level(-(step - 1))
-    section = cross_section(t, cur)
-    prev_section = cross_section(t, prev) if prev in part.i_plus else frozenset()
+    levels = t.ranks().levels
+    section = cross_section(t, levels[step])
+    prev_section = cross_section(t, levels[step - 1]) if step > 1 else frozenset()
     generators = frozenset(
         Monomial.sym(Symbol("zch" if e in prev_section else "zt", e))
         for e in section)
-    factor = _prod(Monomial.sym(Symbol("t:eps", as_level(-j)))
-                   for j in range(1, step) if as_level(-j) in part.i_plus)
+    factor = _prod(Monomial.sym(_teps(levels[j])) for j in range(1, step))
     cumulative = frozenset(g * factor for g in generators)
     return generators, cumulative, factor
 
@@ -413,10 +375,10 @@ def ideal_transform_check(t: WeightedLevelTree, step: int) -> bool:
     exactly one principal monomial: dividing its generators by the scaling
     monomial recovers the stage generators, and the scaling monomial involves
     only earlier gap coordinates."""
-    part = index_partition(t)
-    if as_level(-step) not in part.i_plus:
+    if not 1 <= step <= level_data(t).m_rank:
         return True  # this chart sees no center at the given stage
     generators, cumulative, factor = stage_ideals(t, step)
     if frozenset(g / factor for g in cumulative) != generators:
         return False
-    return all(s.kind == "t:eps" and -s.key < step for s in factor.symbols())
+    rank = t.ranks().of_level
+    return all(s.kind == "t:eps" and rank[s.key] < step for s in factor.symbols())

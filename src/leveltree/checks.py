@@ -161,8 +161,8 @@ def _ideal_transform(c, step):
 
 
 def _level_reconstruction(c, _):
-    slots = sorted(int(-i) for i in c.part.i_plus)
-    ok = levels_mod.is_equivalent(c.t, blowup_mod.psi2_level_tree(c.t.base, slots))
+    rebuilt = blowup_mod.psi2_level_tree(c.t.base, blowup_mod.divisor_slots(c.t))
+    ok = levels_mod.is_equivalent(c.t, rebuilt)
     return ok, "" if ok else "wrong class"
 
 

@@ -166,7 +166,6 @@ def cmd_verify(args) -> int:
 def cmd_blowup_report(args) -> int:
     t = _load_level_tree(args.file)
     chart = charts_mod.build_chart(t)
-    part = index_partition(t)
     schedule = blowup_mod.blowup_schedule(t.base)
     lines = [f"weight-contracted tree edges: {sorted(schedule.gamma_bar.edges)}"]
     for k in sorted(schedule.stages):
@@ -176,7 +175,7 @@ def cmd_blowup_report(args) -> int:
     for k in range(1, len(t.edges()) + 1):
         mono = blowup_mod.yk_pullback(chart, k, verify=False)
         lines.append(f"divisor pullback k={k}: {mono}")
-    idx = sorted(int(-i) for i in part.i_plus)
+    idx = blowup_mod.divisor_slots(t)
     try:
         rebuilt = blowup_mod.psi2_level_tree(t.base, idx)
         levels = {v: _fmt_level(x) for v, x in sorted(rebuilt.level.items())}

@@ -132,12 +132,6 @@ class WeightedLevelTree:
             raise DomainError(f"level {x} is not occupied")
         return k
 
-    def levels_in(self, lo: Level, hi: Level, include_lo: bool) -> frozenset[Level]:
-        """Occupied levels in ``[lo, hi)`` or ``(lo, hi)``; both bounds must
-        be occupied levels."""
-        top, bottom = self.level_rank(hi), self.level_rank(lo)
-        return frozenset(self.ranks().levels[top + 1:bottom + 1 if include_lo else bottom])
-
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
         d["levels"] = {v: str(self.level[v]) for v in sorted(self.level)}

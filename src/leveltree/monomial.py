@@ -148,10 +148,6 @@ class Monomial:
     def is_zero(self) -> bool:
         return self.exps is None
 
-    @property
-    def is_one(self) -> bool:
-        return self.exps == ()
-
     def symbols(self) -> tuple[Symbol, ...]:
         if self.exps is None:
             return ()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leveltree.blowup import (FormalBundle, blowup_schedule, bundle_identity,
+from leveltree.blowup import (blowup_schedule, bundle_identity,
                               ideal_transform_check, is_traverse_section,
                               psi2_chart_check, psi2_level_tree,
                               section_compare, stage_ideals,
@@ -12,8 +12,8 @@ from leveltree.blowup import (FormalBundle, blowup_schedule, bundle_identity,
 from leveltree.charts import build_chart
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, InfeasibleError
-from leveltree.levels import (cross_section, index_partition, is_equivalent,
-                              level_data, make_level_tree)
+from leveltree.levels import (WeightedLevelTree, cross_section, index_partition,
+                              is_equivalent, level_data, make_level_tree)
 from leveltree.monomial import parse_monomial
 from leveltree.tree import Cmp, RootedTree, WeightedTree
 
@@ -41,6 +41,9 @@ def test_sections_path_and_star():
     assert traverse_sections(path) == {frozenset({"a"})}
     star = RootedTree(root="o", parent={"a": "o", "b": "o", "c": "o"})
     assert traverse_sections(star) == {frozenset({"a", "b", "c"})}
+    # deeper than the interpreter's recursion limit: one section per edge
+    long = RootedTree(root="s0", parent={f"s{k}": f"s{k - 1}" for k in range(1, 1101)})
+    assert len(traverse_sections(long)) == 1100
 
 
 def test_sections_match_brute_force_exhaustively():
@@ -132,13 +135,6 @@ def test_yk_pullback_is_monotone_in_k():
             prev = cur
 
 
-def test_yk_containment_verification_exhaustively():
-    for t in gen_instances(EnumSpec(max_edges=5, max_weight=1), stable_only=True):
-        chart = build_chart(t, tags=())
-        for k in range(1, len(t.edges()) + 1):
-            yk_pullback(chart, k, verify=True)  # raises on failure
-
-
 def test_psi2_reconstruction_on_nested_tree(nested_tree):
     rebuilt = psi2_level_tree(nested_tree.base, [1, 2])
     assert is_equivalent(nested_tree, rebuilt)
@@ -171,22 +167,6 @@ def test_psi2_rejects_bad_indices(nested_tree):
         psi2_level_tree(nested_tree.base, [2, 1])
     with pytest.raises(DomainError):
         psi2_level_tree(nested_tree.base, [0, 1])
-
-
-def test_psi2_round_trip_on_stable_classes_without_dropping_edges():
-    for t in gen_instances(EnumSpec(max_edges=4, max_weight=1), stable_only=True):
-        part = index_partition(t)
-        if part.i_m:
-            continue
-        rebuilt = psi2_level_tree(t.base, sorted(int(-i) for i in part.i_plus))
-        assert is_equivalent(t, rebuilt)
-
-
-def test_formal_bundle_arithmetic():
-    a, b = FormalBundle.basis("a"), FormalBundle.basis("b")
-    assert a * b == b * a
-    assert a * a.dual() == FormalBundle.trivial()
-    assert (a * b.dual()).exponents == {"a": 1, "b": -1}
 
 
 def test_bundle_identity_single_edge():
@@ -230,5 +210,11 @@ def test_stage_ideals_on_nested_tree(nested_tree):
 
 def test_ideal_transform_check_all_steps(nested_tree, deep_fan):
     for t in (nested_tree, deep_fan):
+        doubled = WeightedLevelTree(base=t.base, level={v: 2 * x for v, x in t.level.items()})
         for step in range(1, len(index_partition(t).i_plus) + 3):
             assert ideal_transform_check(t, step)
+            assert ideal_transform_check(doubled, step)
+        # a stage is a level rank, so every level map of the class has the
+        # same stages, cut out by the same edges
+        for step in range(1, len(index_partition(t).i_plus) + 1):
+            assert stage_ideals(doubled, step)[0] == stage_ideals(t, step)[0]

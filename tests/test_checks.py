@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 from fractions import Fraction
@@ -11,7 +12,8 @@ from leveltree.cli import run
 from leveltree.contraction import minus_part_dropouts
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
-from leveltree.levels import MAX_SUBSET_LABELS, index_partition, make_level_tree
+from leveltree.levels import (MAX_SUBSET_LABELS, WeightedLevelTree, index_partition,
+                              level_data, make_level_tree)
 from leveltree.tree import tree_json
 
 F = Fraction
@@ -86,18 +88,42 @@ def test_check_names_are_unique_and_cover_the_acceptance_rows():
         ["weight-conservation"]
 
 
-def test_suites_pass_exhaustively_small():
-    # every instance with at most three edges, grouped as the acceptance
-    # sweeps group them, so each member gets its own weight conservation
+# Equivalent level maps of a tree: the checks may see only the order of its
+# levels, so each must give the same check counts and remarks.
+RELEVELINGS = {
+    "x1/2": lambda t: {v: x / 2 for v, x in t.level.items()},
+    "x3/2": lambda t: {v: F(3, 2) * x for v, x in t.level.items()},
+    "below-m-1/3": lambda t: {v: x if x >= level_data(t).m else x - F(1, 3)
+                              for v, x in t.level.items()},
+}
+
+
+def _relevel(t, releveling):
+    if releveling is None:
+        return t
+    return WeightedLevelTree(base=t.base, level=RELEVELINGS[releveling](t))
+
+
+@functools.cache
+def _small_sweep(releveling=None):
+    """All three suites over every instance with at most three edges,
+    grouped as the acceptance sweeps group them, so each member gets its own
+    weight conservation; every member is releveled."""
     from test_acceptance import _positivity_key
     instances = list(gen_instances(EnumSpec(max_edges=3)))
     groups: dict = {}
     for t in instances:
         groups.setdefault(_positivity_key(t), []).append(t)
     report = RunReport(suite="all")
-    for first, *rest in groups.values():
+    for group in groups.values():
+        first, *rest = (_relevel(t, releveling) for t in group)
         run_checks(first, CHECKS.values(), report, "first",
                    members=[(f"m{k}", t) for k, t in enumerate(rest)])
+    return instances, groups, report
+
+
+def test_suites_pass_exhaustively_small():
+    instances, groups, report = _small_sweep()
     assert report.ok(), report.failures[:5]
     assert report.counts["weight-conservation"] == \
         sum(2 ** len(index_partition(t)) for t in instances)
@@ -106,6 +132,29 @@ def test_suites_pass_exhaustively_small():
     assert report.remarks == {DROPOUT_REMARK: sum(
         1 for first, *_ in groups.values()
         for I in index_partition(first).subsets() if minus_part_dropouts(first, I))}
+
+
+@pytest.mark.parametrize("releveling", sorted(RELEVELINGS))
+def test_suites_agree_under_relevelings(releveling):
+    plain, moved = _small_sweep()[2], _small_sweep(releveling)[2]
+    assert moved.ok(), moved.failures[:5]
+    assert (moved.counts, moved.remarks) == (plain.counts, plain.remarks)
+
+
+@functools.cache
+def _blowup_sweep(releveling=None) -> RunReport:
+    """The blowup suite on every instance with at most four edges."""
+    report = RunReport(suite="blowup")
+    for k, t in enumerate(gen_instances(EnumSpec(max_edges=4))):
+        run_checks(_relevel(t, releveling), SUITES["blowup"], report, f"t{k}")
+    return report
+
+
+@pytest.mark.parametrize("releveling", sorted(RELEVELINGS))
+def test_blowup_suite_agrees_under_relevelings_up_to_four_edges(releveling):
+    plain, moved = _blowup_sweep(), _blowup_sweep(releveling)
+    assert plain.ok() and moved.ok(), moved.failures[:5]
+    assert moved.counts == plain.counts
 
 
 # -- the subset expansion and its bound ------------------------------------------

@@ -90,12 +90,24 @@ def test_verify_all_suites_pass(tree_file, capsys):
     assert "0 failures" in out and "suite charts" in out
 
 
-def test_blowup_report(tree_file, capsys):
+def test_blowup_report(tree_file, tmp_path, capsys):
     assert run(["blowup-report", tree_file]) == 0
     out = capsys.readouterr().out
     assert "stage 2: section ['a', 'b']" in out
     assert "divisor pullback k=2: eps(-1)" in out
     assert "reconstruction from slots [1, 2]" in out
+    # the same class with b at -1/2: its slots are the ranks of its levels
+    blob = json.loads(Path(tree_file).read_text())
+    blob["levels"] = {"o": "0", "b": "-1/2", "a": "-1", "c": "-1", "d": "-1"}
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps(blob))
+    assert run(["blowup-report", str(half)]) == 0
+    out = capsys.readouterr().out
+    assert "divisor pullback k=2: eps(-1/2)" in out
+    assert ("reconstruction from slots [1, 2]: levels "
+            "{'a': '-2', 'b': '-1', 'c': '-2', 'd': '-2', 'o': '0'}") in out
+    assert run(["verify", str(half), "--suite", "blowup"]) == 0
+    assert "0 failures" in capsys.readouterr().out
 
 
 def test_enumerate_counts(capsys):

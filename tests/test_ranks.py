@@ -86,10 +86,6 @@ def test_level_tables_match_fraction_scans(instances):
     for t in instances:
         occ = sorted(set(t.level.values()), reverse=True)
         assert t.occupied_levels() == tuple(occ)
-        for lo in occ:
-            for hi in occ:
-                assert t.levels_in(lo, hi, True) == {x for x in occ if lo <= x < hi}
-                assert t.levels_in(lo, hi, False) == {x for x in occ if lo < x < hi}
         for i in occ:
             if i == 0:
                 with pytest.raises(DomainError):
@@ -121,8 +117,6 @@ def test_unoccupied_levels_are_rejected(nested_tree):
         level_successor(nested_tree, F(-1, 2))
     with pytest.raises(DomainError):
         cross_section(nested_tree, F(-3, 2))
-    with pytest.raises(DomainError):
-        nested_tree.levels_in(F(-3, 2), 0, True)
 
 
 def test_contract_memo_returns_only_its_own_subset(instances):
