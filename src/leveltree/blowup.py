@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .charts import (ONE, ChartFrame, TwistedChart, _prod, build_chart,
+from .charts import (CHECK_TAGS, ONE, ChartFrame, TwistedChart, build_chart,
                      sigma, zeta)
 from .errors import DomainError, InfeasibleError, VerificationError
 from .levels import (Level, SpecialMap, WeightedLevelTree, cross_section,
@@ -140,7 +140,7 @@ def yk_pullback(chart: TwistedChart, k: int, verify: bool = True) -> Monomial:
     levels = t.ranks().levels
     qualifying = [r for r in range(1, data.m_rank + 1)
                   if len(cross_section(t, levels[r])) <= k]
-    divisor = _prod(Monomial.sym(frame.eps_at[r]) for r in qualifying)
+    divisor = Monomial.product(Monomial.sym(frame.eps_at[r]) for r in qualifying)
     if verify:
         keep = data.hat_edges - frame.part.i_m
         closed = sum(1 << r for r in qualifying)
@@ -208,7 +208,7 @@ def _bundle(e: Edge) -> Monomial:
 
 def ancestor_bundle(t: WeightedLevelTree, e: Edge) -> Monomial:
     """The product of the basis classes over all edges at or above ``e``."""
-    return _prod(_bundle(a) for a in t.tree.descendants_geq(e))
+    return Monomial.product(_bundle(a) for a in t.tree.descendants_geq(e))
 
 
 def twisted_bundles(t: WeightedLevelTree, special: SpecialMap
@@ -223,26 +223,25 @@ def twisted_bundles(t: WeightedLevelTree, special: SpecialMap
     for k in range(1, data.m_rank + 1):
         se = special[ranks.levels[k]]
         top = ranks.of_vertex[t.tree.parent[se]]
-        by_rank.append(_bundle(se) / _prod(by_rank[top + 1:k]))
-    by_edge = {e: _bundle(e) / _prod(by_rank[ranks.of_vertex[t.tree.parent[e]] + 1:k])
+        by_rank.append(_bundle(se) / Monomial.product(by_rank[top + 1:k]))
+    by_edge = {e: _bundle(e)
+               / Monomial.product(by_rank[ranks.of_vertex[t.tree.parent[e]] + 1:k])
                for e, k in data.edge_rank.items()}
     return tuple(by_rank), by_edge
 
 
-def bundle_identity(t: WeightedLevelTree, special: SpecialMap | None = None) -> bool:
+def bundle_identity(t: WeightedLevelTree) -> bool:
     """For every hat edge, correcting its twisted class by the ancestor
     twists recovers the plain ancestor product divided by all twisted level
-    classes strictly above its level."""
-    if special is None:
-        special = default_special(t)
+    classes strictly above its level, with the default special edges."""
     data = level_data(t)
     if not data.m_rank:
         raise DomainError("the identity needs a nonempty level index")
-    by_rank, by_edge = twisted_bundles(t, special)
+    by_rank, by_edge = twisted_bundles(t, default_special(t))
     for e, k in data.edge_rank.items():
-        lhs = by_edge[e] * _prod(by_edge[a] / by_rank[data.edge_rank[a]]
-                                 for a in t.tree.ancestors_gt(e))
-        if lhs != ancestor_bundle(t, e) / _prod(by_rank[1:k]):
+        lhs = by_edge[e] * Monomial.product(by_edge[a] / by_rank[data.edge_rank[a]]
+                                            for a in t.tree.ancestors_gt(e))
+        if lhs != ancestor_bundle(t, e) / Monomial.product(by_rank[1:k]):
             return False
     return True
 
@@ -273,17 +272,14 @@ def _tilde_syms(frame: ChartFrame):
     return rho, zcheck, ztilde, s_tag
 
 
-def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
-                     tags: Sequence[Hashable] = ("j1",)
+def blowup_side_maps(t: WeightedLevelTree
                      ) -> tuple[MonomialMap, MonomialMap, TwistedChart]:
     """The blowup-chart picture of the same stratum: the projection to the
     base writes each modular parameter as a unit ``rho`` (or a vanishing
     ``zch`` for dropping edges) times its crossed gap coordinates, and the
     comparison map rewrites the twisted chart's coordinates in those terms.
     Returns ``(projection, comparison, chart)``."""
-    if special is None:
-        special = default_special(t)
-    chart = build_chart(t, special, tags=tags)
+    chart = build_chart(t, tags=CHECK_TAGS)
     frame = chart.frame
     rho, zcheck, ztilde, s_tag = _tilde_syms(frame)
     data, part = frame.data, frame.part
@@ -295,17 +291,18 @@ def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
                for e in data.hat_edges - part.i_m - frame.special_edges()}
     source |= {zcheck(e) for e in part.i_m}
     source |= {ztilde(e) for e in part.i_minus}
-    source |= {s_tag(j) for j in tags}
+    source |= {s_tag(j) for j in CHECK_TAGS}
     source = frozenset(source)
 
     proj_assign: dict[Symbol, Monomial] = {}
     for e in data.hat_edges:
-        gaps = _prod(Monomial.sym(teps_at[k]) for k in top if data.span[e] >> k & 1)
+        gaps = Monomial.product(Monomial.sym(teps_at[k])
+                                for k in top if data.span[e] >> k & 1)
         head = Monomial.sym(zcheck(e)) if e in part.i_m else rho(e)
         proj_assign[zeta(e)] = head * gaps
     for e in part.i_minus:
         proj_assign[zeta(e)] = Monomial.sym(ztilde(e))
-    for j in tags:
+    for j in CHECK_TAGS:
         proj_assign[sigma(j)] = Monomial.sym(s_tag(j))
     projection = MonomialMap(source_coords=source,
                              target_coords=frozenset(proj_assign),
@@ -313,7 +310,7 @@ def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
 
     def rho_anc(e: Edge, strict: bool) -> Monomial:
         edges = t.tree.ancestors_gt(e) if strict else t.tree.descendants_geq(e)
-        return _prod(rho(a) for a in edges)
+        return Monomial.product(rho(a) for a in edges)
 
     cmp_assign: dict[Symbol, Monomial] = {}
     for k in top:
@@ -327,7 +324,7 @@ def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
             cmp_assign[frame.usym(e)] = rho_anc(e, strict=False) / anchor
     for e in part.i_minus:
         cmp_assign[frame.zsym(e)] = Monomial.sym(ztilde(e))
-    for j in tags:
+    for j in CHECK_TAGS:
         cmp_assign[frame.wsym(j)] = Monomial.sym(s_tag(j))
     comparison = MonomialMap(source_coords=source,
                              target_coords=frame.coords(),
@@ -335,11 +332,10 @@ def blowup_side_maps(t: WeightedLevelTree, special: SpecialMap | None = None,
     return projection, comparison, chart
 
 
-def psi2_chart_check(t: WeightedLevelTree, special: SpecialMap | None = None,
-                     tags: Sequence[Hashable] = ("j1",)) -> bool:
+def psi2_chart_check(t: WeightedLevelTree) -> bool:
     """The twisted chart absorbs the blowup chart: chart-to-base composed
     with the comparison map equals the projection, exactly."""
-    projection, comparison, chart = blowup_side_maps(t, special, tags)
+    projection, comparison, chart = blowup_side_maps(t)
     return compose(chart.theta, comparison).assignment == projection.assignment
 
 
@@ -365,7 +361,7 @@ def stage_ideals(t: WeightedLevelTree, step: int
     generators = frozenset(
         Monomial.sym(Symbol("zch" if e in prev_section else "zt", e))
         for e in section)
-    factor = _prod(Monomial.sym(_teps(levels[j])) for j in range(1, step))
+    factor = Monomial.product(Monomial.sym(_teps(levels[j])) for j in range(1, step))
     cumulative = frozenset(g * factor for g in generators)
     return generators, cumulative, factor
 

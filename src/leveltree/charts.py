@@ -36,10 +36,9 @@ from .tree import Edge
 
 ONE = Monomial.one()
 ZERO = Monomial.zero()
-
-
-def _prod(factors: Iterable[Monomial]) -> Monomial:
-    return Monomial.product(factors)
+# the one extra tag the transition and blowup identities carry, so they also
+# check that extra parameters pass through
+CHECK_TAGS = ("j1",)
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,8 @@ class ChartFrame:
     def __post_init__(self):
         t = self.t
         validate_special(t, self.special)
+        if len(set(self.extra_tags)) != len(self.extra_tags):
+            raise DomainError(f"repeated extra tag in {list(self.extra_tags)}")
         put = partial(object.__setattr__, self)
         put("special", dict(self.special))
         put("part", index_partition(t))
@@ -89,7 +90,7 @@ class ChartFrame:
         # the last special edge of an ascent hangs from the root
         put("chain_edges", tuple(tuple(t.tree.parent[e] for e in a[:-1]) for a in ascent))
         put("eps_at", (None,) + tuple(self.eps(ranks.levels[k]) for k in top))
-        put("_chains", tuple(_prod(self.u_mon(e) for e in edges)
+        put("_chains", tuple(Monomial.product(self.u_mon(e) for e in edges)
                              for edges in self.chain_edges))
 
     def _kind(self, bare: str) -> str:
@@ -145,7 +146,7 @@ class ChartFrame:
 
     def gaps(self, lo: int, hi: int) -> Monomial:
         """The product of the gap coordinates of the ranks in ``[lo, hi)``."""
-        return _prod(Monomial.sym(self.eps_at[k]) for k in range(lo, hi))
+        return Monomial.product(Monomial.sym(self.eps_at[k]) for k in range(lo, hi))
 
 
 # zeta/sigma name the base modular and extra parameters; they are shared by
@@ -434,11 +435,11 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
         return built[frame.usym(e)]
 
     def chain_val(k: int) -> Monomial:
-        return _prod(u_val(e) for e in frame.chain_edges[k])
+        return Monomial.product(u_val(e) for e in frame.chain_edges[k])
 
     def eps_prod(lo: int, hi: int) -> Monomial:
         """The built gap coordinates of the ranks in ``[lo, hi)``."""
-        return _prod(built[frame.eps_at[h]] for h in range(lo, hi))
+        return Monomial.product(built[frame.eps_at[h]] for h in range(lo, hi))
 
     for k in range(1, frame.data.m_rank + 1):  # levels top down
         se = frame.special_at[k]
@@ -514,18 +515,17 @@ def verify_round_trip(chart: TwistedChart, subset: Iterable) -> bool:
 # ---------------------------------------------------------------------------
 
 def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap,
-                                     special_b: SpecialMap,
-                                     tags: Sequence[Hashable] = ("j1",)) -> bool:
+                                     special_b: SpecialMap) -> bool:
     """Two choices of special edges give charts differing by an explicit
     monomial change of coordinates ``g``: the base maps agree through ``g``,
     and each readout family is the old one renormalized by its value on the
     new special edge."""
-    chart = build_chart(t, special_a, tags=tags)
-    other = build_chart(t, special_b, tags=tags, flavor="a:")
+    chart = build_chart(t, special_a, tags=CHECK_TAGS)
+    other = build_chart(t, special_b, tags=CHECK_TAGS, flavor="a:")
     fa, fb = chart.frame, other.frame
 
     def chain(edges: Iterable[Edge]) -> Monomial:
-        return _prod(fa.u_mon(e) for e in edges)
+        return Monomial.product(fa.u_mon(e) for e in edges)
 
     assignment: dict[Symbol, Monomial] = {}
     for k in range(1, fa.data.m_rank + 1):
@@ -540,7 +540,7 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
             assignment[fb.usym(e)] = fa.u_mon(e) / fa.u_mon(fb.special_at[k])
     for e in fa.part.i_minus:
         assignment[fb.zsym(e)] = Monomial.sym(fa.zsym(e))
-    for j in tags:
+    for j in CHECK_TAGS:
         assignment[fb.wsym(j)] = Monomial.sym(fa.wsym(j))
     g = MonomialMap(source_coords=fa.coords(), target_coords=fb.coords(),
                     assignment=assignment)
@@ -559,23 +559,21 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
 
 
 def _f_product(t: WeightedLevelTree, e: Edge) -> Monomial:
-    return _prod(Monomial.sym(Symbol("f", a)) for a in t.tree.descendants_geq(e))
+    return Monomial.product(Monomial.sym(Symbol("f", a))
+                            for a in t.tree.descendants_geq(e))
 
 
-def verify_parameter_transition(t: WeightedLevelTree, special: SpecialMap | None = None,
-                                tags: Sequence[Hashable] = ("j1",)) -> bool:
+def verify_parameter_transition(t: WeightedLevelTree) -> bool:
     """Rescaling every modular parameter by a unit ``f_e`` changes the chart
     by an explicit monomial map ``g``: the base maps agree up to the same
     units, and the readout families agree after normalizing each side by its
     own ``f`` content."""
-    if special is None:
-        special = default_special(t)
-    chart = build_chart(t, special, tags=tags)
-    hat_chart = build_chart(t, special, tags=tags, flavor="hat:")
+    chart = build_chart(t, tags=CHECK_TAGS)
+    hat_chart = build_chart(t, tags=CHECK_TAGS, flavor="hat:")
     fa, fh = chart.frame, hat_chart.frame
 
     def fchain(k: int) -> Monomial:
-        return _prod(Monomial.sym(Symbol("f", e)) for e in fa.ascent[k])
+        return Monomial.product(Monomial.sym(Symbol("f", e)) for e in fa.ascent[k])
 
     assignment: dict[Symbol, Monomial] = {}
     for k in range(1, fa.data.m_rank + 1):
@@ -586,7 +584,7 @@ def verify_parameter_transition(t: WeightedLevelTree, special: SpecialMap | None
                                       / _f_product(t, fa.special_at[k]))
     for e in fa.part.i_minus:
         assignment[fh.zsym(e)] = Monomial.sym(fa.zsym(e))
-    for j in tags:
+    for j in CHECK_TAGS:
         assignment[fh.wsym(j)] = Monomial.sym(fa.wsym(j))
     f_syms = frozenset(Symbol("f", e) for e in t.tree.edges)
     g = MonomialMap(source_coords=fa.coords() | f_syms,
@@ -599,7 +597,7 @@ def verify_parameter_transition(t: WeightedLevelTree, special: SpecialMap | None
             expected = expected * Monomial.sym(Symbol("f", e))
         if actual != expected:
             return False
-    for j in tags:
+    for j in CHECK_TAGS:
         if hat_chart.theta.assignment[sigma(j)].substitute(g.assignment) \
                 != chart.theta.assignment[sigma(j)]:
             return False
@@ -609,36 +607,33 @@ def verify_parameter_transition(t: WeightedLevelTree, special: SpecialMap | None
         mask = level_mask(t, i_plus)
 
         def f_not_collapsed(e: Edge) -> Monomial:
-            return _prod(Monomial.sym(Symbol("f", a))
-                         for a in t.tree.descendants_geq(e)
-                         if fa.data.span[a] & ~mask)
+            return Monomial.product(Monomial.sym(Symbol("f", a))
+                                    for a in t.tree.descendants_geq(e)
+                                    if fa.data.span[a] & ~mask)
 
         mu_plain = chart.mu(subset)
         for (i, e), mon in hat_chart.mu(subset).items():
-            lhs = mon.substitute(g.assignment) * f_not_collapsed(special[i])
+            lhs = mon.substitute(g.assignment) * f_not_collapsed(fa.special[i])
             rhs = mu_plain[(i, e)] * f_not_collapsed(e)
             if lhs != rhs:
                 return False
     return True
 
 
-def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable,
-                              special: SpecialMap | None = None,
-                              tags: Sequence[Hashable] = ("j1",)) -> bool:
+def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
     """Recentering a chart on a stratum agrees with the chart of the
     contracted tree: the base maps match through the explicit ``g``, and the
     recentered readout families are the original ones at the union subset."""
-    if special is None:
-        special = default_special(t)
     subset = frozenset(subset)
-    chart = build_chart(t, special, tags=tags)
+    chart = build_chart(t, tags=CHECK_TAGS)
     frame = chart.frame
+    special = frame.special
     i_plus, _, _ = frame.part.split(subset)
     res = contract(t, subset)
     tpr = res.tree
     new_part = index_partition(tpr)
     special_new = {i: special[i] for i in new_part.i_plus}
-    new_tags = tuple(tags) + tuple(("ctr", e) for e in sorted(res.contracted))
+    new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
     prime = build_chart(tpr, special_new, tags=new_tags, flavor="p:")
     fp = prime.frame
     mu_I = chart.mu(subset)
@@ -651,7 +646,8 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable,
                                     witness=(subset, i))
 
     def mu_chain(j: Level) -> Monomial:
-        return _prod(mu_I[(tpr.level[p], p)] for p in fp.chain_edges[tpr.level_rank(j)])
+        return Monomial.product(mu_I[(tpr.level[p], p)]
+                                for p in fp.chain_edges[tpr.level_rank(j)])
 
     assignment: dict[Symbol, Monomial] = {}
     for i in new_part.i_plus:
@@ -673,7 +669,7 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable,
         else:
             # a dropout edge: its modular parameter is already the readout
             assignment[fp.zsym(e)] = theta[zeta(e)]
-    for j in tags:
+    for j in CHECK_TAGS:
         assignment[fp.wsym(j)] = Monomial.sym(frame.wsym(j))
     for e in res.contracted:
         assignment[fp.wsym(("ctr", e))] = theta[zeta(e)]
@@ -684,7 +680,7 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable,
     for e in tpr.edges():
         if prime.theta.assignment[zeta(e)].substitute(g.assignment) != theta[zeta(e)]:
             return False
-    for j in tags:
+    for j in CHECK_TAGS:
         if prime.theta.assignment[sigma(j)].substitute(g.assignment) \
                 != Monomial.sym(frame.wsym(j)):
             return False
@@ -714,8 +710,8 @@ def remark_identities(chart: TwistedChart) -> bool:
     base = frame.up_chain(m_rank) * frame.gaps(1, m_rank + 1)
 
     def anc_product(e: Edge) -> Monomial:
-        return _prod(chart.theta.assignment[zeta(a)]
-                     for a in t.tree.descendants_geq(e))
+        return Monomial.product(chart.theta.assignment[zeta(a)]
+                                for a in t.tree.descendants_geq(e))
 
     if anc_product(frame.special_at[m_rank]) != base:
         return False

@@ -38,10 +38,6 @@ def _load_level_tree(path: str) -> WeightedLevelTree:
     return WeightedLevelTree.from_json_dict(data)
 
 
-def _fmt_level(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -50,7 +46,7 @@ def cmd_validate(args) -> int:
     t = _load_level_tree(args.file)
     data = level_data(t)
     print(f"ok: {len(t.tree.vertices)} vertices, {len(t.edges())} edges, "
-          f"m={_fmt_level(data.m)}")
+          f"m={data.m}")
     return 0
 
 
@@ -61,25 +57,25 @@ def cmd_indices(args) -> int:
     sections = {i: sorted(cross_section(t, i)) for i in part.i_plus}
     if args.json:
         out = {
-            "m": _fmt_level(data.m),
+            "m": str(data.m),
             "hat_edges": sorted(data.hat_edges),
-            "edge_levels": {e: _fmt_level(v) for e, v in sorted(data.edge_level.items())},
-            "i_plus": sorted(map(_fmt_level, part.i_plus), key=Fraction, reverse=True),
+            "edge_levels": {e: str(v) for e, v in sorted(data.edge_level.items())},
+            "i_plus": sorted(map(str, part.i_plus), key=Fraction, reverse=True),
             "i_m": sorted(part.i_m),
             "i_minus": sorted(part.i_minus),
-            "cross_sections": {_fmt_level(i): sections[i] for i in sorted(sections, reverse=True)},
+            "cross_sections": {str(i): sections[i] for i in sorted(sections, reverse=True)},
         }
         print(json.dumps(out, sort_keys=True, indent=2))
         return 0
-    print(f"m = {_fmt_level(data.m)}")
+    print(f"m = {data.m}")
     print("hat edges:", ", ".join(sorted(data.hat_edges)) or "(none)")
     for e in sorted(data.edge_level):
-        print(f"  level({e}) = {_fmt_level(data.edge_level[e])}")
-    print("I_plus  =", sorted(map(_fmt_level, part.i_plus), key=Fraction, reverse=True))
+        print(f"  level({e}) = {data.edge_level[e]}")
+    print("I_plus  =", sorted(map(str, part.i_plus), key=Fraction, reverse=True))
     print("I_m     =", sorted(part.i_m))
     print("I_minus =", sorted(part.i_minus))
     for i in sorted(sections, reverse=True):
-        print(f"section({_fmt_level(i)}) = {sections[i]}")
+        print(f"section({i}) = {sections[i]}")
     return 0
 
 
@@ -133,14 +129,16 @@ def render_chart(chart: charts_mod.TwistedChart) -> str:
         table = chart.mu(subset)
         tag = "{" + ",".join(sorted(map(str, subset))) + "}"
         for (i, e) in sorted(table, key=lambda k: (-k[0], k[1])):
-            lines.append(f"mu[I={tag}] level={_fmt_level(i)} edge={e}: {table[(i, e)]}")
+            lines.append(f"mu[I={tag}] level={i} edge={e}: {table[(i, e)]}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_chart(args) -> int:
     t = _load_level_tree(args.file)
     special = _parse_special(t, args.special)
-    tags = tuple(s.strip() for s in args.tags.split(",")) if args.tags else ()
+    tags = () if args.tags is None else tuple(s.strip() for s in args.tags.split(","))
+    if "" in tags:
+        raise DomainError(f"empty tag name in --tags={args.tags!r}")
     sys.stdout.write(render_chart(charts_mod.build_chart(t, special, tags=tags)))
     return 0
 
@@ -178,7 +176,7 @@ def cmd_blowup_report(args) -> int:
     idx = blowup_mod.divisor_slots(t)
     try:
         rebuilt = blowup_mod.psi2_level_tree(t.base, idx)
-        levels = {v: _fmt_level(x) for v, x in sorted(rebuilt.level.items())}
+        levels = {v: str(x) for v, x in sorted(rebuilt.level.items())}
         lines.append(f"reconstruction from slots {idx}: levels {levels}")
     except LevelTreeError as exc:
         lines.append(f"reconstruction from slots {idx}: infeasible ({exc})")

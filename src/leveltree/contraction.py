@@ -42,11 +42,6 @@ def _collapsed(t: WeightedLevelTree, plus_mask: int, i_m: frozenset,
     return frozenset(out)
 
 
-def contracted_edges(t: WeightedLevelTree, subset: Iterable) -> frozenset[Edge]:
-    i_plus, i_m, i_minus = index_partition(t).split(subset)
-    return _collapsed(t, level_mask(t, i_plus), i_m, i_minus)
-
-
 def _kept_ranks(data: LevelData, plus_mask: int) -> list[int]:
     """Ranks of the ``I_plus`` levels a subset leaves standing, top down."""
     return [k for k in range(1, data.m_rank + 1) if not plus_mask >> k & 1]
@@ -201,19 +196,8 @@ def nested_contraction_coherent(t: WeightedLevelTree, subset: Iterable,
     sub2 = frozenset(subset2) & inner.labels()
     if frozenset(subset2) != sub2:
         raise DomainError("second subset must consist of surviving labels")
-    staged = contract(first, sub2).tree
-    merged = contract(t, frozenset(subset) | _relabel_to_outer(t, subset, sub2)).tree
-    return canonical_form(staged).level == canonical_form(merged).level and \
-        canonical_form(staged).base == canonical_form(merged).base
-
-
-def _relabel_to_outer(t: WeightedLevelTree, subset: Iterable, sub2: frozenset) -> frozenset:
-    # Edge labels persist through contraction; level labels do too because the
-    # contraction keeps surviving I_plus levels at their original values.
-    part = index_partition(t)
-    out = set()
-    for lab in sub2:
-        if isinstance(lab, Level) and lab not in part.i_plus:
-            raise DomainError(f"level {lab} does not come from the outer index set")
-        out.add(lab)
-    return frozenset(out)
+    staged = canonical_form(contract(first, sub2).tree)
+    # the labels keep their names: edges persist, and the contraction keeps
+    # the surviving I_plus levels at their values; ``split`` refuses the rest
+    merged = canonical_form(contract(t, frozenset(subset) | sub2).tree)
+    return staged.level == merged.level and staged.base == merged.base

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .contraction import contract
 from .errors import DomainError
-from .levels import WeightedLevelTree, canonical_form, index_partition
+from .levels import WeightedLevelTree
 from .tree import RootedTree, Vertex, WeightedTree
 
 
@@ -29,7 +28,6 @@ class EnumSpec:
     max_edges: int = 5
     max_weight: int = 2
     max_levels: int = 5
-    require_positive_weight: bool = True
 
     def __post_init__(self):
         if min(self.max_edges, self.max_weight, self.max_levels) < 0:
@@ -101,10 +99,11 @@ def _materialize(shape: Shape) -> WeightedTree:
 
 def gen_weighted_trees(spec: EnumSpec) -> Iterator[WeightedTree]:
     """All weighted rooted trees with at most ``max_edges`` edges, weights in
-    ``[0, max_weight]``, up to root-preserving isomorphism, in a fixed order."""
+    ``[0, max_weight]`` and at least one positive weight, up to
+    root-preserving isomorphism, in a fixed order."""
     for n in range(spec.max_edges + 1):
         for shape in sorted(_shapes(n, spec.max_weight)):
-            if spec.require_positive_weight and _total(shape) == 0:
+            if _total(shape) == 0:
                 continue
             yield _materialize(shape)
 
@@ -204,60 +203,6 @@ def gen_level_trees(base: WeightedTree, spec: EnumSpec) -> Iterator[WeightedLeve
 def gen_instances(spec: EnumSpec, stable_only: bool = False) -> Iterator[WeightedLevelTree]:
     """Every canonical weighted level tree within the bounds."""
     for base in gen_weighted_trees(spec):
-        if not base.positive_vertices():
-            continue
         if stable_only and not base.is_stable():
             continue
         yield from gen_level_trees(base, spec)
-
-
-@dataclass
-class StrataPoset:
-    """The local stratification poset of one weighted level tree: nodes are
-    the equivalence classes of its iterated contractions, arrows point from a
-    class to each of its proper contractions."""
-
-    nodes: dict[tuple, WeightedLevelTree]
-    arrows: set[tuple]
-
-    def reachable(self, src: tuple, dst: tuple) -> bool:
-        if src == dst:
-            return True
-        frontier = {src}
-        seen = set()
-        while frontier:
-            cur = frontier.pop()
-            if cur == dst:
-                return True
-            seen.add(cur)
-            frontier |= {b for a, b in self.arrows if a == cur} - seen
-        return False
-
-
-def class_key(t: WeightedLevelTree) -> tuple:
-    c = canonical_form(t)
-    return (c.root, tuple(sorted(c.tree.parent.items())),
-            tuple(sorted(c.weight.items())),
-            tuple(sorted((v, c.level[v]) for v in c.level)))
-
-
-def strata_poset(t: WeightedLevelTree) -> StrataPoset:
-    nodes: dict[tuple, WeightedLevelTree] = {}
-    arrows: set[tuple] = set()
-    todo = [canonical_form(t)]
-    while todo:
-        cur = todo.pop()
-        key = class_key(cur)
-        if key in nodes:
-            continue
-        nodes[key] = cur
-        part = index_partition(cur)
-        labels = sorted(part.labels(), key=str)
-        for r in range(1, len(labels) + 1):
-            for combo in itertools.combinations(labels, r):
-                nxt = contract(cur, frozenset(combo)).tree
-                nkey = class_key(nxt)
-                arrows.add((key, nkey))
-                if nkey not in nodes:
-                    todo.append(canonical_form(nxt))
-    return StrataPoset(nodes=nodes, arrows=arrows)

@@ -32,9 +32,6 @@ from .errors import DomainError, StructureError
 from .tree import Edge, RootedTree, Vertex, WeightedTree, json_object
 
 Level = Fraction
-# An index subset mixes levels (Fraction) and edges (str).
-IndexLabel = object
-IndexSubset = frozenset
 # The largest index set whose 2^|I| subsets are enumerated: on path trees
 # ``verify --suite charts`` takes 1.5 s at |I| = 8 and 11 s at |I| = 10
 # (2-vCPU host).
@@ -121,10 +118,6 @@ class WeightedLevelTree:
                 of_vertex=of_vertex, at=tuple(tuple(sorted(vs)) for _, vs in ordered))
         return memo["ranks"]
 
-    def occupied_levels(self) -> tuple[Level, ...]:
-        """All occupied levels, descending from 0."""
-        return self.ranks().levels
-
     def level_rank(self, x) -> int:
         """The rank of an occupied level."""
         k = self.ranks().of_level.get(as_level(x))
@@ -175,7 +168,6 @@ class LevelData:
     m: Level
     hat_edges: frozenset[Edge]
     edge_level: Mapping[Edge, Level]
-    occupied_levels: tuple[Level, ...]
     m_rank: int
     edge_rank: Mapping[Edge, int]
     span: Mapping[Edge, int]
@@ -197,7 +189,7 @@ def level_data(t: WeightedLevelTree) -> LevelData:
     out = LevelData(
         m=ranks.levels[m_rank], hat_edges=frozenset(edge_rank),
         edge_level={e: ranks.levels[k] for e, k in edge_rank.items()},
-        occupied_levels=ranks.levels, m_rank=m_rank, edge_rank=edge_rank,
+        m_rank=m_rank, edge_rank=edge_rank,
         # the ranks strictly below the upper endpoint, down to the edge level
         span={e: (2 << k) - (2 << rank[parent[e]]) for e, k in edge_rank.items()})
     memo["level_data"] = out
@@ -294,10 +286,10 @@ def index_partition(t: WeightedLevelTree) -> IndexPartition:
     if "index_partition" in memo:
         return memo["index_partition"]
     data = level_data(t)
-    rank = t.ranks().of_vertex
+    ranks = t.ranks()
     out = IndexPartition(
-        i_plus=frozenset(data.occupied_levels[1:data.m_rank + 1]),
-        i_m=frozenset(e for e in data.hat_edges if rank[e] > data.m_rank),
+        i_plus=frozenset(ranks.levels[1:data.m_rank + 1]),
+        i_m=frozenset(e for e in data.hat_edges if ranks.of_vertex[e] > data.m_rank),
         i_minus=t.tree.edges - data.hat_edges)
     memo["index_partition"] = out
     return out
@@ -377,16 +369,6 @@ def is_equivalent(t: WeightedLevelTree, t2: WeightedLevelTree) -> bool:
             return False
         lowest = min(lowest, top)
     return True
-
-
-def equiv_key(t: WeightedLevelTree):
-    """A canonical key equal for two trees iff they are equivalent: the
-    weighted tree together with the ordered partition of the at-or-above-``m``
-    vertices by level."""
-    ordered = t.ranks().at[:level_data(t).m_rank + 1]
-    base_key = (t.root, tuple(sorted(t.tree.parent.items())),
-                tuple(sorted(t.weight.items())))
-    return (base_key, ordered)
 
 
 def canonical_form(t: WeightedLevelTree) -> WeightedLevelTree:

@@ -3,7 +3,9 @@
 Every coordinate expression in the chart machinery is a single product of
 symbol powers (or the constant 0), never a sum, so the whole calculus runs on
 integer exponent vectors.  Multiplication adds exponents, composition of maps
-is substitution, and identities are decided exactly.
+is substitution, and identities are decided exactly.  A product of many
+factors, and a substitution, merge all their exponents in one pass and sort
+once, so their cost grows with the total number of factors, not its square.
 
 A ``Stratum`` constrains some symbols to 0 and some to be units (nonzero).
 On a stratum a monomial containing a positive power of a zero symbol *is* 0;
@@ -137,10 +139,7 @@ class Monomial:
 
     @staticmethod
     def product(factors: Iterable["Monomial"]) -> "Monomial":
-        out = Monomial._ONE
-        for f in factors:
-            out = out * f
-        return out
+        return _merge(factors)
 
     # -- structure ---------------------------------------------------------
 
@@ -152,14 +151,6 @@ class Monomial:
         if self.exps is None:
             return ()
         return tuple(s for s, _ in self.exps)
-
-    def exponent(self, s: Symbol) -> int:
-        if self.exps is None:
-            raise MonomialError("the zero monomial has no exponents")
-        for sym, e in self.exps:
-            if sym is s:
-                return e
-        return 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -176,16 +167,7 @@ class Monomial:
             return other
         if not other.exps:
             return self
-        merged: dict = {}
-        for s, e in self.exps:
-            merged[s] = e
-        for s, e in other.exps:
-            cur = merged.get(s, 0) + e
-            if cur:
-                merged[s] = cur
-            elif s in merged:
-                del merged[s]
-        return Monomial(tuple(sorted(merged.items(), key=lambda it: it[0].sid)))
+        return _merge((self, other))
 
     def __pow__(self, n: int) -> "Monomial":
         if self.exps is None:
@@ -207,7 +189,7 @@ class Monomial:
         negative power of a zero value is ill-defined."""
         if self.exps is None:
             return Monomial._ZERO
-        out = Monomial._ONE
+        powers = []
         for s, e in self.exps:
             try:
                 val = assignment[s]
@@ -217,8 +199,8 @@ class Monomial:
                 if e < 0:
                     raise MonomialError(f"negative power of vanishing {s}")
                 return Monomial._ZERO
-            out = out * (val ** e)
-        return out
+            powers.append(val ** e)
+        return _merge(powers)
 
     # -- rendering -----------------------------------------------------------
 
@@ -242,10 +224,41 @@ Monomial._ONE = Monomial(())
 Monomial._ZERO = Monomial(None)
 
 
+def _sid(item: tuple) -> int:
+    return item[0].sid
+
+
+def _merge(factors: Iterable[Monomial]) -> Monomial:
+    """The product of ``factors`` in one pass: zero absorbs, the exponents of
+    a repeated symbol add, zero exponents drop, and the result is sorted by
+    symbol id once.  Up to the second factor that is not 1, nothing is
+    built: the product of no factors is 1, and of one factor that factor."""
+    first = Monomial._ONE
+    merged = None
+    for f in factors:
+        if f.exps is None:
+            return Monomial._ZERO
+        if merged is None:
+            if not first.exps:
+                first = f
+                continue
+            merged = dict(first.exps)
+        for s, e in f.exps:
+            # a stored exponent is never 0, so a sum of 0 cancels a stored one
+            cur = merged.get(s, 0) + e
+            if cur:
+                merged[s] = cur
+            else:
+                del merged[s]
+    if merged is None:
+        return first
+    return Monomial(tuple(sorted(merged.items(), key=_sid)))
+
+
 def _from_exps(exps: tuple | None) -> Monomial:
     if exps is None:
         return Monomial._ZERO
-    return Monomial(tuple(sorted(exps, key=lambda it: it[0].sid)))
+    return Monomial(tuple(sorted(exps, key=_sid)))
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -254,7 +267,7 @@ def parse_monomial(text: str) -> Monomial:
         return Monomial.zero()
     if text == "1":
         return Monomial.one()
-    out = Monomial.one()
+    factors = []
     for factor in text.split("*"):
         factor = factor.strip()
         if "^" in factor:
@@ -262,8 +275,8 @@ def parse_monomial(text: str) -> Monomial:
             exp = int(exp_text)
         else:
             sym_text, exp = factor, 1
-        out = out * Monomial.sym(parse_symbol(sym_text.strip()), exp)
-    return out
+        factors.append(Monomial.sym(parse_symbol(sym_text.strip()), exp))
+    return Monomial.product(factors)
 
 
 @dataclass(frozen=True)
@@ -325,9 +338,6 @@ class MonomialMap:
         cs = frozenset(coords)
         return MonomialMap(source_coords=cs, target_coords=cs,
                            assignment={c: Monomial.sym(c) for c in cs})
-
-    def __call__(self, target: Symbol) -> Monomial:
-        return self.assignment[target]
 
 
 def compose(f: MonomialMap, g: MonomialMap) -> MonomialMap:

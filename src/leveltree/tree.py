@@ -54,24 +54,20 @@ class RootedTree:
             if par not in verts:
                 raise StructureError(f"parent {par!r} of {child!r} is not a vertex")
             children[par].append(child)
-        # every vertex must reach the root (connected, acyclic)
-        for v in self.parent:
-            seen = {v}
-            cur = v
-            while cur != self.root:
-                cur = self.parent[cur]
-                if cur in seen:
-                    raise StructureError(f"cycle through {cur!r}")
-                seen.add(cur)
         for v in children:
             children[v].sort()
         object.__setattr__(self, "_children", children)
+        # one walk up from each vertex builds the root paths and proves that
+        # every vertex reaches the root (connected, acyclic); it stops at the
+        # first vertex whose path is known
         paths: dict[Vertex, tuple[Vertex, ...]] = {self.root: (self.root,)}
-        for v in children:
-            pending = []
+        for v in self.parent:
+            pending: dict[Vertex, None] = {}
             cur = v
             while cur not in paths:
-                pending.append(cur)
+                if cur in pending:
+                    raise StructureError(f"cycle through {cur!r}")
+                pending[cur] = None
                 cur = self.parent[cur]
             for u in reversed(pending):
                 paths[u] = (u,) + paths[self.parent[u]]
@@ -251,6 +247,11 @@ def json_object(data: dict, field: str) -> dict:
     return value
 
 
+def _dot_id(text: object) -> str:
+    """A DOT quoted string: ``"`` and ``\\`` are escaped."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(wt: WeightedTree, levels: Mapping[Vertex, object] | None = None) -> str:
     """Emit a graphviz digraph; with levels, draw dotted per-level rails."""
     lines = ["digraph leveltree {", "  rankdir=TB;"]
@@ -259,16 +260,18 @@ def to_dot(wt: WeightedTree, levels: Mapping[Vertex, object] | None = None) -> s
         for v, lv in levels.items():
             by_level.setdefault(lv, []).append(v)
         for lv in sorted(by_level, reverse=True):
-            vs = " ".join(f'"{v}"' for v in sorted(by_level[lv]))
-            lines.append(f'  {{ rank=same; "rail_{lv}" [shape=plaintext label="{lv}"]; {vs} }}')
-        rails = [f'"rail_{lv}"' for lv in sorted(by_level, reverse=True)]
+            vs = " ".join(_dot_id(v) for v in sorted(by_level[lv]))
+            lines.append(f"  {{ rank=same; {_dot_id(f'rail_{lv}')} "
+                         f"[shape=plaintext label={_dot_id(lv)}]; {vs} }}")
+        rails = [_dot_id(f"rail_{lv}") for lv in sorted(by_level, reverse=True)]
         if len(rails) > 1:
             lines.append("  " + " -> ".join(rails) + " [style=dotted arrowhead=none];")
     for v in sorted(wt.tree.vertices):
         shape = "circle" if wt.weight[v] == 0 else "doublecircle"
-        lines.append(f'  "{v}" [shape={shape} label="{v}:{wt.weight[v]}"];')
+        lines.append(f"  {_dot_id(v)} [shape={shape} label={_dot_id(f'{v}:{wt.weight[v]}')}];")
     for child in sorted(wt.tree.parent):
-        lines.append(f'  "{wt.tree.parent[child]}" -> "{child}" [label="{child}"];')
+        lines.append(f"  {_dot_id(wt.tree.parent[child])} -> {_dot_id(child)} "
+                     f"[label={_dot_id(child)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

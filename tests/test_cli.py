@@ -157,6 +157,15 @@ def test_bad_level_arguments_are_usage_errors(tree_file, capsys, argv):
     assert err.startswith("error: bad level") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chart", "--tags=j1,j1"], "error: repeated extra tag in ['j1', 'j1']"),
+    (["chart", "--tags=j1,"], "error: empty tag name in --tags='j1,'"),
+], ids=["repeated", "empty"])
+def test_bad_tag_arguments_are_usage_errors(tree_file, capsys, argv, message):
+    assert run([argv[0], tree_file] + argv[1:]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_non_integer_edge_bound_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("LEVELTREE_MAX_EDGES", "four")
     assert run(["enumerate", "--count-only"]) == 2
@@ -195,8 +204,9 @@ def test_validate_rejects_non_string_levels(tmp_path, capsys, level, shown):
 
 
 def test_cli_checks_survive_optimize_mode(tmp_path):
-    """Under ``python -O`` asserts are stripped, yet bad input still exits 2
-    and enumeration still counts every class."""
+    """Under ``python -O`` asserts are stripped, yet bad input (levels that
+    climb, a cyclic parent map) still exits 2 and enumeration still counts
+    every class."""
     path = tmp_path / "upside_down.json"
     path.write_text(json.dumps({
         "root": "o", "parents": {"a": "o", "b": "a"}, "weights": {"o": 0, "a": 0, "b": 1},
@@ -212,5 +222,11 @@ def test_cli_checks_survive_optimize_mode(tmp_path):
     upside_down = cli("validate", str(path))
     assert upside_down.returncode == 2
     assert upside_down.stderr == "error: levels must strictly decrease along edges ('a' -> 'b')\n"
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(json.dumps({
+        "root": "o", "parents": {"a": "b", "b": "a"}, "weights": {"o": 1, "a": 0, "b": 0},
+        "levels": {"o": "0", "a": "-1", "b": "-2"}}))
+    cycle = cli("validate", str(cyclic))
+    assert cycle.returncode == 2 and cycle.stderr == "error: cycle through 'a'\n"
     count = cli("enumerate", "--max-edges", "3", "--count-only")
     assert count.returncode == 0 and count.stdout == "451\n"

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from leveltree.contraction import (contract, contracted_edges,
-                                   index_identity_report,
+from leveltree.contraction import (contract, index_identity_report,
                                    minus_part_dropouts,
                                    nested_contraction_coherent,
                                    verify_equivalence_compat)
@@ -16,17 +15,17 @@ F = Fraction
 
 
 def test_contracted_edges_on_nested_tree(nested_tree):
-    assert contracted_edges(nested_tree, {F(-2)}) == {"c", "d"}
-    assert contracted_edges(nested_tree, {F(-1)}) == {"b"}
-    assert contracted_edges(nested_tree, {F(-1), F(-2)}) == {"a", "b", "c", "d"}
-    assert contracted_edges(nested_tree, set()) == frozenset()
+    assert contract(nested_tree, {F(-2)}).contracted == {"c", "d"}
+    assert contract(nested_tree, {F(-1)}).contracted == {"b"}
+    assert contract(nested_tree, {F(-1), F(-2)}).contracted == {"a", "b", "c", "d"}
+    assert contract(nested_tree, set()).contracted == frozenset()
 
 
 def test_contracted_edges_rejects_foreign_labels(nested_tree):
     with pytest.raises(DomainError):
-        contracted_edges(nested_tree, {F(-3)})
+        contract(nested_tree, {F(-3)})
     with pytest.raises(DomainError):
-        contracted_edges(nested_tree, {"zz"})
+        contract(nested_tree, {"zz"})
 
 
 def test_contract_lifts_to_the_surviving_level(nested_tree):

@@ -7,7 +7,7 @@ from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, StructureError
 from leveltree.levels import (WeightedLevelTree, ascent_sequence,
                               canonical_form, cross_section, default_special,
-                              edge_span, equiv_key, index_partition,
+                              edge_span, index_partition,
                               is_equivalent, level_data, level_successor,
                               make_level_tree, phi_bijection, special_choices)
 
@@ -142,16 +142,6 @@ def test_equivalence_ignores_structure_below_the_weighted_frontier(deep_fan):
         level={v: (x if x >= -3 else x - 5) for v, x in deep_fan.level.items()})
     assert is_equivalent(deep_fan, deeper)
     assert is_equivalent(deeper, deep_fan)
-
-
-def test_equiv_key_matches_is_equivalent_exhaustively():
-    insts = list(gen_instances(EnumSpec(max_edges=3, max_weight=1)))
-    by_base = {}
-    for t in insts:
-        by_base.setdefault(equiv_key(t)[0], []).append(t)
-    for group in by_base.values():
-        for t, t2 in itertools.product(group, repeat=2):
-            assert is_equivalent(t, t2) == (equiv_key(t) == equiv_key(t2))
 
 
 def test_equivalence_is_an_equivalence_relation_on_relabelings(nested_tree, deep_fan):

@@ -2,7 +2,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leveltree.errors import MonomialError
@@ -132,6 +132,87 @@ def test_division_inverts_multiplication(a, b):
 def test_substitution_through_identity_is_identity(a):
     ident = {s: Monomial.sym(s) for s in (E1, E2, UB, UC, ZA)}
     assert a.substitute(ident) == a
+
+
+# The merge properties: factors are drawn as raw (symbol, exponent) lists, or
+# None for the zero monomial, and checked against exponent sums kept here.
+MERGE_SYMBOLS = [E1, E2, UB, UC, ZA, Symbol("w", "j1"), Symbol("a:u", "b"),
+                 Symbol("zeta", "c"), Symbol("t:eps", Fraction(-1))]
+raw_factors = st.tuples(
+    st.integers(min_value=0, max_value=29),
+    st.lists(st.tuples(st.sampled_from(MERGE_SYMBOLS), exponents), min_size=1, max_size=4),
+).map(lambda drawn: None if drawn[0] == 0 else drawn[1])
+
+
+def built(raw) -> Monomial:
+    return Monomial.zero() if raw is None else m(*raw)
+
+
+def exponent_sum(raws):
+    """The product as a symbol -> exponent dict, or None for zero."""
+    total = {}
+    for raw in raws:
+        if raw is None:
+            return None
+        for s, e in raw:
+            total[s] = total.get(s, 0) + e
+    return {s: e for s, e in total.items() if e}
+
+
+def normal_form(mon: Monomial):
+    """The exponents as a dict, after checking the stored form: sorted by
+    symbol id, each symbol once, no zero exponent."""
+    if mon.is_zero:
+        return None
+    ids = [s.sid for s, _ in mon.exps]
+    assert ids == sorted(set(ids)) and all(e for _, e in mon.exps)
+    return dict(mon.exps)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(min_value=0, max_value=30).flatmap(
+    lambda n: st.lists(raw_factors, min_size=n, max_size=n)))
+def test_product_is_the_fold_and_the_exponent_sum(raws):
+    factors = [built(raw) for raw in raws]
+    fold = Monomial.one()
+    for f in factors:
+        fold = fold * f
+    product = Monomial.product(factors)
+    assert product == fold
+    assert normal_form(product) == normal_form(fold) == exponent_sum(raws)
+
+
+def substitute_reference(exps, values):
+    """Substitution as a product of powers, raising where it must: the
+    symbols are visited by id, a missing value or a negative power of a zero
+    value raises, and a positive power of a zero value gives zero."""
+    if exps is None:
+        return None
+    total = {}
+    for s, e in sorted(exps.items(), key=lambda it: it[0].sid):
+        if s not in values:
+            return ("raises", f"no assignment for symbol {s}")
+        if values[s] is None:
+            if e < 0:
+                return ("raises", f"negative power of vanishing {s}")
+            return None
+        for t, f in exponent_sum([values[s]]).items():
+            total[t] = total.get(t, 0) + e * f
+    return {t: f for t, f in total.items() if f}
+
+
+@settings(derandomize=True, max_examples=300)
+@given(raw_factors, st.lists(raw_factors, min_size=len(MERGE_SYMBOLS),
+                             max_size=len(MERGE_SYMBOLS)),
+       st.sets(st.sampled_from(MERGE_SYMBOLS), max_size=2))
+def test_substitute_is_the_product_of_powers(raw, raw_values, unassigned):
+    values = {s: v for s, v in zip(MERGE_SYMBOLS, raw_values) if s not in unassigned}
+    assignment = {s: built(v) for s, v in values.items()}
+    try:
+        got = normal_form(built(raw).substitute(assignment))
+    except MonomialError as exc:
+        got = ("raises", str(exc))
+    assert got == substitute_reference(exponent_sum([raw]), values)
 
 
 def test_symbols_and_monomials_survive_pickling():

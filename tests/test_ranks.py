@@ -85,7 +85,7 @@ def test_is_equivalent_matches_the_pairwise_definition(instances):
 def test_level_tables_match_fraction_scans(instances):
     for t in instances:
         occ = sorted(set(t.level.values()), reverse=True)
-        assert t.occupied_levels() == tuple(occ)
+        assert t.ranks().levels == tuple(occ)
         for i in occ:
             if i == 0:
                 with pytest.raises(DomainError):

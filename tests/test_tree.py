@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -79,6 +80,20 @@ def test_cycle_and_orphan_rejection():
         RootedTree(root="o", parent={"a": "ghost"})
     with pytest.raises(StructureError):
         RootedTree(root="o", parent={"o": "a", "a": "o"})
+    with pytest.raises(StructureError, match="^cycle through 'a'$"):
+        RootedTree(root="o", parent={"a": "a"})  # a self-loop
+    with pytest.raises(StructureError, match="^cycle through 'b'$"):
+        # a chain running into a cycle
+        RootedTree(root="o", parent={"c": "b", "b": "a", "a": "b", "d": "o"})
+    with pytest.raises(StructureError, match="^cycle through 'a'$"):
+        # a cycle the root cannot reach
+        RootedTree(root="o", parent={"r": "o", "a": "b", "b": "c", "c": "a"})
+
+
+def test_long_path_builds():
+    tree = chain(2000)
+    assert len(tree.root_path("v2000")) == 2001
+    assert tree.leaves() == {"v2000"}
 
 
 def test_weight_validation(nested_tree):
@@ -105,3 +120,10 @@ def test_dot_output_mentions_every_edge(nested_tree):
     assert dot.startswith("digraph")
     for e in nested_tree.tree.edges:
         assert f'"{e}"' in dot
+    # names holding a quote or a backslash are escaped inside their quotes
+    odd = WeightedTree(tree=RootedTree(root="o", parent={'a"b': "o", "c\\d": 'a"b'}),
+                       weight={"o": 0, 'a"b': 1, "c\\d": 1})
+    dot = to_dot(odd, {"o": 0, 'a"b': -1, "c\\d": -2})
+    assert '"a\\"b" -> "c\\\\d" [label="c\\\\d"];' in dot
+    # every quote opens or closes a well-formed DOT string
+    assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", dot)
