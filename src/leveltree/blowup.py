@@ -6,7 +6,14 @@ root to each minimal vertex exactly once.  Sections of the weight-contracted
 tree index the chart components of the center loci ``Z_k`` (sections of size
 ``k``) and of their unions ``Y_k``; on a twisted chart the ``Y_k`` pullback
 is the principal monomial over the gap coordinates of all levels whose
-cross-section has at most ``k`` edges.
+cross-section has at most ``k`` edges.  Sections are listed only up to
+``MAX_SECTIONS``; above it they are refused up front.
+
+The centers are blown up in order of size, which respects the partial order
+on sections (``section_compare``) iff no non-root vertex of the
+weight-contracted tree has exactly one child: if ``s1 > s2``, each edge of
+``s1`` is replaced by a section of the subtree below it, and that
+replacement is a single edge exactly at a one-child vertex.
 
 The reconstruction direction rebuilds a weighted level tree over a weighted
 tree from prescribed level slots, placing every vertex as high as the slots,
@@ -22,12 +29,11 @@ edge, so their bookkeeping is monomial arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .charts import (CHECK_TAGS, ONE, ChartFrame, TwistedChart, build_chart,
-                     sigma, zeta)
+from .charts import CHECK_TAGS, ONE, TwistedChart, build_chart, sigma, zeta
 from .errors import DomainError, InfeasibleError, VerificationError
 from .levels import (Level, SpecialMap, WeightedLevelTree, cross_section,
                      default_special, index_partition, level_data,
@@ -36,14 +42,25 @@ from .monomial import Monomial, MonomialMap, Symbol, compose
 from .tree import Cmp, Edge, RootedTree, Vertex, WeightedTree
 
 TraverseSection = frozenset
+MAX_SECTIONS = 2 ** 14
 
 
 def traverse_sections(tree: RootedTree) -> frozenset[TraverseSection]:
     """The complete set of traverse sections, built bottom-up: each child
     subtree is covered either by its own parent edge or by a section of the
-    subtree below it.  The edgeless tree has none."""
+    subtree below it.  The edgeless tree has none.  They are counted first
+    (the product over the children of one plus their counts) and refused
+    above ``MAX_SECTIONS``."""
+    order = list(tree.preorder())[::-1]  # children before parents
+    count: dict[Vertex, int] = {}
+    for v in order:
+        cs = tree.children(v)
+        count[v] = math.prod(1 + count[c] for c in cs) if cs else 0
+    if count[tree.root] > MAX_SECTIONS:
+        raise DomainError(f"the tree has {count[tree.root]} traverse sections; "
+                          f"they are listed only up to {MAX_SECTIONS}")
     below: dict[Vertex, list[frozenset]] = {}
-    for v in reversed(list(tree.preorder())):  # children before parents
+    for v in order:
         options = [[frozenset([c])] + below.pop(c) for c in tree.children(v)]
         below[v] = ([frozenset().union(*pick) for pick in itertools.product(*options)]
                     if options else [])
@@ -90,66 +107,47 @@ def weight_contracted_tree(wt: WeightedTree) -> RootedTree:
     return RootedTree(root=tree.root, parent=surviving)
 
 
-@dataclass(frozen=True)
-class BlowupSchedule:
-    """Sections of the weight-contracted tree, scheduled by size."""
-
-    gamma_bar: RootedTree
-    stages: Mapping[int, frozenset[TraverseSection]]
-
-    def order_compatible(self) -> bool:
-        flat = [(k, s) for k, ss in self.stages.items() for s in ss]
-        for (k1, s1), (k2, s2) in itertools.permutations(flat, 2):
-            if section_compare(self.gamma_bar, s1, s2) is Cmp.GREATER and not k1 < k2:
-                return False
-        return True
+def order_compatible(bar: RootedTree) -> bool:
+    """Whether blowing up the sections of the weight-contracted tree ``bar``
+    by size respects their order: no section lies above another one of the
+    same size, that is, no non-root vertex has exactly one child."""
+    return all(len(bar.children(v)) != 1 for v in bar.edges)
 
 
-def blowup_schedule(wt: WeightedTree) -> BlowupSchedule:
-    bar = weight_contracted_tree(wt)
-    stages: dict[int, set] = {}
-    for s in traverse_sections(bar):
-        stages.setdefault(len(s), set()).add(s)
-    return BlowupSchedule(gamma_bar=bar,
-                          stages={k: frozenset(v) for k, v in stages.items()})
-
-
-def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
-    """Chart components of the ``k``-th cumulative center: sections of the
-    weight-contracted tree of size at most ``k`` that touch the non-dropping
-    hat edges."""
-    if k < 1:
-        raise DomainError("component index must be positive")
-    data = level_data(t)
-    part = index_partition(t)
-    bar = weight_contracted_tree(t.base)
-    keep = data.hat_edges - part.i_m
-    return frozenset(s for s in traverse_sections(bar)
-                     if len(s) <= k and s & keep)
-
-
-def yk_pullback(chart: TwistedChart, k: int, verify: bool = True) -> Monomial:
-    """The divisor monomial of the ``k``-th cumulative center: the product of
-    the gap coordinates of every level whose cross-section has at most ``k``
-    edges.  With ``verify``, each chart component is checked to pull back
-    into that divisor via a witness edge all of whose crossed gaps qualify."""
+def _qualifying_ranks(chart: TwistedChart, k: int) -> list[int]:
+    """The ranks of the levels whose cross-section has at most ``k`` edges."""
     if k < 1:
         raise DomainError("divisor index must be positive")
-    frame = chart.frame
-    t, data = frame.t, frame.data
+    t = chart.frame.t
     levels = t.ranks().levels
-    qualifying = [r for r in range(1, data.m_rank + 1)
-                  if len(cross_section(t, levels[r])) <= k]
-    divisor = Monomial.product(Monomial.sym(frame.eps_at[r]) for r in qualifying)
-    if verify:
-        keep = data.hat_edges - frame.part.i_m
-        closed = sum(1 << r for r in qualifying)
-        for s in zk_components(t, k):
-            if not any(not data.span[e] & ~closed for e in s & keep):
-                raise VerificationError(
-                    "no witness edge places the component inside the divisor",
-                    witness=s)
-    return divisor
+    return [r for r in range(1, chart.frame.data.m_rank + 1)
+            if len(cross_section(t, levels[r])) <= k]
+
+
+def zk_components(chart: TwistedChart, sections: Iterable[TraverseSection],
+                  k: int) -> frozenset[TraverseSection]:
+    """Chart components of the ``k``-th cumulative center: the ``sections``
+    of the weight-contracted tree of size at most ``k`` that touch the
+    non-dropping hat edges.  Each is checked to pull back into the ``Y_k``
+    divisor via a witness edge all of whose crossed gaps qualify."""
+    data = chart.frame.data
+    keep = data.hat_edges - chart.frame.part.i_m
+    closed = sum(1 << r for r in _qualifying_ranks(chart, k))
+    components = frozenset(s for s in sections if len(s) <= k and s & keep)
+    for s in components:
+        if not any(not data.span[e] & ~closed for e in s & keep):
+            raise VerificationError(
+                "no witness edge places the component inside the divisor",
+                witness=s)
+    return components
+
+
+def yk_pullback(chart: TwistedChart, k: int) -> Monomial:
+    """The divisor monomial of the ``k``-th cumulative center: the product of
+    the gap coordinates of every level whose cross-section has at most ``k``
+    edges."""
+    return Monomial.product(Monomial.sym(chart.frame.eps_at[r])
+                            for r in _qualifying_ranks(chart, k))
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +252,6 @@ def _teps(i: Level) -> Symbol:
     return Symbol("t:eps", i)
 
 
-def _tilde_syms(frame: ChartFrame):
-    def rho(e: Edge) -> Monomial:
-        if e in frame.special_edges():
-            return ONE
-        return Monomial.sym(Symbol("rho", e))
-
-    def zcheck(e: Edge) -> Symbol:
-        return Symbol("zch", e)
-
-    def ztilde(e: Edge) -> Symbol:
-        return Symbol("zt", e)
-
-    def s_tag(j: Hashable) -> Symbol:
-        return Symbol("s", j)
-
-    return rho, zcheck, ztilde, s_tag
-
-
 def blowup_side_maps(t: WeightedLevelTree
                      ) -> tuple[MonomialMap, MonomialMap, TwistedChart]:
     """The blowup-chart picture of the same stratum: the projection to the
@@ -281,29 +261,32 @@ def blowup_side_maps(t: WeightedLevelTree
     Returns ``(projection, comparison, chart)``."""
     chart = build_chart(t, tags=CHECK_TAGS)
     frame = chart.frame
-    rho, zcheck, ztilde, s_tag = _tilde_syms(frame)
     data, part = frame.data, frame.part
+
+    def rho(e: Edge) -> Monomial:
+        return ONE if e in frame.special_edges() else Monomial.sym(Symbol("rho", e))
+
     top = range(1, data.m_rank + 1)
     teps_at = (None,) + tuple(_teps(t.ranks().levels[k]) for k in top)
 
     source = {teps_at[k] for k in top}
     source |= {Symbol("rho", e)
                for e in data.hat_edges - part.i_m - frame.special_edges()}
-    source |= {zcheck(e) for e in part.i_m}
-    source |= {ztilde(e) for e in part.i_minus}
-    source |= {s_tag(j) for j in CHECK_TAGS}
+    source |= {Symbol("zch", e) for e in part.i_m}
+    source |= {Symbol("zt", e) for e in part.i_minus}
+    source |= {Symbol("s", j) for j in CHECK_TAGS}
     source = frozenset(source)
 
     proj_assign: dict[Symbol, Monomial] = {}
     for e in data.hat_edges:
         gaps = Monomial.product(Monomial.sym(teps_at[k])
                                 for k in top if data.span[e] >> k & 1)
-        head = Monomial.sym(zcheck(e)) if e in part.i_m else rho(e)
+        head = Monomial.sym(Symbol("zch", e)) if e in part.i_m else rho(e)
         proj_assign[zeta(e)] = head * gaps
     for e in part.i_minus:
-        proj_assign[zeta(e)] = Monomial.sym(ztilde(e))
+        proj_assign[zeta(e)] = Monomial.sym(Symbol("zt", e))
     for j in CHECK_TAGS:
-        proj_assign[sigma(j)] = Monomial.sym(s_tag(j))
+        proj_assign[sigma(j)] = Monomial.sym(Symbol("s", j))
     projection = MonomialMap(source_coords=source,
                              target_coords=frozenset(proj_assign),
                              assignment=proj_assign)
@@ -318,14 +301,14 @@ def blowup_side_maps(t: WeightedLevelTree
     for e in data.hat_edges - frame.special_edges():
         anchor = rho_anc(frame.special_at[data.edge_rank[e]], strict=False)
         if e in part.i_m:
-            cmp_assign[frame.usym(e)] = (Monomial.sym(zcheck(e))
+            cmp_assign[frame.usym(e)] = (Monomial.sym(Symbol("zch", e))
                                          * rho_anc(e, strict=True) / anchor)
         else:
             cmp_assign[frame.usym(e)] = rho_anc(e, strict=False) / anchor
     for e in part.i_minus:
-        cmp_assign[frame.zsym(e)] = Monomial.sym(ztilde(e))
+        cmp_assign[frame.zsym(e)] = Monomial.sym(Symbol("zt", e))
     for j in CHECK_TAGS:
-        cmp_assign[frame.wsym(j)] = Monomial.sym(s_tag(j))
+        cmp_assign[frame.wsym(j)] = Monomial.sym(Symbol("s", j))
     comparison = MonomialMap(source_coords=source,
                              target_coords=frame.coords(),
                              assignment=cmp_assign)

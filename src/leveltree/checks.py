@@ -97,6 +97,11 @@ class LevelClass:
     def relevelings(self) -> tuple:
         return tuple(relevelings(self.t))
 
+    @cached_property
+    def sections(self) -> frozenset:
+        return blowup_mod.traverse_sections(
+            blowup_mod.weight_contracted_tree(self.t.base))
+
 
 @dataclass(frozen=True)
 class Check:
@@ -147,9 +152,14 @@ def _special_vertex_transition(c, pair):
     return ok, "" if ok else "{}->{}".format(*pair)
 
 
+def _divisor_indices(c):
+    c.sections  # listed outside the check: a refusal exits 2 instead of 1
+    return range(1, len(c.t.edges()) + 1)
+
+
 def _divisor_containment(c, k):
     try:
-        blowup_mod.yk_pullback(c.chart, k, verify=True)
+        blowup_mod.zk_components(c.chart, c.sections, k)
     except VerificationError as exc:
         return False, f"k={k}: {exc.witness}"
     return True, ""
@@ -198,8 +208,7 @@ SUITES = {
               _special_pairs),
     ),
     "blowup": (
-        Check("divisor-containment", CLASS, _divisor_containment,
-              lambda c: range(1, len(c.t.edges()) + 1)),
+        Check("divisor-containment", CLASS, _divisor_containment, _divisor_indices),
         Check("bundle-identity", CLASS,
               lambda c, _: (blowup_mod.bundle_identity(c.t), ""), _if_levels),
         Check("blowup-chart-comparison", CLASS,
@@ -232,7 +241,8 @@ def run_checks(t: levels_mod.WeightedLevelTree, checks: Iterable[Check],
     the other instances of its group as ``(name, tree)`` pairs.
 
     The subsets are enumerated once, and refused up front above the label
-    bound of ``IndexPartition.subsets``.  A check that raises a
+    bound of ``IndexPartition.subsets``; the traverse sections likewise,
+    above ``blowup.MAX_SECTIONS``.  A check that raises a
     ``LevelTreeError`` fails with the error as its detail, and the later
     checks of that subset are skipped, since they would meet the same error.
     """

@@ -7,9 +7,11 @@ the form ``{"root": ..., "parents": {...}, "weights": {...}, "levels":
 success, 1 on verification failure, 2 on usage or input errors.
 
 ``verify`` runs the suites of the check registry in ``checks``, the same
-checks the acceptance sweeps run.  ``chart`` and the subset checks of
-``verify`` enumerate every index subset, so they refuse index sets above
-``levels.MAX_SUBSET_LABELS`` labels up front, with exit 2.
+checks the acceptance sweeps run.  What a command lists is bounded, and
+refused up front with exit 2 above the bound: ``chart`` and the subset
+checks of ``verify`` refuse more than ``levels.MAX_SUBSET_LABELS`` labels,
+``blowup-report`` and the blowup suite more than ``blowup.MAX_SECTIONS``
+traverse sections.
 """
 
 from __future__ import annotations
@@ -163,16 +165,15 @@ def cmd_verify(args) -> int:
 
 def cmd_blowup_report(args) -> int:
     t = _load_level_tree(args.file)
+    bar = blowup_mod.weight_contracted_tree(t.base)
+    sections = blowup_mod.traverse_sections(bar)
     chart = charts_mod.build_chart(t)
-    schedule = blowup_mod.blowup_schedule(t.base)
-    lines = [f"weight-contracted tree edges: {sorted(schedule.gamma_bar.edges)}"]
-    for k in sorted(schedule.stages):
-        for s in sorted(schedule.stages[k], key=sorted):
-            lines.append(f"stage {k}: section {sorted(s)}")
-    lines.append(f"schedule order-compatible: {schedule.order_compatible()}")
+    lines = [f"weight-contracted tree edges: {sorted(bar.edges)}"]
+    lines += [f"stage {len(s)}: section {sorted(s)}"
+              for s in sorted(sections, key=lambda s: (len(s), sorted(s)))]
+    lines.append(f"schedule order-compatible: {blowup_mod.order_compatible(bar)}")
     for k in range(1, len(t.edges()) + 1):
-        mono = blowup_mod.yk_pullback(chart, k, verify=False)
-        lines.append(f"divisor pullback k={k}: {mono}")
+        lines.append(f"divisor pullback k={k}: {blowup_mod.yk_pullback(chart, k)}")
     idx = blowup_mod.divisor_slots(t)
     try:
         rebuilt = blowup_mod.psi2_level_tree(t.base, idx)

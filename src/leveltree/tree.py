@@ -42,7 +42,6 @@ class RootedTree:
     root: Vertex
     parent: Mapping[Vertex, Vertex]
     _children: dict = field(init=False, repr=False, compare=False)
-    _paths: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parent", dict(self.parent))
@@ -57,21 +56,18 @@ class RootedTree:
         for v in children:
             children[v].sort()
         object.__setattr__(self, "_children", children)
-        # one walk up from each vertex builds the root paths and proves that
-        # every vertex reaches the root (connected, acyclic); it stops at the
-        # first vertex whose path is known
-        paths: dict[Vertex, tuple[Vertex, ...]] = {self.root: (self.root,)}
+        # one walk up from each vertex proves that it reaches the root
+        # (connected, acyclic); it stops at the first vertex already reached
+        reached = {self.root}
         for v in self.parent:
             pending: dict[Vertex, None] = {}
             cur = v
-            while cur not in paths:
+            while cur not in reached:
                 if cur in pending:
                     raise StructureError(f"cycle through {cur!r}")
                 pending[cur] = None
                 cur = self.parent[cur]
-            for u in reversed(pending):
-                paths[u] = (u,) + paths[self.parent[u]]
-        object.__setattr__(self, "_paths", paths)
+            reached.update(pending)
 
     # -- basic sets ---------------------------------------------------------
 
@@ -103,7 +99,10 @@ class RootedTree:
     def root_path(self, v: Vertex) -> tuple[Vertex, ...]:
         """Vertices from ``v`` up to and including the root."""
         self._check_vertex(v)
-        return self._paths[v]
+        path = [v]
+        while path[-1] != self.root:
+            path.append(self.parent[path[-1]])
+        return tuple(path)
 
     def endpoints(self, e: Edge) -> tuple[Vertex, Vertex]:
         """Return ``(v_plus, v_minus)`` with ``v_plus`` the parent endpoint."""
@@ -142,7 +141,11 @@ class RootedTree:
     def descendants_geq(self, e: Edge) -> frozenset[Edge]:
         """All edges ``f >= e``: the edges on the path from ``v_e^-`` to the root."""
         self._check_edge(e)
-        return frozenset(v for v in self.root_path(e) if v != self.root)
+        out = []
+        while e != self.root:
+            out.append(e)
+            e = self.parent[e]
+        return frozenset(out)
 
     def ancestors_gt(self, e: Edge) -> frozenset[Edge]:
         return self.descendants_geq(e) - {e}

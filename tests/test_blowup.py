@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from leveltree.blowup import (blowup_schedule, bundle_identity,
+from leveltree.blowup import (MAX_SECTIONS, bundle_identity,
                               ideal_transform_check, is_traverse_section,
-                              psi2_chart_check, psi2_level_tree,
-                              section_compare, stage_ideals,
+                              order_compatible, psi2_chart_check,
+                              psi2_level_tree, section_compare, stage_ideals,
                               traverse_sections, weight_contracted_tree,
                               yk_pullback, zk_components)
 from leveltree.charts import build_chart
-from leveltree.enumerate import EnumSpec, gen_instances
+from leveltree.enumerate import EnumSpec, gen_instances, gen_weighted_trees
 from leveltree.errors import DomainError, InfeasibleError
 from leveltree.levels import (WeightedLevelTree, cross_section, index_partition,
                               is_equivalent, level_data, make_level_tree)
@@ -53,6 +53,21 @@ def test_sections_match_brute_force_exhaustively():
 
 def test_edgeless_tree_has_no_sections():
     assert traverse_sections(RootedTree(root="o", parent={})) == frozenset()
+
+
+def _spokes(n: int) -> RootedTree:
+    """A root with ``n`` spokes, each carrying two leaves: 2^n sections."""
+    parent = {f"s{i}": "o" for i in range(n)}
+    parent.update({f"l{i}{j}": f"s{i}" for i in range(n) for j in "ab"})
+    return RootedTree(root="o", parent=parent)
+
+
+def test_sections_are_refused_above_the_bound():
+    assert 2 ** 14 == MAX_SECTIONS
+    assert len(traverse_sections(_spokes(14))) == MAX_SECTIONS
+    with pytest.raises(DomainError, match=f"^the tree has {2 ** 15} traverse sections; "
+                                          f"they are listed only up to {MAX_SECTIONS}$"):
+        traverse_sections(_spokes(15))
 
 
 def test_section_compare(nested_tree):
@@ -102,18 +117,37 @@ def test_weight_contracted_tree(nested_tree):
     assert weight_contracted_tree(mid).edges == {"a", "b"}
 
 
+def _pairwise_order_compatible(bar: RootedTree) -> bool:
+    """The definition: blowing up by size respects the section order, so a
+    section above another is strictly smaller."""
+    return not any(section_compare(bar, s1, s2) is Cmp.GREATER and len(s1) >= len(s2)
+                   for s1, s2 in itertools.permutations(traverse_sections(bar), 2))
+
+
+def test_order_compatible_matches_the_pairwise_definition():
+    verdicts = set()
+    for wt in gen_weighted_trees(EnumSpec(max_edges=6, max_weight=1)):
+        bar = weight_contracted_tree(wt)
+        verdict = _pairwise_order_compatible(bar)
+        assert order_compatible(bar) == verdict, wt.to_json_dict()
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_blowup_schedule_is_order_compatible_on_stable_trees():
     for t in gen_instances(EnumSpec(max_edges=4, max_weight=1), stable_only=True):
-        assert blowup_schedule(t.base).order_compatible()
+        assert order_compatible(weight_contracted_tree(t.base))
 
 
 def test_zk_components(nested_tree):
-    assert zk_components(nested_tree, 1) == frozenset()
-    assert zk_components(nested_tree, 2) == {frozenset({"a", "b"})}
-    assert zk_components(nested_tree, 3) == {frozenset({"a", "b"}),
-                                             frozenset({"a", "c", "d"})}
+    chart = build_chart(nested_tree, tags=())
+    sections = traverse_sections(weight_contracted_tree(nested_tree.base))
+    assert zk_components(chart, sections, 1) == frozenset()
+    assert zk_components(chart, sections, 2) == {frozenset({"a", "b"})}
+    assert zk_components(chart, sections, 3) == {frozenset({"a", "b"}),
+                                                  frozenset({"a", "c", "d"})}
     with pytest.raises(DomainError):
-        zk_components(nested_tree, 0)
+        zk_components(chart, sections, 0)
 
 
 def test_yk_pullback_values(nested_tree):
@@ -127,9 +161,11 @@ def test_yk_pullback_values(nested_tree):
 def test_yk_pullback_is_monotone_in_k():
     for t in gen_instances(EnumSpec(max_edges=4, max_weight=1), stable_only=True):
         chart = build_chart(t, tags=())
+        sections = traverse_sections(weight_contracted_tree(t.base))
         prev = parse_monomial("1")
         for k in range(1, len(t.edges()) + 1):
-            cur = yk_pullback(chart, k, verify=True)
+            zk_components(chart, sections, k)  # raises without a witness edge
+            cur = yk_pullback(chart, k)
             assert not (cur / prev).is_zero  # divisibility: prev divides cur
             assert all(e >= 0 for _, e in (cur / prev).exps)
             prev = cur

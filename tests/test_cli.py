@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from leveltree.blowup import MAX_SECTIONS
 from leveltree.cli import run
+from leveltree.levels import make_level_tree
 from leveltree.tree import tree_json
+
+GOLDEN_BLOWUP = Path(__file__).parent / "golden" / "nested_blowup.txt"
 
 
 @pytest.fixture
@@ -108,6 +113,47 @@ def test_blowup_report(tree_file, tmp_path, capsys):
             "{'a': '-2', 'b': '-1', 'c': '-2', 'd': '-2', 'o': '0'}") in out
     assert run(["verify", str(half), "--suite", "blowup"]) == 0
     assert "0 failures" in capsys.readouterr().out
+
+
+def test_blowup_report_matches_golden(tree_file, capsys):
+    assert run(["blowup-report", tree_file]) == 0
+    assert capsys.readouterr().out == GOLDEN_BLOWUP.read_text()
+
+
+def _spoke_file(tmp_path, n: int) -> str:
+    """A root with ``n`` spokes, each carrying two weighted leaves, so the
+    weight-contracted tree keeps all 3n edges and has 2^n sections."""
+    spokes = [f"s{i}" for i in range(n)]
+    leaves = {f"l{i}{j}": f"s{i}" for i in range(n) for j in "ab"}
+    t = make_level_tree(root="o", parent={**{s: "o" for s in spokes}, **leaves},
+                        weight={"o": 0, **{s: 0 for s in spokes}, **{v: 1 for v in leaves}},
+                        level={"o": 0, **{s: -1 for s in spokes}, **{v: -2 for v in leaves}})
+    path = tmp_path / f"spokes{n}.json"
+    path.write_text(tree_json(t.base, t.level))
+    return str(path)
+
+
+def test_blowup_report_lists_every_section(tmp_path, capsys):
+    path = _spoke_file(tmp_path, 8)
+    start = time.perf_counter()
+    assert run(["blowup-report", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("stage ") for line in lines) == 256
+    assert "schedule order-compatible: True" in lines
+
+
+@pytest.mark.parametrize("argv", [["blowup-report"], ["verify", "--suite", "blowup"],
+                                  ["verify", "--suite", "all", "--json"]])
+def test_too_many_sections_are_refused_up_front(tmp_path, capsys, argv):
+    path = _spoke_file(tmp_path, 15)
+    start = time.perf_counter()
+    assert run(argv[:1] + [path] + argv[1:]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: the tree has {2 ** 15} traverse sections; they are "
+                   f"listed only up to {MAX_SECTIONS}\n")
 
 
 def test_enumerate_counts(capsys):

@@ -1,6 +1,8 @@
 """No dead code in the package: every module-level function, every class and
 every method that is not a dunder is referenced by name somewhere in
-``src/``, ``tests/`` or ``bench/`` outside its own definition.
+``src/``, ``tests/`` or ``bench/`` outside its own definition, and every
+name a module of the package (other than ``__init__.py``, which re-exports)
+imports is used in that module.
 
 A reference is a bare name or an attribute name in the parsed source, so a
 method counts as used when any attribute of that name is read.  Imports and
@@ -55,3 +57,25 @@ def unreferenced() -> list[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced() == []
+
+
+def unused_imports() -> list[str]:
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        out.append(f"{path.name}: {name}")
+    return out
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -94,6 +95,18 @@ def test_long_path_builds():
     tree = chain(2000)
     assert len(tree.root_path("v2000")) == 2001
     assert tree.leaves() == {"v2000"}
+
+
+def test_long_path_holds_linear_memory():
+    # the tree keeps its parent and child maps, no root path per vertex
+    tracemalloc.start()
+    try:
+        tree = chain(8000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 10 * 2 ** 20
+    assert len(tree.root_path("v8000")) == 8001
 
 
 def test_weight_validation(nested_tree):
