@@ -37,7 +37,7 @@ from .charts import CHECK_TAGS, ONE, TwistedChart, build_chart, sigma, zeta
 from .errors import DomainError, InfeasibleError, VerificationError
 from .levels import (Level, SpecialMap, WeightedLevelTree, cross_section,
                      default_special, index_partition, level_data,
-                     validate_special)
+                     special_by_rank)
 from .monomial import Monomial, MonomialMap, Symbol, compose
 from .tree import Cmp, Edge, RootedTree, Vertex, WeightedTree
 
@@ -166,7 +166,10 @@ def psi2_level_tree(tau: WeightedTree, divisor_indices: Sequence[int]) -> Weight
     below its parent, weighted vertices no higher than the bottom slot, and
     vertices out of slots continue downward by depth.  Raises when no level
     map realizes the requested index."""
-    idx = [int(i) for i in divisor_indices]
+    idx = list(divisor_indices)
+    bad = [i for i in idx if isinstance(i, bool) or not isinstance(i, int)]
+    if bad:
+        raise DomainError(f"divisor indices must be ints, not {bad[0]!r}")
     if any(i <= 0 for i in idx) or sorted(set(idx)) != idx:
         raise DomainError("divisor indices must be strictly increasing and positive")
     slots = [Fraction(-i) for i in idx]  # descending: -i_1 > ... > -i_k
@@ -215,11 +218,11 @@ def twisted_bundles(t: WeightedLevelTree, special: SpecialMap
     is 1) and per hat edge, built downward: each one is its basis class
     divided by the twisted classes of the ranks strictly inside its ascent
     gap (resp. its span gap)."""
-    validate_special(t, special)
+    special_at = special_by_rank(t, special)
     ranks, data = t.ranks(), level_data(t)
     by_rank = [ONE]
     for k in range(1, data.m_rank + 1):
-        se = special[ranks.levels[k]]
+        se = special_at[k]
         top = ranks.of_vertex[t.tree.parent[se]]
         by_rank.append(_bundle(se) / Monomial.product(by_rank[top + 1:k]))
     by_edge = {e: _bundle(e)

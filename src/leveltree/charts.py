@@ -28,8 +28,7 @@ from .contraction import ContractionResult, contract
 from .errors import DomainError, MonomialError, VerificationError
 from .levels import (IndexPartition, Level, LevelData, SpecialMap,
                      WeightedLevelTree, cross_section, default_special,
-                     index_partition, level_data, level_mask,
-                     level_successor, validate_special)
+                     index_partition, level_data, special_by_rank)
 from .monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum, Symbol,
                        compose, equal_on_stratum)
 from .tree import Edge
@@ -71,7 +70,7 @@ class ChartFrame:
 
     def __post_init__(self):
         t = self.t
-        validate_special(t, self.special)
+        special_at = special_by_rank(t, self.special)
         if len(set(self.extra_tags)) != len(self.extra_tags):
             raise DomainError(f"repeated extra tag in {list(self.extra_tags)}")
         put = partial(object.__setattr__, self)
@@ -81,7 +80,7 @@ class ChartFrame:
         put("_specials", frozenset(self.special.values()))
         ranks = t.ranks()
         top = range(1, self.data.m_rank + 1)
-        put("special_at", (None,) + tuple(self.special[ranks.levels[k]] for k in top))
+        put("special_at", special_at)
         ascent: list[tuple[Edge, ...]] = [()]
         for k in top:
             se = self.special_at[k]
@@ -228,8 +227,7 @@ def build_mu(chart: TwistedChart, subset: Iterable) -> dict[tuple[Level, Edge], 
     a ratio of collapsed modular parameters, and the gap product up to ``i``."""
     frame = chart.frame
     t = frame.t
-    i_plus, _, _ = frame.part.split(subset)
-    mask = level_mask(t, i_plus)
+    mask, _, _ = frame.part.split(subset)
     levels = t.ranks().levels
     table: dict[tuple[Level, Edge], Monomial] = {}
     for k in range(1, frame.data.m_rank + 1):  # surviving levels, top down
@@ -250,11 +248,12 @@ def stratum_of(frame: ChartFrame, subset: Iterable) -> Stratum:
     their coordinates to zero, collapsed labels make them units; ``u`` over
     hat-but-not-dropping edges is a unit everywhere."""
     part = frame.part
-    i_plus, i_m, i_minus = part.split(subset)
-    zeros = {frame.eps(i) for i in part.i_plus - i_plus}
+    plus_mask, i_m, i_minus = part.split(subset)
+    top = range(1, frame.data.m_rank + 1)
+    zeros = {frame.eps_at[k] for k in top if not plus_mask >> k & 1}
     zeros |= {frame.usym(e) for e in part.i_m - i_m}
     zeros |= {frame.zsym(e) for e in part.i_minus - i_minus}
-    units = {frame.eps(i) for i in i_plus}
+    units = {frame.eps_at[k] for k in top if plus_mask >> k & 1}
     units |= {frame.usym(e) for e in i_m}
     units |= {frame.zsym(e) for e in i_minus}
     units |= {frame.usym(e)
@@ -406,8 +405,7 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     frame = chart.frame
     t = frame.t
     subset = frozenset(subset)
-    i_plus, i_m, i_minus = frame.part.split(subset)
-    mask = level_mask(t, i_plus)
+    mask, i_m, _ = frame.part.split(subset)
     rank = t.ranks().of_vertex
     target = stratum_target(frame, subset)
     res = target.result
@@ -603,8 +601,7 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
             return False
 
     for subset in fa.part.subsets():
-        i_plus, _, _ = fa.part.split(subset)
-        mask = level_mask(t, i_plus)
+        mask, _, _ = fa.part.split(subset)
 
         def f_not_collapsed(e: Edge) -> Monomial:
             return Monomial.product(Monomial.sym(Symbol("f", a))
@@ -627,39 +624,38 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
     subset = frozenset(subset)
     chart = build_chart(t, tags=CHECK_TAGS)
     frame = chart.frame
-    special = frame.special
-    i_plus, _, _ = frame.part.split(subset)
+    mask, _, _ = frame.part.split(subset)
     res = contract(t, subset)
     tpr = res.tree
     new_part = index_partition(tpr)
-    special_new = {i: special[i] for i in new_part.i_plus}
+    # the contraction keeps the surviving levels of t: its rank j is rank
+    # tops[j] of t
+    tops = [k for k in range(frame.data.m_rank + 1) if not mask >> k & 1]
+    levels = t.ranks().levels
+    special_new = {levels[k]: frame.special_at[k] for k in tops[1:]}
     new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
     prime = build_chart(tpr, special_new, tags=new_tags, flavor="p:")
     fp = prime.frame
     mu_I = chart.mu(subset)
     theta = chart.theta.assignment
-    mask = level_mask(t, i_plus)
 
-    for i in new_part.i_plus:  # the cross-sections must be preserved
-        if cross_section(t, i) != cross_section(tpr, i):
+    for k in tops[1:]:  # the cross-sections must be preserved
+        if cross_section(t, levels[k]) != cross_section(tpr, levels[k]):
             raise VerificationError("cross-section changed under contraction",
-                                    witness=(subset, i))
+                                    witness=(subset, levels[k]))
 
-    def mu_chain(j: Level) -> Monomial:
-        return Monomial.product(mu_I[(tpr.level[p], p)]
-                                for p in fp.chain_edges[tpr.level_rank(j)])
+    def mu_chain(j: int) -> Monomial:
+        return Monomial.product(mu_I[(tpr.level[p], p)] for p in fp.chain_edges[j])
 
     assignment: dict[Symbol, Monomial] = {}
-    for i in new_part.i_plus:
-        iup = level_successor(tpr, i)
-        k, kup = t.level_rank(i), t.level_rank(iup)
+    for j in range(1, len(tops)):
+        kup, k = tops[j - 1], tops[j]
         val = Monomial.sym(frame.eps_at[k]) * frame.gaps(kup + 1, k)
-        up_special = special_new.get(iup)  # None when the next level is the root's
-        val = val * (_collapsed_product(frame, mask, up_special, chart.theta_of)
-                     / _collapsed_product(frame, mask, special[i], chart.theta_of))
+        val = val * (_collapsed_product(frame, mask, frame.special_at[kup], chart.theta_of)
+                     / _collapsed_product(frame, mask, frame.special_at[k], chart.theta_of))
         val = val * frame.up_chain(k) / frame.up_chain(kup)
-        val = val * mu_chain(iup) / mu_chain(i)
-        assignment[fp.eps(i)] = val
+        val = val * mu_chain(j - 1) / mu_chain(j)
+        assignment[fp.eps_at[j]] = val
     data_new = level_data(tpr)
     for e in data_new.hat_edges - fp.special_edges():
         assignment[fp.usym(e)] = mu_I[(data_new.edge_level[e], e)]

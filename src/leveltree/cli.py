@@ -11,7 +11,8 @@ checks the acceptance sweeps run.  What a command lists is bounded, and
 refused up front with exit 2 above the bound: ``chart`` and the subset
 checks of ``verify`` refuse more than ``levels.MAX_SUBSET_LABELS`` labels,
 ``blowup-report`` and the blowup suite more than ``blowup.MAX_SECTIONS``
-traverse sections.
+traverse sections, and ``enumerate`` more than ``ENUM_MAX_EDGES`` edges or
+weights above ``ENUM_MAX_WEIGHT``.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _parse_level(text: str) -> Fraction:
                           "such as -1 or -3/2") from None
 
 
-def _parse_subset(t: WeightedLevelTree, levels: str | None, edges: str | None) -> frozenset:
+def _parse_subset(levels: str | None, edges: str | None) -> frozenset:
     subset = set()
     if levels:
         for piece in levels.split(","):
@@ -102,7 +103,7 @@ def _parse_subset(t: WeightedLevelTree, levels: str | None, edges: str | None) -
 
 def cmd_contract(args) -> int:
     t = _load_level_tree(args.file)
-    subset = _parse_subset(t, args.levels, args.edges)
+    subset = _parse_subset(args.levels, args.edges)
     res = contraction_mod.contract(t, subset)
     if args.dot:
         sys.stdout.write(to_dot(res.tree.base, res.tree.level))
@@ -185,6 +186,12 @@ def cmd_blowup_report(args) -> int:
     return 0
 
 
+# ``enumerate --max-edges 6 --count-only`` prints 223741 in 10.8 s, while
+# ``--max-edges 3 --max-weight 30`` runs for minutes (2-vCPU host).
+ENUM_MAX_EDGES = 6
+ENUM_MAX_WEIGHT = 2
+
+
 def _default_max_edges() -> int:
     raw = os.environ.get("LEVELTREE_MAX_EDGES", "4")
     try:
@@ -194,6 +201,10 @@ def _default_max_edges() -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_edges > ENUM_MAX_EDGES or args.max_weight > ENUM_MAX_WEIGHT:
+        raise DomainError(f"enumerate is bounded to {ENUM_MAX_EDGES} edges and weight "
+                          f"{ENUM_MAX_WEIGHT}; asked for {args.max_edges} edges and "
+                          f"weight {args.max_weight}")
     spec = enum_mod.EnumSpec(max_edges=args.max_edges, max_weight=args.max_weight,
                              max_levels=args.max_levels)
     count = 0

@@ -25,8 +25,7 @@ from typing import Iterable, Mapping
 
 from .errors import DomainError
 from .levels import (Level, LevelData, WeightedLevelTree, canonical_form,
-                     index_partition, is_equivalent, level_data, level_mask,
-                     phi_bijection)
+                     index_partition, is_equivalent, level_data, phi_bijection)
 from .tree import Edge, RootedTree, Vertex, WeightedTree
 
 
@@ -65,8 +64,7 @@ def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
     if last is not None and last[0] == key:
         return last[1]
     part = index_partition(t)
-    i_plus, i_m, i_minus = part.split(key)
-    plus_mask = level_mask(t, i_plus)
+    plus_mask, i_m, i_minus = part.split(key)
     gone = _collapsed(t, plus_mask, i_m, i_minus)
     tree = t.tree
     data = level_data(t)
@@ -126,10 +124,10 @@ def _dropouts(t: WeightedLevelTree, bottom: int, i_m: frozenset) -> frozenset[Ed
                      if rank[t.tree.parent[e]] >= bottom)
 
 
-def _new_bottom(t: WeightedLevelTree, i_plus: frozenset) -> int:
+def _new_bottom(t: WeightedLevelTree, plus_mask: int) -> int:
     """Rank of the contraction's bottom level ``min(I_plus \\ I)``, or of
     level 0 when every level collapses."""
-    kept = _kept_ranks(level_data(t), level_mask(t, i_plus))
+    kept = _kept_ranks(level_data(t), plus_mask)
     return kept[-1] if kept else 0
 
 
@@ -137,8 +135,8 @@ def minus_part_dropouts(t: WeightedLevelTree, subset: Iterable) -> frozenset[Edg
     """Surviving below-``m`` hat edges whose upper endpoint lands exactly on
     the new bottom level: they leave the hat-edge family of the contraction
     and reappear in its minus part."""
-    i_plus, i_m, _ = index_partition(t).split(subset)
-    return _dropouts(t, _new_bottom(t, i_plus), i_m)
+    plus_mask, i_m, _ = index_partition(t).split(subset)
+    return _dropouts(t, _new_bottom(t, plus_mask), i_m)
 
 
 @dataclass(frozen=True)
@@ -160,18 +158,20 @@ class IndexIdentityReport:
 def index_identity_report(t: WeightedLevelTree, subset: Iterable,
                           result: ContractionResult | None = None) -> IndexIdentityReport:
     part = index_partition(t)
-    i_plus, i_m, i_minus = part.split(subset)
+    plus_mask, i_m, i_minus = part.split(subset)
     res = result if result is not None else contract(t, subset)
     new_part = index_partition(res.tree)
     new_m = level_data(res.tree).m
 
-    bottom = _new_bottom(t, i_plus)
+    levels = t.ranks().levels
+    bottom = _new_bottom(t, plus_mask)
     dropouts = _dropouts(t, bottom, i_m)
     expected_mid = part.i_m - i_m - dropouts
     expected_minus_strict = part.i_minus - i_minus
     return IndexIdentityReport(
-        m_ok=(new_m == t.ranks().levels[bottom]),
-        plus_ok=(new_part.i_plus == part.i_plus - i_plus),
+        m_ok=(new_m == levels[bottom]),
+        plus_ok=(new_part.i_plus
+                 == {levels[k] for k in _kept_ranks(level_data(t), plus_mask)}),
         mid_ok=(new_part.i_m == expected_mid),
         minus_ok_strict=(new_part.i_minus == expected_minus_strict),
         minus_ok_corrected=(new_part.i_minus == expected_minus_strict | dropouts),

@@ -19,12 +19,17 @@ downwards through the occupied levels.  Each tree builds its rank tables
 once, on first use, in its memo: the occupied levels and every vertex's
 rank (``WeightedLevelTree.ranks``), each hat edge's span as a bitmask over
 ranks (``LevelData.span``), and the cross-sections.
+
+Labels become ranks in two places only, both here: ``IndexPartition.split``
+returns the level part of an index subset as a bitmask over ranks, and
+``special_by_rank`` reads a special map (level -> edge) into one special
+edge per rank.  The other modules work on those ranks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -39,7 +44,14 @@ MAX_SUBSET_LABELS = 10
 
 
 def as_level(x) -> Level:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """An exact level from a ``Fraction``, an ``int`` or a string such as
+    ``"-1/2"``; a float (already rounded to binary) or a bool is refused."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise StructureError(f"level {x!r} must be an int, a Fraction or a string "
+                             "such as \"-1/2\"")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -118,13 +130,6 @@ class WeightedLevelTree:
                 of_vertex=of_vertex, at=tuple(tuple(sorted(vs)) for _, vs in ordered))
         return memo["ranks"]
 
-    def level_rank(self, x) -> int:
-        """The rank of an occupied level."""
-        k = self.ranks().of_level.get(as_level(x))
-        if k is None:
-            raise DomainError(f"level {x} is not occupied")
-        return k
-
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
         d["levels"] = {v: str(self.level[v]) for v in sorted(self.level)}
@@ -151,7 +156,7 @@ def make_level_tree(root: Vertex, parent: Mapping[Vertex, Vertex],
                     weight: Mapping[Vertex, int], level: Mapping[Vertex, object]) -> WeightedLevelTree:
     """Convenience constructor used heavily in tests and fixtures."""
     base = WeightedTree(tree=RootedTree(root=root, parent=dict(parent)), weight=dict(weight))
-    return WeightedLevelTree(base=base, level={v: as_level(x) for v, x in level.items()})
+    return WeightedLevelTree(base=base, level=dict(level))
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +201,6 @@ def level_data(t: WeightedLevelTree) -> LevelData:
     return out
 
 
-def level_mask(t: WeightedLevelTree, levels: Iterable[Level]) -> int:
-    """The bitmask over ranks of a set of occupied levels, e.g. the level
-    part of an index subset."""
-    of_level = t.ranks().of_level
-    mask = 0
-    for x in levels:
-        mask |= 1 << of_level[x]
-    return mask
-
-
 def level_successor(t: WeightedLevelTree, i) -> Level:
     """The occupied level immediately above ``i``."""
     k = t.ranks().of_level.get(as_level(i))
@@ -248,11 +243,13 @@ def cross_section(t: WeightedLevelTree, i) -> frozenset[Edge]:
 class IndexPartition:
     """The index set attached to a weighted level tree, split into its parts:
     occupied levels in ``[m, 0)``, hat edges dropping below ``m``, and the
-    remaining (non-hat) edges."""
+    remaining (non-hat) edges.  ``plus_rank`` gives each level of ``I_plus``
+    its rank."""
 
     i_plus: frozenset[Level]
     i_m: frozenset[Edge]
     i_minus: frozenset[Edge]
+    plus_rank: Mapping[Level, int] = field(compare=False, repr=False)
 
     def labels(self) -> frozenset:
         return self.i_plus | self.i_m | self.i_minus
@@ -260,14 +257,21 @@ class IndexPartition:
     def __len__(self) -> int:
         return len(self.i_plus) + len(self.i_m) + len(self.i_minus)
 
-    def split(self, subset: Iterable) -> tuple[frozenset, frozenset, frozenset]:
-        """Partition an index subset into its plus/m/minus parts,
-        rejecting labels outside the index set."""
+    def split(self, subset: Iterable) -> tuple[int, frozenset, frozenset]:
+        """Partition an index subset into its plus/m/minus parts, the plus
+        part as the bitmask of its ranks, rejecting labels outside the index
+        set."""
         sub = frozenset(subset)
-        bad = sub - self.labels()
+        plus_mask, bad = 0, []
+        for lab in sub:
+            k = self.plus_rank.get(lab)
+            if k is not None:
+                plus_mask |= 1 << k
+            elif lab not in self.i_m and lab not in self.i_minus:
+                bad.append(lab)
         if bad:
             raise DomainError(f"labels outside the index set: {sorted(map(str, bad))}")
-        return (sub & self.i_plus, sub & self.i_m, sub & self.i_minus)
+        return plus_mask, sub & self.i_m, sub & self.i_minus
 
     def subsets(self) -> list[frozenset]:
         """Every index subset, built up label by label with the labels sorted
@@ -287,10 +291,11 @@ def index_partition(t: WeightedLevelTree) -> IndexPartition:
         return memo["index_partition"]
     data = level_data(t)
     ranks = t.ranks()
+    plus_rank = {ranks.levels[k]: k for k in range(1, data.m_rank + 1)}
     out = IndexPartition(
-        i_plus=frozenset(ranks.levels[1:data.m_rank + 1]),
+        i_plus=frozenset(plus_rank),
         i_m=frozenset(e for e in data.hat_edges if ranks.of_vertex[e] > data.m_rank),
-        i_minus=t.tree.edges - data.hat_edges)
+        i_minus=t.tree.edges - data.hat_edges, plus_rank=plus_rank)
     memo["index_partition"] = out
     return out
 
@@ -313,32 +318,35 @@ def default_special(t: WeightedLevelTree) -> dict[Level, Edge]:
     return {i: choices[0] for i, choices in special_choices(t).items()}
 
 
-def validate_special(t: WeightedLevelTree, special: SpecialMap) -> None:
-    part = index_partition(t)
-    if set(special) != set(part.i_plus):
+def special_by_rank(t: WeightedLevelTree, special: SpecialMap) -> tuple:
+    """The special map checked and read by rank: ``(None, e_1, ..., e_m)``
+    with ``e_k`` the special edge of the level of rank ``k``."""
+    plus_rank = index_partition(t).plus_rank
+    if special.keys() != plus_rank.keys():
         raise DomainError("special map must cover exactly the levels of I_plus")
+    of_vertex = t.ranks().of_vertex
+    at = [None] * (len(plus_rank) + 1)
     for i, e in special.items():
-        if e not in t.tree.edges or t.level[e] != i:
+        k = plus_rank[i]
+        if of_vertex.get(e) != k:
             raise DomainError(f"special edge {e!r} does not end at level {i}")
+        at[k] = e
+    return tuple(at)
 
 
 def ascent_sequence(t: WeightedLevelTree, special: SpecialMap, i) -> tuple[Level, ...]:
     """The strictly increasing sequence ``i = i[0] < i[1] < ...`` obtained by
     repeatedly jumping to the level of the current special vertex's parent,
     terminating at 0."""
-    i = as_level(i)
-    validate_special(t, special)
-    if i not in special:
+    at = special_by_rank(t, special)
+    k = index_partition(t).plus_rank.get(as_level(i))
+    if k is None:
         raise DomainError(f"level {i} is not an I_plus level")
-    seq = [i]
-    while seq[-1] != 0:
-        v = special[seq[-1]]
-        parent = t.tree.parent[v]
-        nxt = t.level[parent]
-        if not nxt > seq[-1]:
-            raise DomainError("ascent did not increase; invalid special map")
-        seq.append(nxt)
-    return tuple(seq)
+    ranks = t.ranks()
+    seq = [k]
+    while seq[-1]:
+        seq.append(ranks.of_vertex[t.tree.parent[at[seq[-1]]]])
+    return tuple(ranks.levels[r] for r in seq)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +401,8 @@ def phi_bijection(t: WeightedLevelTree, t2: WeightedLevelTree, subset: Iterable)
     vertex-level correspondence, edge labels stay put."""
     if not is_equivalent(t, t2):
         raise DomainError("phi is only defined between equivalent trees")
-    plus, mid, minus = index_partition(t).split(subset)
-    ranks, ranks2 = t.ranks(), t2.ranks()
-    moved = set()
-    for i in plus:
-        v = ranks.at[ranks.of_level[i]][0]  # any vertex at level i
-        moved.add(ranks2.levels[ranks2.of_vertex[v]])
+    plus_mask, mid, minus = index_partition(t).split(subset)
+    # the classes at or above m take the ranks 0..m_rank in both trees
+    levels2 = t2.ranks().levels
+    moved = (levels2[k] for k in range(1, level_data(t).m_rank + 1) if plus_mask >> k & 1)
     return frozenset(moved) | mid | minus

@@ -203,6 +203,9 @@ def test_psi2_rejects_bad_indices(nested_tree):
         psi2_level_tree(nested_tree.base, [2, 1])
     with pytest.raises(DomainError):
         psi2_level_tree(nested_tree.base, [0, 1])
+    for bad in ([1.7], ["1"], [True], [1, 2.0]):
+        with pytest.raises(DomainError, match="divisor indices must be ints"):
+            psi2_level_tree(nested_tree.base, bad)
 
 
 def test_bundle_identity_single_edge():

@@ -105,25 +105,26 @@ def _relevel(t, releveling):
 
 
 @functools.cache
-def _small_sweep(releveling=None):
-    """All three suites over every instance with at most three edges,
-    grouped as the acceptance sweeps group them, so each member gets its own
-    weight conservation; every member is releveled."""
+def _grouped_sweep(max_edges, suite, releveling=None):
+    """A suite (``"all"`` for every check) over every instance with at most
+    ``max_edges`` edges, grouped as the acceptance sweeps group them, so each
+    member gets its own weight conservation; every member is releveled."""
     from test_acceptance import _positivity_key
-    instances = list(gen_instances(EnumSpec(max_edges=3)))
+    instances = list(gen_instances(EnumSpec(max_edges=max_edges)))
     groups: dict = {}
     for t in instances:
         groups.setdefault(_positivity_key(t), []).append(t)
-    report = RunReport(suite="all")
+    report = RunReport(suite=suite)
+    checks = CHECKS.values() if suite == "all" else SUITES[suite]
     for group in groups.values():
         first, *rest = (_relevel(t, releveling) for t in group)
-        run_checks(first, CHECKS.values(), report, "first",
+        run_checks(first, checks, report, "first",
                    members=[(f"m{k}", t) for k, t in enumerate(rest)])
     return instances, groups, report
 
 
 def test_suites_pass_exhaustively_small():
-    instances, groups, report = _small_sweep()
+    instances, groups, report = _grouped_sweep(3, "all")
     assert report.ok(), report.failures[:5]
     assert report.counts["weight-conservation"] == \
         sum(2 ** len(index_partition(t)) for t in instances)
@@ -136,8 +137,16 @@ def test_suites_pass_exhaustively_small():
 
 @pytest.mark.parametrize("releveling", sorted(RELEVELINGS))
 def test_suites_agree_under_relevelings(releveling):
-    plain, moved = _small_sweep()[2], _small_sweep(releveling)[2]
+    plain, moved = _grouped_sweep(3, "all")[2], _grouped_sweep(3, "all", releveling)[2]
     assert moved.ok(), moved.failures[:5]
+    assert (moved.counts, moved.remarks) == (plain.counts, plain.remarks)
+
+
+@pytest.mark.parametrize("releveling", sorted(RELEVELINGS))
+def test_contraction_suite_agrees_under_relevelings_up_to_four_edges(releveling):
+    plain = _grouped_sweep(4, "contraction")[2]
+    moved = _grouped_sweep(4, "contraction", releveling)[2]
+    assert plain.ok() and moved.ok(), moved.failures[:5]
     assert (moved.counts, moved.remarks) == (plain.counts, plain.remarks)
 
 

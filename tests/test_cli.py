@@ -178,6 +178,23 @@ def test_enumerate_env_override(tree_file, capsys, monkeypatch):
     assert args.max_edges == 1
 
 
+@pytest.mark.parametrize("argv, env, asked", [
+    (["--max-edges", "7"], None, "7 edges and weight 2"),
+    (["--max-weight", "3"], None, "4 edges and weight 3"),
+    (["--max-edges", "3", "--max-weight", "30"], None, "3 edges and weight 30"),
+    ([], "7", "7 edges and weight 2")])
+def test_enumerate_is_refused_above_its_bound(capsys, monkeypatch, argv, env, asked):
+    if env is None:
+        monkeypatch.delenv("LEVELTREE_MAX_EDGES", raising=False)
+    else:
+        monkeypatch.setenv("LEVELTREE_MAX_EDGES", env)
+    start = time.perf_counter()
+    assert run(["enumerate", "--count-only"] + argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", f"error: enumerate is bounded to 6 edges and weight 2; asked for {asked}\n")
+
+
 def test_missing_file(capsys):
     assert run(["validate", "/nonexistent/tree.json"]) == 2
 

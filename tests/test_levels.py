@@ -22,6 +22,17 @@ def test_level_map_validation():
     with pytest.raises(StructureError):  # not strictly decreasing
         make_level_tree("o", {"a": "o", "b": "a"}, {"o": 0, "a": 0, "b": 1},
                         {"o": 0, "a": -2, "b": -1})
+    # a float has already been rounded to binary, and a bool is no level
+    edge = ("o", {"a": "o"}, {"o": 0, "a": 1})
+    base = make_level_tree(*edge, {"o": 0, "a": -1}).base
+    for bad, level in [(-0.1, {"o": 0, "a": -0.1}), (-1.0, {"o": 0, "a": -1.0}),
+                       (True, {"o": 0, "a": True}), (False, {"o": False, "a": -1})]:
+        message = f"^level {bad!r} must be an int, a Fraction or a string"
+        with pytest.raises(StructureError, match=message):
+            make_level_tree(*edge, level)
+        with pytest.raises(StructureError, match=message):
+            WeightedLevelTree(base=base, level=level)
+    assert make_level_tree(*edge, {"o": "0", "a": F(-1, 3)}).level["a"] == F(-1, 3)
 
 
 def test_level_map_validation_on_fractional_levels():
