@@ -112,7 +112,10 @@ class Check:
 
 
 def _contract_validity(c, subset, _):
-    contraction_mod.contract(c.t, subset)  # raises unless t_(I) is a valid tree
+    """``contract`` takes the maps it derives as they are; rebuilding them
+    through the public constructors raises unless ``t_(I)`` is valid."""
+    nt = contraction_mod.contract(c.t, subset).tree
+    levels_mod.make_level_tree(nt.root, nt.tree.parent, nt.weight, nt.level)
     return True, ""
 
 

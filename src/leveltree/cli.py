@@ -273,8 +273,11 @@ def run(argv=None) -> int:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: a tree file must be UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except LevelTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)

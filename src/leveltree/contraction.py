@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError
-from .levels import (Level, LevelData, WeightedLevelTree, canonical_form,
-                     index_partition, is_equivalent, level_data, phi_bijection)
-from .tree import Edge, RootedTree, Vertex, WeightedTree
+from .levels import (LevelData, LevelRanks, WeightedLevelTree, _derived_level_tree,
+                     canonical_form, index_partition, is_equivalent, level_data,
+                     phi_bijection)
+from .tree import Edge, Vertex, _derived_weighted_tree
 
 
 def _collapsed(t: WeightedLevelTree, plus_mask: int, i_m: frozenset,
@@ -69,46 +70,57 @@ def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
     tree = t.tree
     data = level_data(t)
 
-    # projection: walk up while the current vertex's own edge is contracted
-    proj: dict[Vertex, Vertex] = {}
-    for v in tree.preorder():
-        if v == tree.root or v not in gone:
-            proj[v] = v
+    # projection: a vertex whose own edge is contracted goes where its
+    # parent goes; the survivors hang from their parents' images
+    root, parent = tree.root, tree.parent
+    proj: dict[Vertex, Vertex] = {root: root}
+    new_parent: dict[Vertex, Vertex] = {}
+    for v in tree.preorder():  # parents before children
+        if v == root:
+            continue
+        up = proj[parent[v]]
+        if v in gone:
+            proj[v] = up
         else:
-            proj[v] = proj[tree.parent[v]]
-
-    surviving = [v for v in tree.vertices if v != tree.root and v not in gone]
-    new_parent = {v: proj[tree.parent[v]] for v in surviving}
-    new_weight: dict[Vertex, int] = {proj[tree.root]: 0}
-    for v in surviving:
-        new_weight[v] = 0
-    for v in tree.vertices:
-        new_weight[proj[v]] += t.weight[v]
+            proj[v] = v
+            new_parent[v] = up
+    new_weight = dict.fromkeys(proj.values(), 0)
+    for v, w in t.weight.items():
+        new_weight[proj[v]] += w
 
     # Everything merged into a surviving vertex lies below it, so its own
-    # level is the highest one in its class.
-    levels, rank = t.ranks().levels, t.ranks().of_vertex
+    # level is the highest one in its class.  Each survivor keeps a level of
+    # ``t``, recorded by its rank there.
+    ranks = t.ranks()
+    rank = ranks.of_vertex
     kept = _kept_ranks(data, plus_mask)
-    new_level: dict[Vertex, Level] = {tree.root: levels[0]}
-    for e in surviving:
+    new_rank: dict[Vertex, int] = {root: 0}
+    for e in new_parent:
         if e in data.hat_edges and e not in part.i_m:
             # lifted to the lowest surviving level at or above it
             above = [k for k in kept if k <= rank[e]]
             if not above:
                 raise DomainError(f"no surviving level dominates the class of {e!r}")
-            new_level[e] = levels[above[-1]]
+            new_rank[e] = above[-1]
         elif e in i_m:
             if not kept:
                 raise DomainError("a surviving lifted edge needs a surviving level")
-            new_level[e] = levels[kept[-1]]
+            new_rank[e] = kept[-1]
         else:  # (I_m \ i_m) edges and minus edges keep their top merged level
-            new_level[e] = t.level[e]
+            new_rank[e] = rank[e]
 
-    new_tree = WeightedLevelTree(
-        base=WeightedTree(tree=RootedTree(root=tree.root, parent=new_parent),
-                          weight=new_weight),
-        level=new_level,
-    )
+    # the rank table of t_(I): the surviving ranks of t, renumbered 0, 1, ...
+    used = sorted(set(new_rank.values()))
+    renumber = {r: k for k, r in enumerate(used)}
+    of_vertex = {v: renumber[r] for v, r in new_rank.items()}
+    at: list[list[Vertex]] = [[] for _ in used]
+    for v in sorted(of_vertex):
+        at[of_vertex[v]].append(v)
+    levels = tuple(ranks.levels[r] for r in used)
+    new_tree = _derived_level_tree(
+        _derived_weighted_tree(root, new_parent, new_weight),
+        {v: levels[k] for v, k in of_vertex.items()},
+        LevelRanks(levels=levels, of_vertex=of_vertex, at=tuple(map(tuple, at))))
     out = ContractionResult(tree=new_tree, projection=proj, contracted=gone)
     t._memo["contract"] = (key, out)
     return out

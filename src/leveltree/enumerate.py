@@ -8,7 +8,9 @@ representative per equivalence class by generating the class keys
 themselves -- the ordered partitions by level of the vertices at or above
 the highest weighted level -- each exactly once, so neither generator
 keeps a set of what it has seen.  Representatives are built and sorted on
-integer levels; ``Fraction`` levels are made only for the trees returned.
+integer levels; ``Fraction`` levels are made only for the trees returned,
+which skip the level constructor's validation
+(``levels._derived_level_tree``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError
-from .levels import WeightedLevelTree
+from .levels import WeightedLevelTree, _derived_level_tree
 from .tree import RootedTree, Vertex, WeightedTree
 
 
@@ -194,10 +196,11 @@ def gen_level_trees(base: WeightedTree, spec: EnumSpec) -> Iterator[WeightedLeve
 
     rec(0, base.weight[root] > 0)
     found.sort()
+    # a class key proves its level map valid, so the representatives skip
+    # validation; their rank tables stay lazy
     levels = [Fraction(-k) for k in range(n + 1)]
     for key in found:
-        yield WeightedLevelTree(base=base, level={
-            v: levels[-x] for v, x in zip(names, key)})
+        yield _derived_level_tree(base, {v: levels[-x] for v, x in zip(names, key)})
 
 
 def gen_instances(spec: EnumSpec, stable_only: bool = False) -> Iterator[WeightedLevelTree]:

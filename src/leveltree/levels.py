@@ -15,10 +15,21 @@ Only the order of the levels matters, and the equivalence relation below
 quotients out relabelings.  So levels are exact ``Fraction`` values at the
 boundary -- in level maps, labels, JSON and CLI output -- while the derived
 data is computed on integer order ranks: rank 0 is level 0 and ranks grow
-downwards through the occupied levels.  Each tree builds its rank tables
-once, on first use, in its memo: the occupied levels and every vertex's
-rank (``WeightedLevelTree.ranks``), each hat edge's span as a bitmask over
-ranks (``LevelData.span``), and the cross-sections.
+downwards through the occupied levels.  Each tree keeps its rank tables in
+its memo: the occupied levels and every vertex's rank
+(``WeightedLevelTree.ranks``), each hat edge's span as a bitmask over ranks
+(``LevelData.span``), and the cross-sections.  They are built on first use,
+except that ``contract`` hands a contraction its rank table: the
+contraction's levels are levels of its parent tree, so its table is the
+parent's, restricted to the surviving ranks.
+
+Trees come from two paths.  The public constructors -- used for file and
+CLI input, ``make_level_tree``, relevelings, ``canonical_form`` and the
+blowup's reconstructed trees -- validate every level with integer
+comparisons.  ``_derived_level_tree`` takes the maps of a tree that is valid
+by construction as they are: contractions and the class representatives of
+``enumerate.gen_level_trees``.  A proven equivalence ``t ~ t2`` is kept in
+``t``'s memo, so ``phi_bijection`` proves it once per partner tree.
 
 Labels become ranks in two places only, both here: ``IndexPartition.split``
 returns the level part of an index subset as a bitmask over ranks, and
@@ -31,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainError, StructureError
@@ -65,9 +77,14 @@ class LevelRanks:
     """
 
     levels: tuple[Level, ...]
-    of_level: Mapping[Level, int]
     of_vertex: Mapping[Vertex, int]
     at: tuple[tuple[Vertex, ...], ...]
+
+    @cached_property
+    def of_level(self) -> Mapping[Level, int]:
+        # built on first use: hashing a Fraction is slow, and most derived
+        # trees never look a level up
+        return {x: k for k, x in enumerate(self.levels)}
 
 
 @dataclass(frozen=True)
@@ -126,8 +143,8 @@ class WeightedLevelTree:
             levels = tuple(x for x, _ in ordered)
             of_vertex = {v: k for k, (_, vs) in enumerate(ordered) for v in vs}
             memo["ranks"] = LevelRanks(
-                levels=levels, of_level={x: k for k, x in enumerate(levels)},
-                of_vertex=of_vertex, at=tuple(tuple(sorted(vs)) for _, vs in ordered))
+                levels=levels, of_vertex=of_vertex,
+                at=tuple(tuple(sorted(vs)) for _, vs in ordered))
         return memo["ranks"]
 
     def to_json_dict(self) -> dict:
@@ -150,6 +167,18 @@ class WeightedLevelTree:
             except (ValueError, ZeroDivisionError) as exc:
                 raise StructureError(f"bad level value: {exc}") from exc
         return cls(base=base, level=levels)
+
+
+def _derived_level_tree(base: WeightedTree, level: dict,
+                       ranks: LevelRanks | None = None) -> WeightedLevelTree:
+    """A level tree from a level map known to be valid on ``base``, taken as
+    it is (``Fraction`` values, no checks), with its rank table when the
+    caller has it.  The caller owns ``level`` and must not change it."""
+    out = object.__new__(WeightedLevelTree)
+    object.__setattr__(out, "base", base)
+    object.__setattr__(out, "level", level)
+    object.__setattr__(out, "_memo", {} if ranks is None else {"ranks": ranks})
+    return out
 
 
 def make_level_tree(root: Vertex, parent: Mapping[Vertex, Vertex],
@@ -398,8 +427,15 @@ def canonical_form(t: WeightedLevelTree) -> WeightedLevelTree:
 
 def phi_bijection(t: WeightedLevelTree, t2: WeightedLevelTree, subset: Iterable) -> frozenset:
     """Transport an index subset along an equivalence: levels move through the
-    vertex-level correspondence, edge labels stay put."""
-    if not is_equivalent(t, t2):
+    vertex-level correspondence, edge labels stay put.
+
+    Whether ``t ~ t2`` is proven once per partner object and kept in ``t``'s
+    memo; the entry holds ``t2``, so its ``id`` is not reused while kept."""
+    proven = t._memo.setdefault("equivalent", {})
+    entry = proven.get(id(t2))
+    if entry is None:
+        entry = proven[id(t2)] = (t2, is_equivalent(t, t2))
+    if not entry[1]:
         raise DomainError("phi is only defined between equivalent trees")
     plus_mask, mid, minus = index_partition(t).split(subset)
     # the classes at or above m take the ranks 0..m_rank in both trees

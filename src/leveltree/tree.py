@@ -36,7 +36,9 @@ class RootedTree:
 
     ``parent`` maps every non-root vertex to its parent; the edge set is
     derived (one edge per non-root vertex).  Instances are immutable after
-    construction and validated eagerly.
+    construction.  The constructor validates eagerly; only a tree derived
+    from an already valid one (``_derived_weighted_tree``) skips the walk
+    that proves the parent map acyclic.
     """
 
     root: Vertex
@@ -47,15 +49,7 @@ class RootedTree:
         object.__setattr__(self, "parent", dict(self.parent))
         if self.root in self.parent:
             raise StructureError(f"root {self.root!r} must not have a parent")
-        verts = {self.root} | set(self.parent)
-        children: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
-        for child, par in self.parent.items():
-            if par not in verts:
-                raise StructureError(f"parent {par!r} of {child!r} is not a vertex")
-            children[par].append(child)
-        for v in children:
-            children[v].sort()
-        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_children", _child_lists(self.root, self.parent))
         # one walk up from each vertex proves that it reaches the root
         # (connected, acyclic); it stops at the first vertex already reached
         reached = {self.root}
@@ -179,6 +173,20 @@ class RootedTree:
         return cls(root=root, parent=parents)
 
 
+def _child_lists(root: Vertex, parent: Mapping[Vertex, Vertex]) -> dict:
+    """Each vertex's children, sorted; every parent must be a vertex."""
+    children: dict[Vertex, list[Vertex]] = {root: []}
+    for child in parent:
+        children[child] = []
+    for child, par in parent.items():
+        if par not in children:
+            raise StructureError(f"parent {par!r} of {child!r} is not a vertex")
+        children[par].append(child)
+    for cs in children.values():
+        cs.sort()
+    return children
+
+
 @dataclass(frozen=True)
 class WeightedTree:
     """A rooted tree with a nonnegative integer weight on each vertex."""
@@ -225,6 +233,21 @@ class WeightedTree:
     def from_json_dict(cls, data: dict) -> "WeightedTree":
         tree = RootedTree.from_json_dict(data)
         return cls(tree=tree, weight=json_object(data, "weights"))
+
+
+def _derived_weighted_tree(root: Vertex, parent: dict, weight: dict) -> WeightedTree:
+    """A weighted tree from maps derived from a valid tree, taken as they
+    are: the child lists are built as the constructor builds them, but the
+    acyclicity walk and the weight checks are skipped.  The caller owns the
+    dicts and must not change them afterwards."""
+    tree = object.__new__(RootedTree)
+    object.__setattr__(tree, "root", root)
+    object.__setattr__(tree, "parent", parent)
+    object.__setattr__(tree, "_children", _child_lists(root, parent))
+    out = object.__new__(WeightedTree)
+    object.__setattr__(out, "tree", tree)
+    object.__setattr__(out, "weight", weight)
+    return out
 
 
 def _json_kind(value) -> str:

@@ -199,6 +199,19 @@ def test_missing_file(capsys):
     assert run(["validate", "/nonexistent/tree.json"]) == 2
 
 
+def test_unreadable_files_are_input_errors(tmp_path, capsys):
+    assert run(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert len(err.splitlines()) == 1
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a tree file must be UTF-8 text: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("weight", [True, 1.7, "1"])
 def test_validate_rejects_non_integer_weights(tmp_path, capsys, weight):
     path = tmp_path / "weights.json"

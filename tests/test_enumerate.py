@@ -177,3 +177,14 @@ def test_max_levels_bound():
     loose = list(gen_level_trees(base, EnumSpec(max_levels=3)))
     assert len(tight) < len(loose)
     assert all(len(set(t.level.values())) <= 2 for t in tight)
+
+
+def test_enumerated_trees_pass_the_public_constructors():
+    # the representatives skip validation: every one must still be valid
+    count = 0
+    for t in gen_instances(EnumSpec(max_edges=5, max_weight=2, max_levels=5)):
+        base = WeightedTree(tree=RootedTree(root=t.root, parent=dict(t.tree.parent)),
+                            weight=dict(t.weight))
+        assert WeightedLevelTree(base=base, level=dict(t.level)) == t
+        count += 1
+    assert count == GOLDEN_CLASS_COUNTS[5]

@@ -2,18 +2,21 @@
 instance with at most four edges and weights at most 2.
 
 The references below are the definitions the rank-based code replaced:
-pairwise level comparisons and scans over the occupied levels."""
+pairwise level comparisons and scans over the occupied levels.  The trees
+``contract`` derives without validation, and the rank tables it hands them,
+are checked against the same maps rebuilt through the public constructors."""
 
 from fractions import Fraction
 
 import pytest
 
-from leveltree.contraction import contract
+import leveltree.levels as levels_mod
+from leveltree.contraction import contract, verify_equivalence_compat
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
 from leveltree.levels import (WeightedLevelTree, cross_section, edge_span,
                               index_partition, is_equivalent, level_data,
-                              level_successor)
+                              level_successor, make_level_tree, phi_bijection)
 
 F = Fraction
 SPEC = EnumSpec(max_edges=4, max_weight=2, max_levels=5)
@@ -132,3 +135,57 @@ def test_contract_memo_returns_only_its_own_subset(instances):
             assert (res.tree.base, res.tree.level, res.projection, res.contracted) == \
                 (fresh.tree.base, fresh.tree.level, fresh.projection, fresh.contracted)
             previous = res
+
+
+def renamed(t):
+    """``t`` with each name prefixed by the vertex's depth, so that the
+    vertices of one level no longer sort in preorder."""
+    def name(v):
+        return f"{len(t.tree.root_path(v))}{v}"
+    return make_level_tree(name(t.root), {name(c): name(p) for c, p in t.tree.parent.items()},
+                           {name(v): w for v, w in t.weight.items()},
+                           {name(v): x for v, x in t.level.items()})
+
+
+def test_contractions_match_their_validated_rebuilds(instances):
+    for t in instances:
+        for tree in (t, relevel(t, lambda x: 2 * x), relevel(t, lambda x: F(3, 2) * x),
+                     renamed(t)):
+            for I in index_partition(tree).subsets():
+                nt = contract(tree, I).tree
+                rebuilt = make_level_tree(nt.root, dict(nt.tree.parent),
+                                          dict(nt.weight), dict(nt.level))
+                assert nt.base == rebuilt.base and nt.level == rebuilt.level
+                assert list(nt.tree.preorder()) == list(rebuilt.tree.preorder())
+                assert nt.ranks() == rebuilt.ranks()
+
+
+def test_each_equivalence_is_proven_once_per_partner_object(nested_tree, monkeypatch):
+    proofs = []
+
+    def counted(t, t2):
+        proofs.append(t2)
+        return is_equivalent(t, t2)
+
+    monkeypatch.setattr(levels_mod, "is_equivalent", counted)
+    t = nested_tree
+    good = relevel(t, lambda x: 2 * x)
+    bad = split_a_class(t)
+    subsets = index_partition(t).subsets()
+    for subset in (subsets[3], subsets[-1]):
+        assert phi_bijection(t, good, subset) == phi_bijection(
+            t, relevel(t, lambda x: 2 * x), subset)
+        assert verify_equivalence_compat(t, good, subset)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                phi_bijection(t, bad, subset)
+            with pytest.raises(DomainError):
+                verify_equivalence_compat(t, bad, subset)
+        assert verify_equivalence_compat(t, good, subset)
+    # one proof per partner object; the two fresh ×2 relevelings are distinct
+    # objects equal in value, each proven on its own
+    assert [p is good or p is bad for p in proofs] == [True, False, True, False]
+    twin = WeightedLevelTree(base=bad.base, level=dict(bad.level))
+    with pytest.raises(DomainError):
+        phi_bijection(t, twin, subsets[3])
+    assert proofs[-1] is twin and len(proofs) == 5
