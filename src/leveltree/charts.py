@@ -15,6 +15,12 @@ normalized cross-section coefficients used by the stratum maps; and
 ``build_inverse`` solves the chart coordinates back out of the stratum data
 by downward induction over the levels.  The ``verify_*`` functions check the
 resulting identities exactly, as integer-exponent monomial equations.
+
+What is the same for a whole class is built once: ``build_chart`` keeps one
+chart per (special edges, tags, flavor) in the tree's memo, a chart keeps
+one ``mu`` table per level part of the subset (all ``build_mu`` reads), and
+a frame keeps its coordinates, and the stratum and the stratum-map target of
+the last subset, which the checks of that subset share.
 """
 
 from __future__ import annotations
@@ -67,6 +73,9 @@ class ChartFrame:
     eps_at: tuple = field(init=False, compare=False, repr=False)
     _specials: frozenset = field(init=False, compare=False, repr=False)
     _chains: tuple = field(init=False, compare=False, repr=False)
+    # what the frame builds once: its coordinates and their identity map, and
+    # the stratum and the target of the last index subset asked for
+    _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = self.t
@@ -74,6 +83,7 @@ class ChartFrame:
         if len(set(self.extra_tags)) != len(self.extra_tags):
             raise DomainError(f"repeated extra tag in {list(self.extra_tags)}")
         put = partial(object.__setattr__, self)
+        put("_memo", {})
         put("special", dict(self.special))
         put("part", index_partition(t))
         put("data", level_data(t))
@@ -121,11 +131,21 @@ class ChartFrame:
         return Monomial.sym(self.usym(e))
 
     def coords(self) -> frozenset[Symbol]:
-        out = {self.eps(i) for i in self.part.i_plus}
-        out |= {self.usym(e) for e in self.data.hat_edges - self.special_edges()}
-        out |= {self.zsym(e) for e in self.part.i_minus}
-        out |= {self.wsym(j) for j in self.extra_tags}
-        return frozenset(out)
+        memo = self._memo
+        if "coords" not in memo:
+            out = {self.eps(i) for i in self.part.i_plus}
+            out |= {self.usym(e) for e in self.data.hat_edges - self.special_edges()}
+            out |= {self.zsym(e) for e in self.part.i_minus}
+            out |= {self.wsym(j) for j in self.extra_tags}
+            memo["coords"] = frozenset(out)
+        return memo["coords"]
+
+    def identity(self) -> MonomialMap:
+        """The identity map on the chart's coordinates."""
+        memo = self._memo
+        if "identity" not in memo:
+            memo["identity"] = MonomialMap.identity(self.coords())
+        return memo["identity"]
 
     # chains ----------------------------------------------------------------
 
@@ -186,24 +206,61 @@ def build_theta(frame: ChartFrame) -> MonomialMap:
 class TwistedChart:
     frame: ChartFrame
     theta: MonomialMap
-    _mu_cache: dict = field(default_factory=dict, repr=False)
+    # keyed by the rank mask of the subset's level part, all ``build_mu`` reads
+    _mu_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def mu(self, subset: Iterable) -> Mapping[tuple[Level, Edge], Monomial]:
-        key = frozenset(subset)
-        if key not in self._mu_cache:
-            self._mu_cache[key] = build_mu(self, key)
-        return self._mu_cache[key]
+        """The readout table of an index subset, built on first use."""
+        subset = frozenset(subset)
+        mask = self.frame.part.split(subset)[0]
+        if mask not in self._mu_cache:
+            self._mu_cache[mask] = build_mu(self, subset)
+        return self._mu_cache[mask]
 
     def theta_of(self, e: Edge) -> Monomial:
         """The edge's modular parameter pulled back to the chart."""
         return self.theta.assignment[zeta(e)]
 
 
+def _chart_key(t: WeightedLevelTree, special: SpecialMap | None,
+               tags: Sequence[Hashable], flavor: str) -> tuple:
+    """The memo key of a chart of ``t``: its special edges by rank (a given
+    map checked against ``t``), its tags and its flavor."""
+    if special is None:  # ``default_special``, read off the ranks
+        ranks_at = t.ranks().at
+        at = (None,) + tuple(ranks_at[k][0] for k in range(1, level_data(t).m_rank + 1))
+    else:
+        at = special_by_rank(t, special)
+    return at, tuple(tags), flavor
+
+
 def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
                 tags: Sequence[Hashable] = ("j1", "j2"), flavor: str = "") -> TwistedChart:
-    frame = ChartFrame(t=t, special=special if special is not None else default_special(t),
-                       extra_tags=tuple(tags), flavor=flavor)
-    return TwistedChart(frame=frame, theta=build_theta(frame))
+    """The chart of ``t`` with the given special edges (by default the
+    smallest vertex at each level), extra tags and flavor.  The charts are
+    kept in ``t``'s memo, so equal arguments on one tree object return one
+    chart, and every check on the tree shares its ``mu`` tables."""
+    charts = t._memo.setdefault("charts", {})
+    key = _chart_key(t, special, tags, flavor)
+    if key not in charts:
+        frame = ChartFrame(t=t, special=special if special is not None else default_special(t),
+                           extra_tags=tuple(tags), flavor=flavor)
+        charts[key] = TwistedChart(frame=frame, theta=build_theta(frame))
+    return charts[key]
+
+
+def drop_charts(t: WeightedLevelTree) -> None:
+    """Forget the charts ``build_chart`` kept in ``t``'s memo, with their
+    ``mu`` tables."""
+    t._memo.pop("charts", None)
+
+
+def _chart(t: WeightedLevelTree, special: SpecialMap | None = None,
+           tags: Sequence[Hashable] = CHECK_TAGS, flavor: str = "") -> TwistedChart:
+    """A chart for the checks: taken from ``t``'s memo when it is there, so
+    ``build_chart`` is called only for the charts it has to build."""
+    chart = t._memo.get("charts", {}).get(_chart_key(t, special, tags, flavor))
+    return chart if chart is not None else build_chart(t, special, tags, flavor)
 
 
 def _collapsed_product(frame: ChartFrame, plus_mask: int, above_of: Edge | None,
@@ -246,7 +303,16 @@ def build_mu(chart: TwistedChart, subset: Iterable) -> dict[tuple[Level, Edge], 
 def stratum_of(frame: ChartFrame, subset: Iterable) -> Stratum:
     """The chart stratum attached to an index subset: surviving labels pin
     their coordinates to zero, collapsed labels make them units; ``u`` over
-    hat-but-not-dropping edges is a unit everywhere."""
+    hat-but-not-dropping edges is a unit everywhere.  The frame keeps the
+    last one, since the checks of one subset run one after another."""
+    subset = frozenset(subset)
+    last = frame._memo.get("stratum")
+    if last is None or last[0] != subset:
+        last = frame._memo["stratum"] = (subset, _build_stratum(frame, subset))
+    return last[1]
+
+
+def _build_stratum(frame: ChartFrame, subset: frozenset) -> Stratum:
     part = frame.part
     plus_mask, i_m, i_minus = part.split(subset)
     top = range(1, frame.data.m_rank + 1)
@@ -267,7 +333,7 @@ def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
     unit exactly when it lands on the level."""
     frame = chart.frame
     strat = stratum_of(frame, subset)
-    res = contract(frame.t, subset)
+    res = stratum_target(frame, subset).result
     # the contraction keeps the levels of t, so one rank table serves both
     rank = frame.t.ranks().of_level
     for (i, e), mon in chart.mu(subset).items():
@@ -351,16 +417,39 @@ class StratumTarget:
     frame: ChartFrame
     result: ContractionResult
     free_mu: frozenset[Edge]
+    _coords: frozenset = field(init=False, compare=False, repr=False)
+    _identity: MonomialMap = field(init=False, compare=False, repr=False)
 
-    def coords(self) -> frozenset[Symbol]:
+    def __post_init__(self):
         frame = self.frame
         out = {zeta(e) for e in self.result.contracted}
         out |= {sigma(j) for j in frame.extra_tags}
         out |= {musym(frame, e) for e in self.free_mu}
-        return frozenset(out)
+        object.__setattr__(self, "_coords", frozenset(out))
+        object.__setattr__(self, "_identity", MonomialMap.identity(self._coords))
+
+    def coords(self) -> frozenset[Symbol]:
+        return self._coords
+
+    def identity(self) -> MonomialMap:
+        """The identity map on the target's coordinates."""
+        return self._identity
 
 
 def stratum_target(frame: ChartFrame, subset: Iterable) -> StratumTarget:
+    """The target of the stratum map of ``subset``.  The frame keeps the last
+    one (one entry, so memory stays bounded), so the forward map, the
+    inverse and the ``mu``-vanishing check of a subset share one target and
+    one contraction; a build that raises is not kept, so the consistency
+    check of ``_build_target`` runs again on the next call."""
+    subset = frozenset(subset)
+    last = frame._memo.get("target")
+    if last is None or last[0] != subset:
+        last = frame._memo["target"] = (subset, _build_target(frame, subset))
+    return last[1]
+
+
+def _build_target(frame: ChartFrame, subset: frozenset) -> StratumTarget:
     res = contract(frame.t, subset)
     tpr = res.tree
     new_part = index_partition(tpr)
@@ -374,7 +463,7 @@ def stratum_target(frame: ChartFrame, subset: Iterable) -> StratumTarget:
     specials_new = {frame.special[i] for i in new_part.i_plus}
     if frozenset(free_mu) != hat_new - specials_new - new_part.i_m:
         raise VerificationError("readout coordinates disagree with the contraction's "
-                                "hat edges", witness=(frame.t, frozenset(subset)))
+                                "hat edges", witness=(frame.t, subset))
     return StratumTarget(frame=frame, result=res, free_mu=frozenset(free_mu))
 
 
@@ -383,7 +472,7 @@ def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     the chart-to-base map, extra parameters through, and the cross-section
     readout through the ``mu`` table."""
     frame = chart.frame
-    target = stratum_target(frame, frozenset(subset))
+    target = stratum_target(frame, subset)
     tpr = target.result.tree
     mu_table = chart.mu(subset)
     assignment: dict[Symbol, Monomial] = {}
@@ -502,10 +591,10 @@ def verify_round_trip(chart: TwistedChart, subset: Iterable) -> bool:
     inv = build_inverse(chart, subset)
     strat = stratum_of(frame, subset)
     back = compose(inv, fwd)  # chart -> target -> chart
-    if not equal_on_stratum(back, MonomialMap.identity(frame.coords()), strat):
+    if not equal_on_stratum(back, frame.identity(), strat):
         return False
     out = compose(fwd, inv)  # target -> chart -> target
-    return equal_on_stratum(out, MonomialMap.identity(fwd.target_coords), EVERYWHERE)
+    return equal_on_stratum(out, stratum_target(frame, subset).identity(), EVERYWHERE)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +607,8 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
     monomial change of coordinates ``g``: the base maps agree through ``g``,
     and each readout family is the old one renormalized by its value on the
     new special edge."""
-    chart = build_chart(t, special_a, tags=CHECK_TAGS)
-    other = build_chart(t, special_b, tags=CHECK_TAGS, flavor="a:")
+    chart = _chart(t, special_a)
+    other = _chart(t, special_b, flavor="a:")
     fa, fb = chart.frame, other.frame
 
     def chain(edges: Iterable[Edge]) -> Monomial:
@@ -545,9 +634,9 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
 
     if compose(other.theta, g).assignment != chart.theta.assignment:
         return False
-    for subset in fa.part.subsets():
-        mu_a = chart.mu(subset)
-        mu_b = other.mu(subset)
+    for levels in fa.part.level_parts():  # all the readout tables read
+        mu_a = chart.mu(levels)
+        mu_b = other.mu(levels)
         for (i, e), mon in mu_b.items():
             lhs = mon.substitute(g.assignment)
             rhs = mu_a[(i, e)] / mu_a[(i, special_b[i])]
@@ -566,8 +655,8 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
     by an explicit monomial map ``g``: the base maps agree up to the same
     units, and the readout families agree after normalizing each side by its
     own ``f`` content."""
-    chart = build_chart(t, tags=CHECK_TAGS)
-    hat_chart = build_chart(t, tags=CHECK_TAGS, flavor="hat:")
+    chart = _chart(t)
+    hat_chart = _chart(t, flavor="hat:")
     fa, fh = chart.frame, hat_chart.frame
 
     def fchain(k: int) -> Monomial:
@@ -600,16 +689,16 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
                 != chart.theta.assignment[sigma(j)]:
             return False
 
-    for subset in fa.part.subsets():
-        mask, _, _ = fa.part.split(subset)
+    for levels in fa.part.level_parts():  # all the readout tables read
+        mask, _, _ = fa.part.split(levels)
 
         def f_not_collapsed(e: Edge) -> Monomial:
             return Monomial.product(Monomial.sym(Symbol("f", a))
                                     for a in t.tree.descendants_geq(e)
                                     if fa.data.span[a] & ~mask)
 
-        mu_plain = chart.mu(subset)
-        for (i, e), mon in hat_chart.mu(subset).items():
+        mu_plain = chart.mu(levels)
+        for (i, e), mon in hat_chart.mu(levels).items():
             lhs = mon.substitute(g.assignment) * f_not_collapsed(fa.special[i])
             rhs = mu_plain[(i, e)] * f_not_collapsed(e)
             if lhs != rhs:
@@ -617,12 +706,11 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
     return True
 
 
-def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
-    """Recentering a chart on a stratum agrees with the chart of the
-    contracted tree: the base maps match through the explicit ``g``, and the
-    recentered readout families are the original ones at the union subset."""
-    subset = frozenset(subset)
-    chart = build_chart(t, tags=CHECK_TAGS)
+def _recentering(t: WeightedLevelTree, subset: frozenset
+                 ) -> tuple[TwistedChart, ContractionResult, TwistedChart, MonomialMap]:
+    """The chart of ``t``, the contraction along ``subset``, the chart of the
+    contracted tree and the explicit recentering map ``g`` between them."""
+    chart = _chart(t)
     frame = chart.frame
     mask, _, _ = frame.part.split(subset)
     res = contract(t, subset)
@@ -634,7 +722,7 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
     levels = t.ranks().levels
     special_new = {levels[k]: frame.special_at[k] for k in tops[1:]}
     new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
-    prime = build_chart(tpr, special_new, tags=new_tags, flavor="p:")
+    prime = build_chart(tpr, special_new, new_tags, "p:")
     fp = prime.frame
     mu_I = chart.mu(subset)
     theta = chart.theta.assignment
@@ -671,6 +759,17 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
         assignment[fp.wsym(("ctr", e))] = theta[zeta(e)]
     g = MonomialMap(source_coords=frame.coords(), target_coords=fp.coords(),
                     assignment=assignment)
+    return chart, res, prime, g
+
+
+def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
+    """Recentering a chart on a stratum agrees with the chart of the
+    contracted tree: the base maps match through the explicit ``g``, and the
+    recentered readout families are the original ones at the union subset."""
+    subset = frozenset(subset)
+    chart, res, prime, g = _recentering(t, subset)
+    tpr = res.tree
+    theta = chart.theta.assignment
 
     # base maps agree through g
     for e in tpr.edges():
@@ -678,17 +777,19 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
             return False
     for j in CHECK_TAGS:
         if prime.theta.assignment[sigma(j)].substitute(g.assignment) \
-                != Monomial.sym(frame.wsym(j)):
+                != Monomial.sym(chart.frame.wsym(j)):
             return False
     for e in res.contracted:
         if prime.theta.assignment[sigma(("ctr", e))].substitute(g.assignment) \
                 != theta[zeta(e)]:
             return False
 
-    # recentered readout families come from the union subset
-    for subset2 in new_part.subsets():
-        mu_union = chart.mu(subset | subset2)
-        for (i, e), mon in prime.mu(subset2).items():
+    # recentered readout families come from the union subset; both tables
+    # read only the level part of the contraction's subset, so one family
+    # per level part makes every comparison a loop over all its subsets would
+    for levels in index_partition(tpr).level_parts():
+        mu_union = chart.mu(subset | levels)
+        for (i, e), mon in prime.mu(levels).items():
             if mon.substitute(g.assignment) != mu_union[(i, e)]:
                 return False
     return True

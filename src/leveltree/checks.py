@@ -260,3 +260,6 @@ def run_checks(t: levels_mod.WeightedLevelTree, checks: Iterable[Check],
     for check in checks:
         if check.scope == CLASS:
             _run(report, check, name, c)
+    # the checks shared the charts through t's memo; a sweep keeps its trees
+    # to the end, and would keep every class's charts with them
+    charts_mod.drop_charts(t)

@@ -1,21 +1,25 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from leveltree.charts import (BasePoint, build_chart, build_inverse,
+from leveltree import charts
+from leveltree.charts import (BasePoint, build_chart, build_inverse, build_mu,
                               check_mu_vanishing, evaluate, forward_map,
-                              remark_identities, verify_parameter_transition,
+                              remark_identities, sigma, verify_parameter_transition,
                               verify_round_trip,
                               verify_special_vertex_transition,
                               verify_stratum_transition, zeta)
+from leveltree.checks import SUITES, RunReport, run_checks
 from leveltree.cli import render_chart
 from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, VerificationError
-from leveltree.levels import index_partition, special_choices
-from leveltree.monomial import Monomial, parse_monomial
+from leveltree.levels import (WeightedLevelTree, default_special, index_partition,
+                              make_level_tree, special_choices)
+from leveltree.monomial import Monomial, MonomialMap, parse_monomial
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "nested_chart.txt"
@@ -215,20 +219,157 @@ def test_theta_vanishes_exactly_on_surviving_edges():
 def test_stratum_target_invariant_raises_without_asserts(nested_chart, monkeypatch):
     import dataclasses
 
-    from leveltree import charts
     real = charts.level_data
     # the contraction's hat edges, misreported: the readout coordinates disagree
     monkeypatch.setattr(charts, "level_data",
                         lambda t: dataclasses.replace(real(t), hat_edges=frozenset()))
-    with pytest.raises(VerificationError) as info:
-        charts.stratum_target(nested_chart.frame, frozenset())
-    assert info.value.witness == (nested_chart.frame.t, frozenset())
+    for _ in range(2):  # a build that raised is not kept
+        with pytest.raises(VerificationError) as info:
+            charts.stratum_target(nested_chart.frame, frozenset())
+        assert info.value.witness == (nested_chart.frame.t, frozenset())
 
 
 def test_inverse_vanishing_invariant_raises_without_asserts(nested_chart, monkeypatch):
-    from leveltree import charts
     # closed gaps no longer read as zero, so the promised pattern breaks
     monkeypatch.setattr(charts, "ZERO", Monomial.one())
     with pytest.raises(VerificationError) as info:
         build_inverse(nested_chart, frozenset())
     assert info.value.witness[1] == frozenset()
+
+
+# -- what the charts of one tree share ----------------------------------------
+
+def _copy(t: WeightedLevelTree) -> WeightedLevelTree:
+    """An equal tree with an empty memo."""
+    return make_level_tree(t.root, t.tree.parent, t.weight, t.level)
+
+
+def test_build_chart_keeps_one_chart_per_arguments(nested_tree):
+    t = nested_tree
+    chart = build_chart(t)
+    assert build_chart(t) is chart
+    assert build_chart(t, default_special(t), tags=["j1", "j2"], flavor="") is chart
+    releveled = WeightedLevelTree(base=t.base, level={v: 2 * x for v, x in t.level.items()})
+    others = [build_chart(t, {F(-1): "b", F(-2): "c"}), build_chart(t, tags=("j1",)),
+              build_chart(t, flavor="a:"), build_chart(releveled), build_chart(_copy(t))]
+    assert all(other is not chart for other in others)
+    assert len({id(other) for other in others}) == len(others)
+
+
+def test_chart_equality_ignores_cached_mu_tables(nested_tree):
+    chart, twin = build_chart(nested_tree), build_chart(_copy(nested_tree))
+    assert chart == twin
+    chart.mu(frozenset())
+    assert chart == twin
+
+
+def test_mu_reads_only_the_level_part_of_the_subset():
+    charted = {}  # a chart depends on the tree, its positive vertices and levels
+    for t in gen_instances(EnumSpec(max_edges=4, max_weight=2)):
+        charted.setdefault((tuple(sorted(t.tree.parent.items())),
+                            frozenset(t.base.positive_vertices()),
+                            tuple(sorted(t.level.items()))), t)
+    for t in charted.values():
+        part = index_partition(t)
+        chart, fresh = build_chart(t, tags=()), build_chart(_copy(t), tags=())
+        for I in part.subsets():
+            table = chart.mu(I)
+            assert table == chart.mu(I & part.i_plus)
+            assert table == build_mu(fresh, I)
+
+
+def test_transitions_agree_on_warm_and_cold_trees():
+    for t in gen_instances(EnumSpec(max_edges=3, max_weight=1)):
+        choices = special_choices(t)
+        keys = sorted(choices)
+        maps = [dict(zip(keys, c)) for c in itertools.product(*(choices[i] for i in keys))]
+        for a, b in itertools.product(maps, maps):
+            verify_special_vertex_transition(t, a, b)  # warms t's charts
+        for a, b in itertools.product(maps, maps):
+            assert verify_special_vertex_transition(t, a, b) \
+                == verify_special_vertex_transition(_copy(t), a, b)
+        verify_parameter_transition(t)
+        assert verify_parameter_transition(t) == verify_parameter_transition(_copy(t))
+
+
+def reference_stratum_transition(t, subset) -> bool:
+    """The stratum transition comparing the readout families once for every
+    subset of the contraction's index set, each table built afresh."""
+    subset = frozenset(subset)
+    chart, res, prime, g = charts._recentering(t, subset)
+    theta, theta_p = chart.theta.assignment, prime.theta.assignment
+    if any(theta_p[zeta(e)].substitute(g.assignment) != theta[zeta(e)]
+           for e in res.tree.edges()):
+        return False
+    if any(theta_p[sigma(j)].substitute(g.assignment) != theta[sigma(j)]
+           for j in charts.CHECK_TAGS):
+        return False
+    if any(theta_p[sigma(("ctr", e))].substitute(g.assignment) != theta[zeta(e)]
+           for e in res.contracted):
+        return False
+    for subset2 in index_partition(res.tree).subsets():
+        mu_union = charts.build_mu(chart, subset | subset2)
+        for (i, e), mon in charts.build_mu(prime, subset2).items():
+            if mon.substitute(g.assignment) != mu_union[(i, e)]:
+                return False
+    return True
+
+
+def test_stratum_transition_matches_the_all_subsets_reference(monkeypatch):
+    cases = [(t, I) for t in gen_instances(EnumSpec(max_edges=3, max_weight=1))
+             for I in index_partition(t).subsets()]
+    for t, I in cases:
+        assert verify_stratum_transition(t, I) and reference_stratum_transition(t, I)
+
+    real = charts._recentering
+
+    def planted(t, subset):
+        """One ``u`` entry of ``g`` multiplied by a tag."""
+        chart, res, prime, g = real(t, subset)
+        u = min((s for s in g.assignment if s.kind == "p:u"), key=str)
+        wrong = dict(g.assignment)
+        wrong[u] = wrong[u] * Monomial.sym(chart.frame.wsym(charts.CHECK_TAGS[0]))
+        return chart, res, prime, MonomialMap(g.source_coords, g.target_coords, wrong)
+
+    faulty = [(t, I) for t, I in cases
+              if any(s.kind == "p:u" for s in real(t, I)[3].assignment)]
+    assert faulty
+    with monkeypatch.context() as patch:
+        patch.setattr(charts, "_recentering", planted)
+        for t, I in faulty:
+            assert not verify_stratum_transition(t, I)
+            assert not reference_stratum_transition(t, I)
+
+    real_mu = charts.build_mu
+
+    def wrong_readout(chart, subset):
+        """One entry of each contracted chart's table at a nonempty level part
+        multiplied by a tag: only the readout comparison sees it."""
+        table = real_mu(chart, subset)
+        if chart.frame.flavor == "p:" and chart.frame.part.split(subset)[0] and table:
+            key = min(table, key=str)
+            table[key] = table[key] * Monomial.sym(chart.frame.wsym(charts.CHECK_TAGS[0]))
+        return table
+
+    monkeypatch.setattr(charts, "build_mu", wrong_readout)
+    # fresh copies, so no table built before the fault is reused
+    verdicts = [(verify_stratum_transition(_copy(t), I),
+                 reference_stratum_transition(_copy(t), I)) for t, I in cases]
+    assert all(new == ref for new, ref in verdicts)
+    assert not all(new for new, _ in verdicts)
+
+
+def test_build_mu_runs_once_per_chart_and_level_mask(monkeypatch):
+    real, calls, seen = charts.build_mu, Counter(), []
+
+    def counting(chart, subset):
+        seen.append(chart)  # kept alive, so no id is reused
+        calls[(id(chart), chart.frame.part.split(subset)[0])] += 1
+        return real(chart, subset)
+
+    monkeypatch.setattr(charts, "build_mu", counting)
+    for k, t in enumerate(gen_instances(EnumSpec(max_edges=3, max_weight=1))):
+        report = RunReport(suite="charts")
+        run_checks(t, SUITES["charts"], report, f"#{k}")
+        assert report.ok()
+    assert calls and max(calls.values()) == 1
