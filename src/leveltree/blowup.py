@@ -35,9 +35,8 @@ from typing import Iterable, Sequence
 
 from .charts import CHECK_TAGS, ONE, TwistedChart, build_chart, sigma, zeta
 from .errors import DomainError, InfeasibleError, VerificationError
-from .levels import (Level, SpecialMap, WeightedLevelTree, cross_section,
-                     default_special, index_partition, level_data,
-                     special_by_rank)
+from .levels import (Level, WeightedLevelTree, cross_section,
+                     default_special_by_rank, index_partition, level_data)
 from .monomial import Monomial, MonomialMap, Symbol, compose
 from .tree import Cmp, Edge, RootedTree, Vertex, WeightedTree
 
@@ -212,13 +211,13 @@ def ancestor_bundle(t: WeightedLevelTree, e: Edge) -> Monomial:
     return Monomial.product(_bundle(a) for a in t.tree.descendants_geq(e))
 
 
-def twisted_bundles(t: WeightedLevelTree, special: SpecialMap
+def twisted_bundles(t: WeightedLevelTree
                     ) -> tuple[tuple[Monomial, ...], dict[Edge, Monomial]]:
     """The twisted classes per level rank of ``I_plus`` (entry 0, level 0,
-    is 1) and per hat edge, built downward: each one is its basis class
-    divided by the twisted classes of the ranks strictly inside its ascent
-    gap (resp. its span gap)."""
-    special_at = special_by_rank(t, special)
+    is 1) and per hat edge, with the default special edges, built downward:
+    each one is its basis class divided by the twisted classes of the ranks
+    strictly inside its ascent gap (resp. its span gap)."""
+    special_at = default_special_by_rank(t)
     ranks, data = t.ranks(), level_data(t)
     by_rank = [ONE]
     for k in range(1, data.m_rank + 1):
@@ -238,7 +237,7 @@ def bundle_identity(t: WeightedLevelTree) -> bool:
     data = level_data(t)
     if not data.m_rank:
         raise DomainError("the identity needs a nonempty level index")
-    by_rank, by_edge = twisted_bundles(t, default_special(t))
+    by_rank, by_edge = twisted_bundles(t)
     for e, k in data.edge_rank.items():
         lhs = by_edge[e] * Monomial.product(by_edge[a] / by_rank[data.edge_rank[a]]
                                             for a in t.tree.ancestors_gt(e))
@@ -262,7 +261,7 @@ def blowup_side_maps(t: WeightedLevelTree
     ``zch`` for dropping edges) times its crossed gap coordinates, and the
     comparison map rewrites the twisted chart's coordinates in those terms.
     Returns ``(projection, comparison, chart)``."""
-    chart = build_chart(t, tags=CHECK_TAGS)
+    chart = build_chart(t)
     frame = chart.frame
     data, part = frame.data, frame.part
 

@@ -16,11 +16,14 @@ normalized cross-section coefficients used by the stratum maps; and
 by downward induction over the levels.  The ``verify_*`` functions check the
 resulting identities exactly, as integer-exponent monomial equations.
 
-What is the same for a whole class is built once: ``build_chart`` keeps one
-chart per (special edges, tags, flavor) in the tree's memo, a chart keeps
-one ``mu`` table per level part of the subset (all ``build_mu`` reads), and
-a frame keeps its coordinates, and the stratum and the stratum-map target of
-the last subset, which the checks of that subset share.
+``build_chart`` is the only way to a chart.  It keeps one chart per
+(special edges by rank, tags, flavor) in the tree's memo, so every check of
+a class, in the chart suite and in the blowup suite, reads the one chart of
+``t`` with the default special edges and the tags ``CHECK_TAGS``.  A chart
+keeps one ``mu`` table per level part of the subset (all ``build_mu``
+reads), and its frame keeps the record of the last subset -- its
+contraction, its stratum and its stratum-map target -- which the checks of
+that subset share.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from .contraction import ContractionResult, contract
 from .errors import DomainError, MonomialError, VerificationError
 from .levels import (IndexPartition, Level, LevelData, SpecialMap,
-                     WeightedLevelTree, cross_section, default_special,
+                     WeightedLevelTree, cross_section, default_special_by_rank,
                      index_partition, level_data, special_by_rank)
 from .monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum, Symbol,
                        compose, equal_on_stratum)
@@ -41,56 +44,57 @@ from .tree import Edge
 
 ONE = Monomial.one()
 ZERO = Monomial.zero()
-# the one extra tag the transition and blowup identities carry, so they also
-# check that extra parameters pass through
-CHECK_TAGS = ("j1",)
+# the extra tags of the checks' charts, so every identity also checks that
+# extra parameters pass through
+CHECK_TAGS = ("j1", "j2")
 
 
 @dataclass(frozen=True)
 class ChartFrame:
     """A weighted level tree with chosen special edges and extra tags.
 
+    ``special_at`` is the special map read by rank, ``(None, e_1, ..., e_m)``
+    with ``e_k`` the special edge of the level of rank ``k`` (see
+    ``levels.special_by_rank``); ``special`` is the same map by level.
     ``flavor`` prefixes every coordinate symbol, so distinct charts over the
     same tree can coexist inside one identity.
 
     The frame tabulates, per level rank ``k`` of ``I_plus`` (see
     ``WeightedLevelTree.ranks``; entry 0 stands for level 0): the special
-    edge ``special_at[k]``, the special edges met by the ascent from ``k``
-    (``ascent[k]``), the edges of its climbing product (``chain_edges[k]``)
-    and that product (``up_chain(k)``), and the gap coordinate
-    ``eps_at[k]``.
+    edges met by the ascent from ``k`` (``ascent[k]``), the edges of its
+    climbing product (``chain_edges[k]``) and that product
+    (``up_chain(k)``), and the gap coordinate ``eps_at[k]``.
     """
 
     t: WeightedLevelTree
-    special: Mapping[Level, Edge]
+    special_at: tuple
     extra_tags: tuple[Hashable, ...] = ()
     flavor: str = ""
+    special: Mapping[Level, Edge] = field(init=False, compare=False, repr=False)
     part: IndexPartition = field(init=False, compare=False, repr=False)
     data: LevelData = field(init=False, compare=False, repr=False)
-    special_at: tuple = field(init=False, compare=False, repr=False)
     ascent: tuple = field(init=False, compare=False, repr=False)
     chain_edges: tuple = field(init=False, compare=False, repr=False)
     eps_at: tuple = field(init=False, compare=False, repr=False)
     _specials: frozenset = field(init=False, compare=False, repr=False)
     _chains: tuple = field(init=False, compare=False, repr=False)
-    # what the frame builds once: its coordinates and their identity map, and
-    # the stratum and the target of the last index subset asked for
+    _coords: frozenset = field(init=False, compare=False, repr=False)
+    # built on first use: the identity map, and the record of the last index
+    # subset asked for (see ``stratum_target``)
     _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = self.t
-        special_at = special_by_rank(t, self.special)
         if len(set(self.extra_tags)) != len(self.extra_tags):
             raise DomainError(f"repeated extra tag in {list(self.extra_tags)}")
         put = partial(object.__setattr__, self)
         put("_memo", {})
-        put("special", dict(self.special))
         put("part", index_partition(t))
         put("data", level_data(t))
-        put("_specials", frozenset(self.special.values()))
         ranks = t.ranks()
         top = range(1, self.data.m_rank + 1)
-        put("special_at", special_at)
+        put("special", {ranks.levels[k]: self.special_at[k] for k in top})
+        put("_specials", frozenset(self.special_at[1:]))
         ascent: list[tuple[Edge, ...]] = [()]
         for k in top:
             se = self.special_at[k]
@@ -101,6 +105,11 @@ class ChartFrame:
         put("eps_at", (None,) + tuple(self.eps(ranks.levels[k]) for k in top))
         put("_chains", tuple(Monomial.product(self.u_mon(e) for e in edges)
                              for edges in self.chain_edges))
+        coords = {self.eps_at[k] for k in top}
+        coords |= {self.usym(e) for e in self.data.hat_edges - self._specials}
+        coords |= {self.zsym(e) for e in self.part.i_minus}
+        coords |= {self.wsym(j) for j in self.extra_tags}
+        put("_coords", frozenset(coords))
 
     def _kind(self, bare: str) -> str:
         return self.flavor + bare
@@ -131,14 +140,7 @@ class ChartFrame:
         return Monomial.sym(self.usym(e))
 
     def coords(self) -> frozenset[Symbol]:
-        memo = self._memo
-        if "coords" not in memo:
-            out = {self.eps(i) for i in self.part.i_plus}
-            out |= {self.usym(e) for e in self.data.hat_edges - self.special_edges()}
-            out |= {self.zsym(e) for e in self.part.i_minus}
-            out |= {self.wsym(j) for j in self.extra_tags}
-            memo["coords"] = frozenset(out)
-        return memo["coords"]
+        return self._coords
 
     def identity(self) -> MonomialMap:
         """The identity map on the chart's coordinates."""
@@ -222,45 +224,27 @@ class TwistedChart:
         return self.theta.assignment[zeta(e)]
 
 
-def _chart_key(t: WeightedLevelTree, special: SpecialMap | None,
-               tags: Sequence[Hashable], flavor: str) -> tuple:
-    """The memo key of a chart of ``t``: its special edges by rank (a given
-    map checked against ``t``), its tags and its flavor."""
-    if special is None:  # ``default_special``, read off the ranks
-        ranks_at = t.ranks().at
-        at = (None,) + tuple(ranks_at[k][0] for k in range(1, level_data(t).m_rank + 1))
-    else:
-        at = special_by_rank(t, special)
-    return at, tuple(tags), flavor
-
-
 def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
-                tags: Sequence[Hashable] = ("j1", "j2"), flavor: str = "") -> TwistedChart:
+                tags: Sequence[Hashable] = CHECK_TAGS, flavor: str = "") -> TwistedChart:
     """The chart of ``t`` with the given special edges (by default the
     smallest vertex at each level), extra tags and flavor.  The charts are
-    kept in ``t``'s memo, so equal arguments on one tree object return one
-    chart, and every check on the tree shares its ``mu`` tables."""
+    kept in ``t``'s memo, keyed by the special edges by rank, the tags and
+    the flavor, so equal arguments on one tree object return one chart, and
+    every check on the tree shares its ``mu`` tables."""
+    at = default_special_by_rank(t) if special is None else special_by_rank(t, special)
+    key = at, tuple(tags), flavor
     charts = t._memo.setdefault("charts", {})
-    key = _chart_key(t, special, tags, flavor)
     if key not in charts:
-        frame = ChartFrame(t=t, special=special if special is not None else default_special(t),
-                           extra_tags=tuple(tags), flavor=flavor)
+        frame = ChartFrame(t=t, special_at=at, extra_tags=key[1], flavor=flavor)
         charts[key] = TwistedChart(frame=frame, theta=build_theta(frame))
     return charts[key]
 
 
 def drop_charts(t: WeightedLevelTree) -> None:
     """Forget the charts ``build_chart`` kept in ``t``'s memo, with their
-    ``mu`` tables."""
+    ``mu`` tables.  A kept chart refers back to its tree, so without this
+    the tree is freed only by the cyclic garbage collector."""
     t._memo.pop("charts", None)
-
-
-def _chart(t: WeightedLevelTree, special: SpecialMap | None = None,
-           tags: Sequence[Hashable] = CHECK_TAGS, flavor: str = "") -> TwistedChart:
-    """A chart for the checks: taken from ``t``'s memo when it is there, so
-    ``build_chart`` is called only for the charts it has to build."""
-    chart = t._memo.get("charts", {}).get(_chart_key(t, special, tags, flavor))
-    return chart if chart is not None else build_chart(t, special, tags, flavor)
 
 
 def _collapsed_product(frame: ChartFrame, plus_mask: int, above_of: Edge | None,
@@ -300,40 +284,13 @@ def build_mu(chart: TwistedChart, subset: Iterable) -> dict[tuple[Level, Edge], 
     return table
 
 
-def stratum_of(frame: ChartFrame, subset: Iterable) -> Stratum:
-    """The chart stratum attached to an index subset: surviving labels pin
-    their coordinates to zero, collapsed labels make them units; ``u`` over
-    hat-but-not-dropping edges is a unit everywhere.  The frame keeps the
-    last one, since the checks of one subset run one after another."""
-    subset = frozenset(subset)
-    last = frame._memo.get("stratum")
-    if last is None or last[0] != subset:
-        last = frame._memo["stratum"] = (subset, _build_stratum(frame, subset))
-    return last[1]
-
-
-def _build_stratum(frame: ChartFrame, subset: frozenset) -> Stratum:
-    part = frame.part
-    plus_mask, i_m, i_minus = part.split(subset)
-    top = range(1, frame.data.m_rank + 1)
-    zeros = {frame.eps_at[k] for k in top if not plus_mask >> k & 1}
-    zeros |= {frame.usym(e) for e in part.i_m - i_m}
-    zeros |= {frame.zsym(e) for e in part.i_minus - i_minus}
-    units = {frame.eps_at[k] for k in top if plus_mask >> k & 1}
-    units |= {frame.usym(e) for e in i_m}
-    units |= {frame.zsym(e) for e in i_minus}
-    units |= {frame.usym(e)
-              for e in frame.data.hat_edges - part.i_m - frame.special_edges()}
-    return Stratum(zeros=frozenset(zeros), units=frozenset(units))
-
-
 def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
     """On the stratum of ``I``, each coefficient must vanish exactly when the
     contraction drops the edge's lower endpoint below the level, and be a
     unit exactly when it lands on the level."""
     frame = chart.frame
-    strat = stratum_of(frame, subset)
-    res = stratum_target(frame, subset).result
+    target = stratum_target(frame, subset)
+    strat, res = target.stratum, target.result
     # the contraction keeps the levels of t, so one rank table serves both
     rank = frame.t.ranks().of_level
     for (i, e), mon in chart.mu(subset).items():
@@ -410,38 +367,27 @@ def evaluate(mon: Monomial, values: Mapping[Symbol, Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class StratumTarget:
-    """Coordinates of the product chart a stratum maps onto: the collapsed
-    modular parameters (units there), the extra parameters, and one readout
+    """What the checks of one index subset share on a frame: the contraction
+    along it; the chart stratum, where surviving labels pin their
+    coordinates to zero and collapsed labels make them units (``u`` over
+    hat-but-not-dropping edges is a unit everywhere); and the coordinates of
+    the product chart the stratum maps onto -- the collapsed modular
+    parameters (units there), the extra parameters, and one readout
     coordinate per non-special surviving cross-section edge."""
 
-    frame: ChartFrame
     result: ContractionResult
+    stratum: Stratum
     free_mu: frozenset[Edge]
-    _coords: frozenset = field(init=False, compare=False, repr=False)
-    _identity: MonomialMap = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        frame = self.frame
-        out = {zeta(e) for e in self.result.contracted}
-        out |= {sigma(j) for j in frame.extra_tags}
-        out |= {musym(frame, e) for e in self.free_mu}
-        object.__setattr__(self, "_coords", frozenset(out))
-        object.__setattr__(self, "_identity", MonomialMap.identity(self._coords))
-
-    def coords(self) -> frozenset[Symbol]:
-        return self._coords
-
-    def identity(self) -> MonomialMap:
-        """The identity map on the target's coordinates."""
-        return self._identity
+    coords: frozenset[Symbol]
+    identity: MonomialMap
 
 
 def stratum_target(frame: ChartFrame, subset: Iterable) -> StratumTarget:
-    """The target of the stratum map of ``subset``.  The frame keeps the last
-    one (one entry, so memory stays bounded), so the forward map, the
-    inverse and the ``mu``-vanishing check of a subset share one target and
-    one contraction; a build that raises is not kept, so the consistency
-    check of ``_build_target`` runs again on the next call."""
+    """The record of ``subset`` on ``frame``.  The frame keeps the last one
+    (one entry, so memory stays bounded), so the forward map, the inverse,
+    the round trip and the ``mu``-vanishing check of a subset share one
+    record and one contraction; a build that raises is not kept, so the
+    consistency check of ``_build_target`` runs again on the next call."""
     subset = frozenset(subset)
     last = frame._memo.get("target")
     if last is None or last[0] != subset:
@@ -450,6 +396,18 @@ def stratum_target(frame: ChartFrame, subset: Iterable) -> StratumTarget:
 
 
 def _build_target(frame: ChartFrame, subset: frozenset) -> StratumTarget:
+    part = frame.part
+    plus_mask, i_m, i_minus = part.split(subset)
+    top = range(1, frame.data.m_rank + 1)
+    zeros = {frame.eps_at[k] for k in top if not plus_mask >> k & 1}
+    zeros |= {frame.usym(e) for e in part.i_m - i_m}
+    zeros |= {frame.zsym(e) for e in part.i_minus - i_minus}
+    units = {frame.eps_at[k] for k in top if plus_mask >> k & 1}
+    units |= {frame.usym(e) for e in i_m}
+    units |= {frame.zsym(e) for e in i_minus}
+    units |= {frame.usym(e)
+              for e in frame.data.hat_edges - part.i_m - frame.special_edges()}
+
     res = contract(frame.t, subset)
     tpr = res.tree
     new_part = index_partition(tpr)
@@ -464,7 +422,11 @@ def _build_target(frame: ChartFrame, subset: frozenset) -> StratumTarget:
     if frozenset(free_mu) != hat_new - specials_new - new_part.i_m:
         raise VerificationError("readout coordinates disagree with the contraction's "
                                 "hat edges", witness=(frame.t, subset))
-    return StratumTarget(frame=frame, result=res, free_mu=frozenset(free_mu))
+    coords = frozenset([*map(zeta, res.contracted), *map(sigma, frame.extra_tags),
+                        *(musym(frame, e) for e in free_mu)])
+    stratum = Stratum(zeros=frozenset(zeros), units=frozenset(units))
+    return StratumTarget(result=res, stratum=stratum, free_mu=frozenset(free_mu),
+                         coords=coords, identity=MonomialMap.identity(coords))
 
 
 def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
@@ -483,7 +445,7 @@ def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     for e in target.free_mu:
         assignment[musym(frame, e)] = mu_table[(tpr.level[e], e)]
     return MonomialMap(source_coords=frame.coords(),
-                       target_coords=target.coords(), assignment=assignment)
+                       target_coords=target.coords, assignment=assignment)
 
 
 def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
@@ -578,7 +540,7 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
                                     "the surviving dropping edges",
                                     witness=(frame.t, subset, frame.usym(e)))
 
-    return MonomialMap(source_coords=target.coords(),
+    return MonomialMap(source_coords=target.coords,
                        target_coords=frame.coords(), assignment=built)
 
 
@@ -589,12 +551,12 @@ def verify_round_trip(chart: TwistedChart, subset: Iterable) -> bool:
     subset = frozenset(subset)
     fwd = forward_map(chart, subset)
     inv = build_inverse(chart, subset)
-    strat = stratum_of(frame, subset)
+    target = stratum_target(frame, subset)
     back = compose(inv, fwd)  # chart -> target -> chart
-    if not equal_on_stratum(back, frame.identity(), strat):
+    if not equal_on_stratum(back, frame.identity(), target.stratum):
         return False
     out = compose(fwd, inv)  # target -> chart -> target
-    return equal_on_stratum(out, stratum_target(frame, subset).identity(), EVERYWHERE)
+    return equal_on_stratum(out, target.identity, EVERYWHERE)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +569,8 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
     monomial change of coordinates ``g``: the base maps agree through ``g``,
     and each readout family is the old one renormalized by its value on the
     new special edge."""
-    chart = _chart(t, special_a)
-    other = _chart(t, special_b, flavor="a:")
+    chart = build_chart(t, special_a)
+    other = build_chart(t, special_b, flavor="a:")
     fa, fb = chart.frame, other.frame
 
     def chain(edges: Iterable[Edge]) -> Monomial:
@@ -655,8 +617,8 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
     by an explicit monomial map ``g``: the base maps agree up to the same
     units, and the readout families agree after normalizing each side by its
     own ``f`` content."""
-    chart = _chart(t)
-    hat_chart = _chart(t, flavor="hat:")
+    chart = build_chart(t)
+    hat_chart = build_chart(t, flavor="hat:")
     fa, fh = chart.frame, hat_chart.frame
 
     def fchain(k: int) -> Monomial:
@@ -710,7 +672,7 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
                  ) -> tuple[TwistedChart, ContractionResult, TwistedChart, MonomialMap]:
     """The chart of ``t``, the contraction along ``subset``, the chart of the
     contracted tree and the explicit recentering map ``g`` between them."""
-    chart = _chart(t)
+    chart = build_chart(t)
     frame = chart.frame
     mask, _, _ = frame.part.split(subset)
     res = contract(t, subset)

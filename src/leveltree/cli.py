@@ -142,7 +142,10 @@ def cmd_chart(args) -> int:
     tags = () if args.tags is None else tuple(s.strip() for s in args.tags.split(","))
     if "" in tags:
         raise DomainError(f"empty tag name in --tags={args.tags!r}")
-    sys.stdout.write(render_chart(charts_mod.build_chart(t, special, tags=tags)))
+    try:
+        sys.stdout.write(render_chart(charts_mod.build_chart(t, special, tags=tags)))
+    finally:  # render_chart refuses a tree above the label bound
+        charts_mod.drop_charts(t)
     return 0
 
 
@@ -175,6 +178,7 @@ def cmd_blowup_report(args) -> int:
     lines.append(f"schedule order-compatible: {blowup_mod.order_compatible(bar)}")
     for k in range(1, len(t.edges()) + 1):
         lines.append(f"divisor pullback k={k}: {blowup_mod.yk_pullback(chart, k)}")
+    charts_mod.drop_charts(t)
     idx = blowup_mod.divisor_slots(t)
     try:
         rebuilt = blowup_mod.psi2_level_tree(t.base, idx)

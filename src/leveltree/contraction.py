@@ -14,7 +14,7 @@ endpoint, and re-leveling:
 
 ``index_identity_report`` checks how the index data transforms.  The
 literal bookkeeping identity for the minus part admits boundary
-counterexamples ("dropout" edges, see ``minus_part_dropouts``), so the strict
+counterexamples ("dropout" edges, the report's ``dropouts``), so the strict
 and the corrected reading are exposed separately.
 """
 
@@ -130,27 +130,6 @@ def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
 # Index bookkeeping identities
 # ---------------------------------------------------------------------------
 
-def _dropouts(t: WeightedLevelTree, bottom: int, i_m: frozenset) -> frozenset[Edge]:
-    rank = t.ranks().of_vertex
-    return frozenset(e for e in index_partition(t).i_m - i_m
-                     if rank[t.tree.parent[e]] >= bottom)
-
-
-def _new_bottom(t: WeightedLevelTree, plus_mask: int) -> int:
-    """Rank of the contraction's bottom level ``min(I_plus \\ I)``, or of
-    level 0 when every level collapses."""
-    kept = _kept_ranks(level_data(t), plus_mask)
-    return kept[-1] if kept else 0
-
-
-def minus_part_dropouts(t: WeightedLevelTree, subset: Iterable) -> frozenset[Edge]:
-    """Surviving below-``m`` hat edges whose upper endpoint lands exactly on
-    the new bottom level: they leave the hat-edge family of the contraction
-    and reappear in its minus part."""
-    plus_mask, i_m, _ = index_partition(t).split(subset)
-    return _dropouts(t, _new_bottom(t, plus_mask), i_m)
-
-
 @dataclass(frozen=True)
 class IndexIdentityReport:
     m_ok: bool
@@ -175,15 +154,22 @@ def index_identity_report(t: WeightedLevelTree, subset: Iterable,
     new_part = index_partition(res.tree)
     new_m = level_data(res.tree).m
 
-    levels = t.ranks().levels
-    bottom = _new_bottom(t, plus_mask)
-    dropouts = _dropouts(t, bottom, i_m)
+    ranks = t.ranks()
+    levels = ranks.levels
+    kept = _kept_ranks(level_data(t), plus_mask)
+    # the rank of the new bottom level min(I_plus \ I), or of level 0 when
+    # every level collapses
+    bottom = kept[-1] if kept else 0
+    # dropouts: surviving below-m hat edges whose upper endpoint lands exactly
+    # on the new bottom level; they leave the hat-edge family of the
+    # contraction and reappear in its minus part
+    dropouts = frozenset(e for e in part.i_m - i_m
+                         if ranks.of_vertex[t.tree.parent[e]] >= bottom)
     expected_mid = part.i_m - i_m - dropouts
     expected_minus_strict = part.i_minus - i_minus
     return IndexIdentityReport(
         m_ok=(new_m == levels[bottom]),
-        plus_ok=(new_part.i_plus
-                 == {levels[k] for k in _kept_ranks(level_data(t), plus_mask)}),
+        plus_ok=(new_part.i_plus == {levels[k] for k in kept}),
         mid_ok=(new_part.i_m == expected_mid),
         minus_ok_strict=(new_part.i_minus == expected_minus_strict),
         minus_ok_corrected=(new_part.i_minus == expected_minus_strict | dropouts),

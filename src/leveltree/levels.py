@@ -242,17 +242,11 @@ def level_successor(t: WeightedLevelTree, i) -> Level:
 
 def edge_span(t: WeightedLevelTree, e: Edge) -> frozenset[Level]:
     """Occupied levels in ``[edge_level(e), level(v_e^+))`` for a hat edge:
-    the levels whose gap the edge crosses."""
-    memo = t._memo
-    if "spans" not in memo:
-        data = level_data(t)
-        levels, rank = t.ranks().levels, t.ranks().of_vertex
-        memo["spans"] = {e: frozenset(levels[rank[t.tree.parent[e]] + 1:k + 1])
-                         for e, k in data.edge_rank.items()}
-    spans = memo["spans"]
-    if e not in spans:
+    the levels whose gap the edge crosses, read off its ``LevelData.span``."""
+    span = level_data(t).span.get(e)
+    if span is None:
         raise DomainError(f"edge {e!r} has no span: it is not a hat edge")
-    return spans[e]
+    return frozenset(x for k, x in enumerate(t.ranks().levels) if span >> k & 1)
 
 
 def cross_section(t: WeightedLevelTree, i) -> frozenset[Edge]:
@@ -355,6 +349,13 @@ def special_choices(t: WeightedLevelTree) -> dict[Level, tuple[Edge, ...]]:
 def default_special(t: WeightedLevelTree) -> dict[Level, Edge]:
     """Lexicographically smallest vertex at each level of ``I_plus``."""
     return {i: choices[0] for i, choices in special_choices(t).items()}
+
+
+def default_special_by_rank(t: WeightedLevelTree) -> tuple:
+    """``default_special`` by rank, as ``special_by_rank`` reads a map, read
+    off the rank table without a level lookup."""
+    at = t.ranks().at
+    return (None,) + tuple(at[k][0] for k in range(1, level_data(t).m_rank + 1))
 
 
 def special_by_rank(t: WeightedLevelTree, special: SpecialMap) -> tuple:

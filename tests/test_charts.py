@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from leveltree import charts
-from leveltree.charts import (BasePoint, build_chart, build_inverse, build_mu,
+from leveltree import charts, levels
+from leveltree.charts import (BasePoint, ChartFrame, build_chart, build_inverse, build_mu,
                               check_mu_vanishing, evaluate, forward_map,
                               remark_identities, sigma, verify_parameter_transition,
                               verify_round_trip,
@@ -18,8 +18,8 @@ from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, VerificationError
 from leveltree.levels import (WeightedLevelTree, default_special, index_partition,
-                              make_level_tree, special_choices)
-from leveltree.monomial import Monomial, MonomialMap, parse_monomial
+                              make_level_tree, special_by_rank, special_choices)
+from leveltree.monomial import Monomial, MonomialMap, Stratum, parse_monomial
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "nested_chart.txt"
@@ -203,17 +203,41 @@ def test_chart_suite_exhaustively_tiny():
 def test_theta_vanishes_exactly_on_surviving_edges():
     # imposing a stratum kills the modular parameter of an edge iff the edge
     # survives the matching contraction
-    from leveltree.charts import stratum_of
     for t in gen_instances(EnumSpec(max_edges=3, max_weight=1)):
         chart = build_chart(t, tags=())
         for I in index_partition(t).subsets():
-            strat = stratum_of(chart.frame, I)
+            strat = charts.stratum_target(chart.frame, I).stratum
             surviving = contract(t, I).tree.edges()
             for e in t.edges():
                 reduced = strat.reduce(chart.theta.assignment[zeta(e)])
                 assert reduced.is_zero == (e in surviving)
                 if e not in surviving:
                     assert strat.is_unit(reduced)
+
+
+def reference_stratum(frame, subset) -> Stratum:
+    """The chart stratum of ``subset``, built on its own: surviving labels
+    pin their coordinates to zero, collapsed labels make them units, and
+    ``u`` over hat-but-not-dropping edges is a unit everywhere."""
+    part = frame.part
+    plus_mask, i_m, i_minus = part.split(subset)
+    top = range(1, frame.data.m_rank + 1)
+    zeros = {frame.eps_at[k] for k in top if not plus_mask >> k & 1}
+    zeros |= {frame.usym(e) for e in part.i_m - i_m}
+    zeros |= {frame.zsym(e) for e in part.i_minus - i_minus}
+    units = {frame.eps_at[k] for k in top if plus_mask >> k & 1}
+    units |= {frame.usym(e) for e in i_m}
+    units |= {frame.zsym(e) for e in i_minus}
+    units |= {frame.usym(e)
+              for e in frame.data.hat_edges - part.i_m - frame.special_edges()}
+    return Stratum(zeros=frozenset(zeros), units=frozenset(units))
+
+
+def test_the_subset_record_holds_the_stratum():
+    for t in gen_instances(EnumSpec(max_edges=3)):
+        frame = build_chart(t).frame
+        for I in index_partition(t).subsets():
+            assert charts.stratum_target(frame, I).stratum == reference_stratum(frame, I)
 
 
 def test_stratum_target_invariant_raises_without_asserts(nested_chart, monkeypatch):
@@ -254,6 +278,52 @@ def test_build_chart_keeps_one_chart_per_arguments(nested_tree):
               build_chart(t, flavor="a:"), build_chart(releveled), build_chart(_copy(t))]
     assert all(other is not chart for other in others)
     assert len({id(other) for other in others}) == len(others)
+
+
+def test_a_given_special_map_is_read_once(nested_tree, monkeypatch):
+    real, calls = levels.special_by_rank, []
+
+    def counting(t, special):
+        calls.append(special)
+        return real(t, special)
+
+    for module in (charts, levels):
+        monkeypatch.setattr(module, "special_by_rank", counting)
+    special = {F(-1): "b", F(-2): "c"}
+    chart = build_chart(nested_tree, special)  # cold
+    assert calls == [special]
+    assert chart.frame.special == special
+    assert chart.frame.special_at == (None, "b", "c")
+    ChartFrame(t=nested_tree, special_at=chart.frame.special_at, flavor="a:")
+    assert calls == [special]
+
+
+def test_the_suites_share_one_chart_of_the_class(monkeypatch):
+    """The chart and blowup suites read one flavorless chart of the class's
+    representative, with the default special edges and the tags of the
+    checks; the memo is read as the executor drops it."""
+    real, kept = charts.drop_charts, []
+
+    def spy(t):
+        kept.append((t, list(t._memo.get("charts", {}))))
+        real(t)
+
+    monkeypatch.setattr(charts, "drop_charts", spy)
+    groups = {}  # instances sharing the tree, the positive vertices and levels
+    for t in gen_instances(EnumSpec(max_edges=3)):
+        groups.setdefault((tuple(sorted(t.tree.parent.items())),
+                           frozenset(t.base.positive_vertices()),
+                           tuple(sorted(t.level.items()))), t)
+    for k, t in enumerate(groups.values()):
+        report = RunReport(suite="charts and blowup")
+        run_checks(t, SUITES["charts"] + SUITES["blowup"], report, f"#{k}")
+        assert report.ok(), report.failures[:5]
+    assert [t for t, _ in kept] == list(groups.values())
+    for t, keys in kept:
+        default = special_by_rank(t, default_special(t))
+        assert [key for key in keys if key[0] == default and key[2] == ""] \
+            == [(default, charts.CHECK_TAGS, "")]
+        assert all(tags == charts.CHECK_TAGS for _, tags, _ in keys)
 
 
 def test_chart_equality_ignores_cached_mu_tables(nested_tree):

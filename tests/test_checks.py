@@ -9,7 +9,7 @@ import pytest
 from leveltree.checks import (CHECKS, CLASS, DROPOUT_REMARK, INSTANCE, SUBSET,
                               SUITES, Check, RunReport, run_checks)
 from leveltree.cli import run
-from leveltree.contraction import minus_part_dropouts
+from leveltree.contraction import index_identity_report
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
 from leveltree.levels import (MAX_SUBSET_LABELS, WeightedLevelTree, index_partition,
@@ -132,7 +132,8 @@ def test_suites_pass_exhaustively_small():
         sum(2 ** len(index_partition(ts[0])) for ts in groups.values())
     assert report.remarks == {DROPOUT_REMARK: sum(
         1 for first, *_ in groups.values()
-        for I in index_partition(first).subsets() if minus_part_dropouts(first, I))}
+        for I in index_partition(first).subsets()
+        if index_identity_report(first, I).dropouts)}
 
 
 @pytest.mark.parametrize("releveling", sorted(RELEVELINGS))

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from leveltree.blowup import MAX_SECTIONS
+from leveltree.charts import TwistedChart
 from leveltree.cli import run
 from leveltree.levels import make_level_tree
 from leveltree.tree import tree_json
@@ -118,6 +120,24 @@ def test_blowup_report(tree_file, tmp_path, capsys):
 def test_blowup_report_matches_golden(tree_file, capsys):
     assert run(["blowup-report", tree_file]) == 0
     assert capsys.readouterr().out == GOLDEN_BLOWUP.read_text()
+
+
+@pytest.mark.parametrize("argv", [["chart"], ["blowup-report"], ["verify", "--suite", "blowup"]])
+def test_commands_leave_no_chart_to_the_cyclic_collector(tree_file, capsys, argv):
+    # a chart kept in its tree's memo refers back to the tree, so a command
+    # that kept it would leave the cycle for the collector, switched off here
+    def live_charts():
+        return [o for o in gc.get_objects() if isinstance(o, TwistedChart)]
+
+    gc.collect()
+    before = live_charts()
+    gc.disable()
+    try:
+        assert run([argv[0], tree_file, *argv[1:]]) == 0
+        left = [o for o in live_charts() if not any(o is b for b in before)]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def _spoke_file(tmp_path, n: int) -> str:

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from leveltree.contraction import (contract, index_identity_report,
-                                   minus_part_dropouts,
                                    nested_contraction_coherent,
                                    verify_equivalence_compat)
 from leveltree.enumerate import EnumSpec, gen_instances
@@ -68,7 +67,6 @@ def test_boundary_dropout_is_the_only_strict_failure(boundary_tree):
     assert not rep.minus_ok_strict
     assert rep.minus_ok_corrected
     assert rep.dropouts == {"q"}
-    assert minus_part_dropouts(boundary_tree, {F(-2)}) == {"q"}
 
 
 def test_dropout_edge_lands_in_the_minus_part(boundary_tree):

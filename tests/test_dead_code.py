@@ -2,7 +2,8 @@
 every method that is not a dunder is referenced by name somewhere in
 ``src/``, ``tests/`` or ``bench/`` outside its own definition, and every
 name a module of the package (other than ``__init__.py``, which re-exports)
-imports is used in that module.
+imports is used in that module.  A definition that only ``tests/``
+references is listed in ``TEST_ONLY``, so none is added unnoticed.
 
 A reference is a bare name or an attribute name in the parsed source, so a
 method counts as used when any attribute of that name is read.  Imports and
@@ -38,25 +39,48 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def unreferenced() -> list[str]:
-    files = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+def _referenced_from(dirs: tuple[str, ...]) -> list[str]:
+    """The package's definitions that no file under ``dirs`` references
+    outside the definition itself."""
+    files = [p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
     refs: dict[str, list] = {}
-    parsed = {}
     for path in files:
-        parsed[path] = tree = ast.parse(path.read_text(encoding="utf-8"))
-        for name, line in _references(tree):
+        for name, line in _references(ast.parse(path.read_text(encoding="utf-8"))):
             refs.setdefault(name, []).append((path, line))
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, name, first, last in _definitions(parsed[path]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, name, first, last in _definitions(tree):
             if not any(p != path or not first <= line <= last
                        for p, line in refs.get(name, ())):
                 out.append(f"{path.name}: {qualified}")
     return out
 
 
+def unreferenced() -> list[str]:
+    return _referenced_from(("src", "tests", "bench"))
+
+
 def test_every_definition_is_referenced():
     assert unreferenced() == []
+
+
+# Definitions that only tests reference (bench/tracing.py wraps
+# ``levels.edge_span`` by its name as a string, which does not count).  The
+# list may only shrink: a definition that gains a caller in src/ or bench/
+# leaves it, and a new test-only definition belongs in the tests.
+TEST_ONLY = {
+    "blowup.py: is_traverse_section", "blowup.py: section_compare",
+    "charts.py: BasePoint", "charts.py: evaluate",
+    "contraction.py: nested_contraction_coherent",
+    "levels.py: ascent_sequence", "levels.py: edge_span", "levels.py: level_successor",
+    "monomial.py: parse_monomial", "tree.py: RootedTree.endpoints",
+}
+
+
+def test_no_new_test_only_definitions():
+    test_only = set(_referenced_from(("src", "bench"))) - set(unreferenced())
+    assert sorted(test_only) == sorted(TEST_ONLY)
 
 
 def unused_imports() -> list[str]:
