@@ -24,18 +24,30 @@ Levels are read only through the rank tables of ``levels`` (see
 ``WeightedLevelTree.ranks``): a divisor slot and a blowup stage are level
 ranks.  Line-bundle classes are ``Monomial``s over one symbol ``L_e`` per
 edge, so their bookkeeping is monomial arithmetic.
+
+The centers and divisors are cumulative in ``k`` and in the stage, so the
+tables they read are built once per class and kept in the tree's memo, like
+its rank table: the size of the cross-section of each rank
+(``"section_sizes"``), the listed sections touching the non-dropping hat
+edges sorted by size, with the least ``k`` at which each has a witness edge
+(``"zk_components"``, kept for one section listing), the ``t:eps`` gap
+symbol of each rank (``"t:eps"``), and the scaling monomial of the last
+stage asked for (``"stage_factor"``), which the next stage extends.  The
+two sides of the bundle identity are running products down the tree.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .charts import CHECK_TAGS, ONE, TwistedChart, build_chart, sigma, zeta
+from .charts import (CHECK_TAGS, ONE, ChartFrame, TwistedChart, build_chart,
+                     sigma, zeta)
 from .errors import DomainError, InfeasibleError, VerificationError
-from .levels import (Level, WeightedLevelTree, cross_section,
+from .levels import (WeightedLevelTree, cross_section,
                      default_special_by_rank, index_partition, level_data)
 from .monomial import Monomial, MonomialMap, Symbol, compose
 from .tree import Cmp, Edge, RootedTree, Vertex, WeightedTree
@@ -113,14 +125,52 @@ def order_compatible(bar: RootedTree) -> bool:
     return all(len(bar.children(v)) != 1 for v in bar.edges)
 
 
+def _section_sizes(t: WeightedLevelTree) -> tuple[int, ...]:
+    """The number of edges in the cross-section of each rank ``1..m_rank``
+    (entry 0 is 0), counted once per class: a hat edge's span covers the
+    ranks from just below its upper endpoint down to its edge rank."""
+    memo = t._memo
+    if "section_sizes" not in memo:
+        data = level_data(t)
+        rank = t.ranks().of_vertex
+        starts = [0] * (data.m_rank + 2)  # +1 where a span starts, -1 past its end
+        for e, k in data.edge_rank.items():
+            starts[rank[t.tree.parent[e]] + 1] += 1
+            starts[k + 1] -= 1
+        memo["section_sizes"] = tuple(itertools.accumulate(starts[:-1]))
+    return memo["section_sizes"]
+
+
 def _qualifying_ranks(chart: TwistedChart, k: int) -> list[int]:
     """The ranks of the levels whose cross-section has at most ``k`` edges."""
     if k < 1:
         raise DomainError("divisor index must be positive")
-    t = chart.frame.t
-    levels = t.ranks().levels
-    return [r for r in range(1, chart.frame.data.m_rank + 1)
-            if len(cross_section(t, levels[r])) <= k]
+    sizes = _section_sizes(chart.frame.t)
+    return [r for r in range(1, len(sizes)) if sizes[r] <= k]
+
+
+def _zk_table(frame: ChartFrame, sections: frozenset) -> tuple[list, list, list, list]:
+    """The ``sections`` touching the non-dropping hat edges, sorted by size:
+    their sizes, the sections, the least ``k`` at which each has a witness
+    edge, and the running maximum of those.  An edge is a witness once each
+    rank it crosses qualifies, so from the largest size among them on.
+    Kept in the tree's memo for the last ``sections`` object asked about."""
+    t, data = frame.t, frame.data
+    last = t._memo.get("zk_components")
+    if last is not None and last[0] is sections:
+        return last[1]
+    keep = data.hat_edges - frame.part.i_m
+    sizes = _section_sizes(t)
+    rank = t.ranks().of_vertex
+    edge_ready = {e: max(sizes[rank[t.tree.parent[e]] + 1:data.edge_rank[e] + 1])
+                  for e in keep}
+    rows = sorted(((len(s), min(edge_ready[e] for e in s & keep), s)
+                   for s in sections if s & keep), key=lambda row: row[0])
+    ready = [w for _, w, _ in rows]
+    table = ([n for n, _, _ in rows], [s for _, _, s in rows], ready,
+             list(itertools.accumulate(ready, max)))
+    t._memo["zk_components"] = (sections, table)
+    return table
 
 
 def zk_components(chart: TwistedChart, sections: Iterable[TraverseSection],
@@ -128,17 +178,17 @@ def zk_components(chart: TwistedChart, sections: Iterable[TraverseSection],
     """Chart components of the ``k``-th cumulative center: the ``sections``
     of the weight-contracted tree of size at most ``k`` that touch the
     non-dropping hat edges.  Each is checked to pull back into the ``Y_k``
-    divisor via a witness edge all of whose crossed gaps qualify."""
-    data = chart.frame.data
-    keep = data.hat_edges - chart.frame.part.i_m
-    closed = sum(1 << r for r in _qualifying_ranks(chart, k))
-    components = frozenset(s for s in sections if len(s) <= k and s & keep)
-    for s in components:
-        if not any(not data.span[e] & ~closed for e in s & keep):
-            raise VerificationError(
-                "no witness edge places the component inside the divisor",
-                witness=s)
-    return components
+    divisor via a witness edge all of whose crossed gaps qualify.  The
+    sections are sorted by size once per class, so ``k`` reads a prefix."""
+    if k < 1:
+        raise DomainError("divisor index must be positive")
+    sizes, listed, ready, worst = _zk_table(chart.frame, sections)
+    n = bisect.bisect_right(sizes, k)
+    if n and worst[n - 1] > k:
+        s = next(s for s, w in zip(listed, ready) if w > k)
+        raise VerificationError(
+            "no witness edge places the component inside the divisor", witness=s)
+    return frozenset(listed[:n])
 
 
 def yk_pullback(chart: TwistedChart, k: int) -> Monomial:
@@ -171,27 +221,23 @@ def psi2_level_tree(tau: WeightedTree, divisor_indices: Sequence[int]) -> Weight
         raise DomainError(f"divisor indices must be ints, not {bad[0]!r}")
     if any(i <= 0 for i in idx) or sorted(set(idx)) != idx:
         raise DomainError("divisor indices must be strictly increasing and positive")
-    slots = [Fraction(-i) for i in idx]  # descending: -i_1 > ... > -i_k
-    if not slots:
-        if tau.weight[tau.root] == 0:
-            raise InfeasibleError("an empty index needs a positively weighted root")
-    bottom = slots[-1] if slots else Fraction(0)
+    if not idx and tau.weight[tau.root] == 0:
+        raise InfeasibleError("an empty index needs a positively weighted root")
+    # integer levels: slot -i for each index i, vertices out of slots below
+    bottom = -idx[-1] if idx else 0
     tree = tau.tree
-    level: dict[Vertex, Level] = {tau.root: Fraction(0)}
+    level: dict[Vertex, int] = {tau.root: 0}
     for v in tree.preorder():
         if v == tau.root:
             continue
         par_level = level[tree.parent[v]]
-        cap = bottom if tau.weight[v] > 0 else Fraction(0)
-        candidates = [s for s in slots if s < par_level and s <= cap]
-        if candidates:
-            level[v] = max(candidates)
-        else:
-            base = min(par_level, bottom)
-            level[v] = base - 1
-    out = WeightedLevelTree(base=tau, level=level)
-    got = index_partition(out).i_plus
-    if got != frozenset(slots):
+        cap = bottom if tau.weight[v] > 0 else 0
+        # the highest slot strictly below the parent and at or below the cap
+        pos = bisect.bisect_left(idx, max(1 - par_level, -cap))
+        level[v] = -idx[pos] if pos < len(idx) else min(par_level, bottom) - 1
+    out = WeightedLevelTree(base=tau, level={v: Fraction(x) for v, x in level.items()})
+    slots = frozenset(Fraction(-i) for i in idx)
+    if index_partition(out).i_plus != slots:
         raise InfeasibleError(
             f"no level map over this tree has level index {sorted(slots)}")
     return out
@@ -204,11 +250,6 @@ def psi2_level_tree(tau: WeightedTree, divisor_indices: Sequence[int]) -> Weight
 def _bundle(e: Edge) -> Monomial:
     """The basis line-bundle class of an edge."""
     return Monomial.sym(Symbol("L", e))
-
-
-def ancestor_bundle(t: WeightedLevelTree, e: Edge) -> Monomial:
-    """The product of the basis classes over all edges at or above ``e``."""
-    return Monomial.product(_bundle(a) for a in t.tree.descendants_geq(e))
 
 
 def twisted_bundles(t: WeightedLevelTree
@@ -230,28 +271,61 @@ def twisted_bundles(t: WeightedLevelTree
     return tuple(by_rank), by_edge
 
 
+def _bundle_sides(t: WeightedLevelTree) -> Iterator[tuple[Edge, Monomial, Monomial]]:
+    """The two sides of the bundle identity at each hat edge, as running
+    products: the edges are taken by edge rank, which puts each hat edge
+    after the one above it, so an edge's ancestor products are its parent
+    edge's times one factor, and the product of the twisted level classes
+    above its level extends the previous edge's.  An edge's products are
+    kept until its last child has read them."""
+    data = level_data(t)
+    by_rank, by_edge = twisted_bundles(t)
+    tree = t.tree
+    # what the children of a vertex read: the twists of the edges at or
+    # above it, each divided by its level's, and their plain product
+    above = {tree.root: (ONE, ONE)}
+    unread: dict[Edge, int] = {}  # children yet to read an edge's entry
+    levels_above, filled = ONE, 1  # the product of by_rank[1:filled]
+    for e in sorted(data.edge_rank, key=data.edge_rank.get):
+        k = data.edge_rank[e]
+        levels_above = levels_above * Monomial.product(by_rank[filled:k])
+        filled = k
+        p = tree.parent[e]
+        twists, plain = above[p]
+        if p in unread:
+            unread[p] -= 1
+            if not unread[p]:
+                del above[p], unread[p]
+        plain = plain * _bundle(e)
+        yield e, by_edge[e] * twists, plain / levels_above
+        if k < data.m_rank and tree.children(e):  # its children are hat edges
+            above[e] = twists * by_edge[e] / by_rank[k], plain
+            unread[e] = len(tree.children(e))
+
+
 def bundle_identity(t: WeightedLevelTree) -> bool:
     """For every hat edge, correcting its twisted class by the ancestor
     twists recovers the plain ancestor product divided by all twisted level
     classes strictly above its level, with the default special edges."""
-    data = level_data(t)
-    if not data.m_rank:
+    if not level_data(t).m_rank:
         raise DomainError("the identity needs a nonempty level index")
-    by_rank, by_edge = twisted_bundles(t)
-    for e, k in data.edge_rank.items():
-        lhs = by_edge[e] * Monomial.product(by_edge[a] / by_rank[data.edge_rank[a]]
-                                            for a in t.tree.ancestors_gt(e))
-        if lhs != ancestor_bundle(t, e) / Monomial.product(by_rank[1:k]):
-            return False
-    return True
+    return all(lhs == rhs for _, lhs, rhs in _bundle_sides(t))
 
 
 # ---------------------------------------------------------------------------
 # The blowup-side chart and its comparison with the twisted chart
 # ---------------------------------------------------------------------------
 
-def _teps(i: Level) -> Symbol:
-    return Symbol("t:eps", i)
+def _gap_symbols(t: WeightedLevelTree) -> tuple[tuple, dict[Symbol, int]]:
+    """The blowup chart's gap symbol ``t:eps`` of each rank ``1..m_rank``
+    (entry 0 is ``None``), and the rank of each, built once per class."""
+    memo = t._memo
+    if "t:eps" not in memo:
+        levels = t.ranks().levels
+        at = (None,) + tuple(Symbol("t:eps", levels[k])
+                             for k in range(1, level_data(t).m_rank + 1))
+        memo["t:eps"] = at, {s: k for k, s in enumerate(at) if k}
+    return memo["t:eps"]
 
 
 def blowup_side_maps(t: WeightedLevelTree
@@ -269,7 +343,7 @@ def blowup_side_maps(t: WeightedLevelTree
         return ONE if e in frame.special_edges() else Monomial.sym(Symbol("rho", e))
 
     top = range(1, data.m_rank + 1)
-    teps_at = (None,) + tuple(_teps(t.ranks().levels[k]) for k in top)
+    teps_at = _gap_symbols(t)[0]
 
     source = {teps_at[k] for k in top}
     source |= {Symbol("rho", e)
@@ -324,6 +398,19 @@ def psi2_chart_check(t: WeightedLevelTree) -> bool:
     return compose(chart.theta, comparison).assignment == projection.assignment
 
 
+def _stage_factor(t: WeightedLevelTree, step: int) -> Monomial:
+    """The scaling monomial of a stage, the product of the gap symbols of
+    the ranks above it: the last one asked for is kept in ``t``'s memo and
+    extended, since the checks go through the stages in order."""
+    at = _gap_symbols(t)[0]
+    done, factor = t._memo.get("stage_factor", (1, ONE))
+    if done > step:
+        done, factor = 1, ONE
+    factor = factor * Monomial.product(Monomial.sym(at[j]) for j in range(done, step))
+    t._memo["stage_factor"] = step, factor
+    return factor
+
+
 def stage_ideals(t: WeightedLevelTree, step: int
                  ) -> tuple[frozenset[Monomial], frozenset[Monomial], Monomial]:
     """Generators of the stage-center ideal and of the cumulative-center
@@ -346,7 +433,7 @@ def stage_ideals(t: WeightedLevelTree, step: int
     generators = frozenset(
         Monomial.sym(Symbol("zch" if e in prev_section else "zt", e))
         for e in section)
-    factor = Monomial.product(Monomial.sym(_teps(levels[j])) for j in range(1, step))
+    factor = _stage_factor(t, step)
     cumulative = frozenset(g * factor for g in generators)
     return generators, cumulative, factor
 
@@ -361,5 +448,5 @@ def ideal_transform_check(t: WeightedLevelTree, step: int) -> bool:
     generators, cumulative, factor = stage_ideals(t, step)
     if frozenset(g / factor for g in cumulative) != generators:
         return False
-    rank = t.ranks().of_level
-    return all(s.kind == "t:eps" and rank[s.key] < step for s in factor.symbols())
+    rank = _gap_symbols(t)[1]
+    return all(rank.get(s, step) < step for s in factor.symbols())

@@ -685,6 +685,9 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
     special_new = {levels[k]: frame.special_at[k] for k in tops[1:]}
     new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
     prime = build_chart(tpr, special_new, new_tags, "p:")
+    # the chart refers back to tpr, which t's contract memo keeps, so it
+    # leaves tpr's memo here and goes with the last reference to it
+    drop_charts(tpr)
     fp = prime.frame
     mu_I = chart.mu(subset)
     theta = chart.theta.assignment

@@ -13,6 +13,10 @@ checks of ``verify`` refuse more than ``levels.MAX_SUBSET_LABELS`` labels,
 ``blowup-report`` and the blowup suite more than ``blowup.MAX_SECTIONS``
 traverse sections, and ``enumerate`` more than ``ENUM_MAX_EDGES`` edges or
 weights above ``ENUM_MAX_WEIGHT``.
+
+The argument parser is built once per process, on the first ``run``, and
+reused by every later call; ``LEVELTREE_MAX_EDGES`` is read by ``enumerate``
+alone, when it runs.
 """
 
 from __future__ import annotations
@@ -197,6 +201,8 @@ ENUM_MAX_WEIGHT = 2
 
 
 def _default_max_edges() -> int:
+    """The edge bound of ``enumerate`` without ``--max-edges``, read when it
+    runs, so a bad value fails only that subcommand."""
     raw = os.environ.get("LEVELTREE_MAX_EDGES", "4")
     try:
         return int(raw)
@@ -205,11 +211,12 @@ def _default_max_edges() -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.max_edges > ENUM_MAX_EDGES or args.max_weight > ENUM_MAX_WEIGHT:
+    max_edges = _default_max_edges() if args.max_edges is None else args.max_edges
+    if max_edges > ENUM_MAX_EDGES or args.max_weight > ENUM_MAX_WEIGHT:
         raise DomainError(f"enumerate is bounded to {ENUM_MAX_EDGES} edges and weight "
-                          f"{ENUM_MAX_WEIGHT}; asked for {args.max_edges} edges and "
+                          f"{ENUM_MAX_WEIGHT}; asked for {max_edges} edges and "
                           f"weight {args.max_weight}")
-    spec = enum_mod.EnumSpec(max_edges=args.max_edges, max_weight=args.max_weight,
+    spec = enum_mod.EnumSpec(max_edges=max_edges, max_weight=args.max_weight,
                              max_levels=args.max_levels)
     count = 0
     for t in enum_mod.gen_instances(spec, stable_only=args.stable_only):
@@ -259,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_blowup_report)
 
     p = sub.add_parser("enumerate", help="emit all small instances as JSON lines")
-    p.add_argument("--max-edges", type=int, default=_default_max_edges())
+    p.add_argument("--max-edges", type=int)
     p.add_argument("--max-weight", type=int, default=2)
     p.add_argument("--max-levels", type=int, default=5)
     p.add_argument("--count-only", action="store_true")
@@ -269,9 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first ``run``
+
+
 def run(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "

@@ -18,10 +18,11 @@ data is computed on integer order ranks: rank 0 is level 0 and ranks grow
 downwards through the occupied levels.  Each tree keeps its rank tables in
 its memo: the occupied levels and every vertex's rank
 (``WeightedLevelTree.ranks``), each hat edge's span as a bitmask over ranks
-(``LevelData.span``), and the cross-sections.  They are built on first use,
-except that ``contract`` hands a contraction its rank table: the
-contraction's levels are levels of its parent tree, so its table is the
-parent's, restricted to the surviving ranks.
+(``LevelData.span``), the cross-sections and the default special edges by
+rank.  They are built on first use, except that ``contract`` hands a
+contraction its rank table: the contraction's levels are levels of its
+parent tree, so its table is the parent's, restricted to the surviving
+ranks.
 
 Trees come from two paths.  The public constructors -- used for file and
 CLI input, ``make_level_tree``, relevelings, ``canonical_form`` and the
@@ -353,9 +354,13 @@ def default_special(t: WeightedLevelTree) -> dict[Level, Edge]:
 
 def default_special_by_rank(t: WeightedLevelTree) -> tuple:
     """``default_special`` by rank, as ``special_by_rank`` reads a map, read
-    off the rank table without a level lookup."""
-    at = t.ranks().at
-    return (None,) + tuple(at[k][0] for k in range(1, level_data(t).m_rank + 1))
+    off the rank table without a level lookup and kept in ``t``'s memo."""
+    memo = t._memo
+    if "default_special" not in memo:
+        at = t.ranks().at
+        memo["default_special"] = (None,) + tuple(
+            at[k][0] for k in range(1, level_data(t).m_rank + 1))
+    return memo["default_special"]
 
 
 def special_by_rank(t: WeightedLevelTree, special: SpecialMap) -> tuple:

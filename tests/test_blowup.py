@@ -1,20 +1,23 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from leveltree.blowup import (MAX_SECTIONS, bundle_identity,
+from leveltree import blowup
+from leveltree.blowup import (MAX_SECTIONS, bundle_identity, divisor_slots,
                               ideal_transform_check, is_traverse_section,
                               order_compatible, psi2_chart_check,
                               psi2_level_tree, section_compare, stage_ideals,
-                              traverse_sections, weight_contracted_tree,
-                              yk_pullback, zk_components)
+                              traverse_sections, twisted_bundles,
+                              weight_contracted_tree, yk_pullback, zk_components)
 from leveltree.charts import build_chart
+from leveltree.checks import SUITES, RunReport, run_checks
 from leveltree.enumerate import EnumSpec, gen_instances, gen_weighted_trees
-from leveltree.errors import DomainError, InfeasibleError
+from leveltree.errors import DomainError, InfeasibleError, VerificationError
 from leveltree.levels import (WeightedLevelTree, cross_section, index_partition,
                               is_equivalent, level_data, make_level_tree)
-from leveltree.monomial import parse_monomial
+from leveltree.monomial import Monomial, Symbol, parse_monomial
 from leveltree.tree import Cmp, RootedTree, WeightedTree
 
 F = Fraction
@@ -257,3 +260,172 @@ def test_ideal_transform_check_all_steps(nested_tree, deep_fan):
         # same stages, cut out by the same edges
         for step in range(1, len(index_partition(t).i_plus) + 1):
             assert stage_ideals(doubled, step)[0] == stage_ideals(t, step)[0]
+
+
+# -- the per-k, per-stage and per-edge definitions the blowup tables replace --
+
+def reference_qualifying_ranks(chart, k):
+    t = chart.frame.t
+    levels = t.ranks().levels
+    return [r for r in range(1, chart.frame.data.m_rank + 1)
+            if len(cross_section(t, levels[r])) <= k]
+
+
+def reference_zk_components(chart, sections, k):
+    """Every section filtered for each ``k``, each component checked for a
+    witness edge against the qualifying ranks of ``k``."""
+    data = chart.frame.data
+    keep = data.hat_edges - chart.frame.part.i_m
+    closed = sum(1 << r for r in reference_qualifying_ranks(chart, k))
+    components = frozenset(s for s in sections if len(s) <= k and s & keep)
+    for s in components:
+        if not any(not data.span[e] & ~closed for e in s & keep):
+            raise VerificationError(
+                "no witness edge places the component inside the divisor", witness=s)
+    return components
+
+
+def reference_stage_factor(t, step):
+    levels = t.ranks().levels
+    return Monomial.product(Monomial.sym(Symbol("t:eps", levels[j]))
+                            for j in range(1, step))
+
+
+def ancestor_bundle(t, e):
+    """The product of the basis classes over all edges at or above ``e``."""
+    return Monomial.product(Monomial.sym(Symbol("L", a))
+                            for a in t.tree.descendants_geq(e))
+
+
+def reference_bundle_sides(t):
+    """Both sides of the bundle identity per hat edge, each built from its
+    ancestors."""
+    data = level_data(t)
+    by_rank, by_edge = twisted_bundles(t)
+    out = {}
+    for e, k in data.edge_rank.items():
+        lhs = by_edge[e] * Monomial.product(by_edge[a] / by_rank[data.edge_rank[a]]
+                                            for a in t.tree.ancestors_gt(e))
+        out[e] = lhs, ancestor_bundle(t, e) / Monomial.product(by_rank[1:k])
+    return out
+
+
+def reference_psi2_level_tree(tau, idx):
+    """Every slot scanned with ``Fraction`` compares for each vertex."""
+    slots = [F(-i) for i in idx]
+    if not slots and tau.weight[tau.root] == 0:
+        raise InfeasibleError("an empty index needs a positively weighted root")
+    bottom = slots[-1] if slots else F(0)
+    level = {tau.root: F(0)}
+    for v in tau.tree.preorder():
+        if v == tau.root:
+            continue
+        par_level = level[tau.tree.parent[v]]
+        cap = bottom if tau.weight[v] > 0 else F(0)
+        candidates = [s for s in slots if s < par_level and s <= cap]
+        level[v] = max(candidates) if candidates else min(par_level, bottom) - 1
+    out = WeightedLevelTree(base=tau, level=level)
+    if index_partition(out).i_plus != frozenset(slots):
+        raise InfeasibleError(f"no level map over this tree has level index {sorted(slots)}")
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (VerificationError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+def _agrees_with_the_references(t, seen: set):
+    """The blowup tables of ``t`` against the per-k, per-stage and per-edge
+    definitions; ``t`` needs a positive weight.  The reconstruction reads
+    only the weighted tree and the indices, so pairs in ``seen`` are
+    skipped."""
+    chart = build_chart(t, tags=())
+    sections = traverse_sections(weight_contracted_tree(t.base))
+    n = len(t.edges())
+    for k in range(1, n + 1):
+        assert blowup._qualifying_ranks(chart, k) == reference_qualifying_ranks(chart, k)
+        assert _outcome(zk_components, chart, sections, k) \
+            == _outcome(reference_zk_components, chart, sections, k)
+    m_rank = level_data(t).m_rank
+    # in order, as the checks ask, then from the bottom up
+    for step in [*range(1, m_rank + 1), *range(m_rank, 0, -1)]:
+        assert stage_ideals(t, step)[2] == reference_stage_factor(t, step)
+    if m_rank:
+        assert {e: (lhs, rhs) for e, lhs, rhs in blowup._bundle_sides(t)} \
+            == reference_bundle_sides(t)
+    slots = divisor_slots(t)
+    base = (tuple(sorted(t.tree.parent.items())), tuple(sorted(t.weight.items())))
+    for idx in (slots, slots[1:], [i + 1 for i in slots], slots[:-1] + [n + 2]):
+        if (base, tuple(idx)) in seen:
+            continue
+        seen.add((base, tuple(idx)))
+        new = _outcome(psi2_level_tree, t.base, idx)
+        ref = _outcome(reference_psi2_level_tree, t.base, idx)
+        if isinstance(ref, WeightedLevelTree):
+            assert new.level == ref.level
+            assert all(type(x) is F for x in new.level.values())
+        else:
+            assert new == ref
+
+
+def test_blowup_tables_match_the_references_exhaustively():
+    classes = {}  # the blowup reads the tree, its positive vertices and levels
+    for t in gen_instances(EnumSpec(max_edges=5, max_weight=2, max_levels=5)):
+        classes.setdefault((tuple(sorted(t.tree.parent.items())),
+                            frozenset(t.base.positive_vertices()),
+                            tuple(sorted(t.level.items()))), t)
+    seen = set()
+    for t in classes.values():
+        _agrees_with_the_references(t, seen)
+
+
+def _seeded_tree(shape: str, n: int, rng: random.Random) -> WeightedLevelTree:
+    """A path, a caterpillar (a spine with a leg on each upper vertex) or a
+    broom (a handle ending in a star) of ``n`` edges, with seeded level gaps
+    and weights on its lower part."""
+    spine = {"path": n, "caterpillar": n - n // 2, "broom": n // 2}[shape]
+    parent, weight, level = {}, {"o": 0}, {"o": F(0)}
+    first = spine - spine // 4
+
+    def add(v, up, lvl, weighted):
+        parent[v], level[v] = up, lvl
+        weight[v] = rng.choice((1, 2)) if weighted else 0
+
+    for k in range(1, spine + 1):
+        up = "o" if k == 1 else f"s{k - 1}"
+        add(f"s{k}", up, level[up] - rng.choice((F(1, 2), F(1), F(3, 2))),
+            shape != "broom" and k >= first)
+    if shape == "caterpillar":
+        for k in range(1, n - spine + 1):
+            below = level[f"s{k + 1}"] if k < spine else level[f"s{k}"] - 1
+            add(f"l{k}", f"s{k}", below, k >= first and rng.random() < 0.5)
+    elif shape == "broom":
+        for k in range(1, n - spine + 1):
+            add(f"b{k}", f"s{spine}", level[f"s{spine}"] - F(1 + k % 2, 2),
+                k == 1 or rng.random() < 0.7)
+    return make_level_tree("o", parent, weight, level)
+
+
+def test_blowup_tables_match_the_references_on_large_trees():
+    rng = random.Random(14)
+    for shape in ("path", "caterpillar", "broom"):
+        for n in (24, 40, 56):
+            _agrees_with_the_references(_seeded_tree(shape, n, rng), set())
+
+
+def test_a_wrong_cached_section_size_fails_divisor_containment(nested_tree):
+    report = RunReport(suite="blowup")
+    run_checks(nested_tree, SUITES["blowup"], report, "nested")
+    assert report.ok()
+    # the deeper level's cross-section {a, c, d} cached as 4 edges: at k = 3
+    # the component {a, c, d} has no witness edge
+    t = make_level_tree("o", nested_tree.tree.parent, nested_tree.weight, nested_tree.level)
+    assert blowup._section_sizes(t) == (0, 2, 3)
+    t._memo["section_sizes"] = (0, 2, 4)
+    report = RunReport(suite="blowup")
+    run_checks(t, SUITES["blowup"], report, "planted")
+    assert [(f["operation"], f["detail"].split(":")[0]) for f in report.failures] \
+        == [("divisor-containment", "k=3")]

@@ -318,6 +318,11 @@ def test_the_suites_share_one_chart_of_the_class(monkeypatch):
         report = RunReport(suite="charts and blowup")
         run_checks(t, SUITES["charts"] + SUITES["blowup"], report, f"#{k}")
         assert report.ok(), report.failures[:5]
+    # the stratum transition drops each contracted tree's one recentered chart
+    reps = {id(t) for t in groups.values()}
+    contracted = [keys for t, keys in kept if id(t) not in reps]
+    assert contracted and all(len(keys) == 1 and keys[0][2] == "p:" for keys in contracted)
+    kept = [(t, keys) for t, keys in kept if id(t) in reps]
     assert [t for t, _ in kept] == list(groups.values())
     for t, keys in kept:
         default = special_by_rank(t, default_special(t))

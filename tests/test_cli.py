@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from leveltree import cli
 from leveltree.blowup import MAX_SECTIONS
 from leveltree.charts import TwistedChart
 from leveltree.cli import run
@@ -122,7 +123,8 @@ def test_blowup_report_matches_golden(tree_file, capsys):
     assert capsys.readouterr().out == GOLDEN_BLOWUP.read_text()
 
 
-@pytest.mark.parametrize("argv", [["chart"], ["blowup-report"], ["verify", "--suite", "blowup"]])
+@pytest.mark.parametrize("argv", [["chart"], ["blowup-report"], ["verify", "--suite", "blowup"],
+                                  ["verify", "--suite", "charts"], ["verify", "--suite", "all"]])
 def test_commands_leave_no_chart_to_the_cyclic_collector(tree_file, capsys, argv):
     # a chart kept in its tree's memo refers back to the tree, so a command
     # that kept it would leave the cycle for the collector, switched off here
@@ -163,6 +165,24 @@ def test_blowup_report_lists_every_section(tmp_path, capsys):
     assert "schedule order-compatible: True" in lines
 
 
+def test_blowup_commands_on_a_long_path_finish_in_time(tmp_path, capsys):
+    # a 400-edge path, levels -1..-400, weight on its lowest quarter
+    n = 400
+    t = make_level_tree(root="o", parent={f"s{k}": f"s{k - 1}" if k > 1 else "o"
+                                          for k in range(1, n + 1)},
+                        weight={"o": 0, **{f"s{k}": int(k > n - n // 4)
+                                           for k in range(1, n + 1)}},
+                        level={"o": 0, **{f"s{k}": -k for k in range(1, n + 1)}})
+    path = tmp_path / "path400.json"
+    path.write_text(tree_json(t.base, t.level))
+    start = time.perf_counter()
+    assert run(["verify", str(path), "--suite", "blowup"]) == 0
+    assert run(["blowup-report", str(path)]) == 0
+    assert time.perf_counter() - start < 1.5
+    out = capsys.readouterr().out
+    assert "0 failures" in out and f"divisor pullback k={n}: " in out
+
+
 @pytest.mark.parametrize("argv", [["blowup-report"], ["verify", "--suite", "blowup"],
                                   ["verify", "--suite", "all", "--json"]])
 def test_too_many_sections_are_refused_up_front(tmp_path, capsys, argv):
@@ -190,12 +210,32 @@ def test_enumerate_stream_is_valid_json_lines(capsys):
         assert {"root", "parents", "weights", "levels"} <= set(blob)
 
 
-def test_enumerate_env_override(tree_file, capsys, monkeypatch):
+def test_enumerate_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LEVELTREE_MAX_EDGES", "1")
-    from leveltree.cli import build_parser
-    parser = build_parser()
-    args = parser.parse_args(["enumerate", "--count-only"])
-    assert args.max_edges == 1
+    assert run(["enumerate", "--count-only"]) == 0
+    assert capsys.readouterr().out == "10\n"
+
+
+def test_the_parser_is_built_once(tree_file, capsys, monkeypatch):
+    builds = []
+
+    def spy():
+        builds.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(["validate", tree_file]) == 0
+    assert run(["indices", tree_file, "--json"]) == 0
+    with pytest.raises(SystemExit) as exc:  # a usage error exits through argparse
+        run(["validate"])
+    assert exc.value.code == 2
+    assert run(["validate", tree_file]) == 0
+    assert capsys.readouterr().out.count("ok: 5 vertices, 4 edges, m=-2\n") == 2
+    assert run(["enumerate", "--max-edges", "1", "--count-only"]) == 0
+    assert capsys.readouterr().out == "10\n"
+    assert builds == [1]
 
 
 @pytest.mark.parametrize("argv, env, asked", [
@@ -262,11 +302,16 @@ def test_bad_tag_arguments_are_usage_errors(tree_file, capsys, argv, message):
     assert capsys.readouterr() == ("", message + "\n")
 
 
-def test_non_integer_edge_bound_is_a_usage_error(capsys, monkeypatch):
+def test_non_integer_edge_bound_is_a_usage_error(tree_file, capsys, monkeypatch):
     monkeypatch.setenv("LEVELTREE_MAX_EDGES", "four")
     assert run(["enumerate", "--count-only"]) == 2
     err = capsys.readouterr().err
     assert err == "error: LEVELTREE_MAX_EDGES must be an integer, not 'four'\n"
+    # only enumerate reads the bound
+    assert run(["validate", tree_file]) == 0
+    assert capsys.readouterr() == ("ok: 5 vertices, 4 edges, m=-2\n", "")
+    assert run(["enumerate", "--max-edges", "1", "--count-only"]) == 0
+    assert capsys.readouterr().out == "10\n"
 
 
 GOOD = {"root": "o", "parents": {"a": "o"}, "weights": {"o": 0, "a": 1},
