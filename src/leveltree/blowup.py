@@ -9,11 +9,14 @@ is the principal monomial over the gap coordinates of all levels whose
 cross-section has at most ``k`` edges.  Sections are listed only up to
 ``MAX_SECTIONS``; above it they are refused up front.
 
-The centers are blown up in order of size, which respects the partial order
-on sections (``section_compare``) iff no non-root vertex of the
-weight-contracted tree has exactly one child: if ``s1 > s2``, each edge of
-``s1`` is replaced by a section of the subtree below it, and that
-replacement is a single edge exactly at a one-child vertex.
+The centers are blown up in order of size.  Sections are partially ordered:
+``s1 > s2`` iff they differ and each edge of ``s1`` lies at or above some
+edge of ``s2``.  Blowing up by size respects that order iff no non-root
+vertex of the weight-contracted tree has exactly one child: if ``s1 > s2``,
+each edge of ``s1`` is replaced by a section of the subtree below it, and
+that replacement is a single edge exactly at a one-child vertex.
+``order_compatible`` reads this off the tree; the tests hold the order's
+definition.
 
 The reconstruction direction rebuilds a weighted level tree over a weighted
 tree from prescribed level slots, placing every vertex as high as the slots,
@@ -26,14 +29,14 @@ ranks.  Line-bundle classes are ``Monomial``s over one symbol ``L_e`` per
 edge, so their bookkeeping is monomial arithmetic.
 
 The centers and divisors are cumulative in ``k`` and in the stage, so the
-tables they read are built once per class and kept in the tree's memo, like
-its rank table: the size of the cross-section of each rank
-(``"section_sizes"``), the listed sections touching the non-dropping hat
-edges sorted by size, with the least ``k`` at which each has a witness edge
-(``"zk_components"``, kept for one section listing), the ``t:eps`` gap
-symbol of each rank (``"t:eps"``), and the scaling monomial of the last
-stage asked for (``"stage_factor"``), which the next stage extends.  The
-two sides of the bundle identity are running products down the tree.
+tables they read are built once per class.  The cross-sections are read by
+rank from ``LevelData.sections``.  The tree's memo keeps the listed
+sections touching the non-dropping hat edges sorted by size, with the least
+``k`` at which each has a witness edge (``"zk_components"``, kept for one
+section listing), the ``t:eps`` gap symbol of each rank (``"t:eps"``), and
+the scaling monomial of the last stage asked for (``"stage_factor"``),
+which the next stage extends.  The two sides of the bundle identity are
+running products down the tree.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ from typing import Iterable, Iterator, Sequence
 from .charts import (CHECK_TAGS, ONE, ChartFrame, TwistedChart, build_chart,
                      sigma, zeta)
 from .errors import DomainError, InfeasibleError, VerificationError
-from .levels import (WeightedLevelTree, cross_section,
-                     default_special_by_rank, index_partition, level_data)
+from .levels import (WeightedLevelTree, default_special_by_rank,
+                     index_partition, level_data)
 from .monomial import Monomial, MonomialMap, Symbol, compose
-from .tree import Cmp, Edge, RootedTree, Vertex, WeightedTree
+from .tree import Edge, RootedTree, Vertex, WeightedTree
 
 TraverseSection = frozenset
 MAX_SECTIONS = 2 ** 14
@@ -78,34 +81,6 @@ def traverse_sections(tree: RootedTree) -> frozenset[TraverseSection]:
     return frozenset(below[tree.root])
 
 
-def is_traverse_section(tree: RootedTree, edges: Iterable[Edge]) -> bool:
-    edges = frozenset(edges)
-    if not edges <= tree.edges:
-        return False
-    for leaf in tree.leaves():
-        path = [v for v in tree.root_path(leaf) if v != tree.root]
-        if sum(1 for e in path if e in edges) != 1:
-            return False
-    return True
-
-
-def section_compare(tree: RootedTree, s1: Iterable[Edge], s2: Iterable[Edge]) -> Cmp:
-    """``s1 > s2`` iff they differ and every edge of ``s1`` dominates some
-    edge of ``s2`` in the tree order."""
-    s1, s2 = frozenset(s1), frozenset(s2)
-    if s1 == s2:
-        return Cmp.EQUAL
-
-    def dominates(a: frozenset, b: frozenset) -> bool:
-        return all(any(tree.edge_geq(e, f) for f in b) for e in a)
-
-    if dominates(s1, s2):
-        return Cmp.GREATER
-    if dominates(s2, s1):
-        return Cmp.LESS
-    return Cmp.INCOMPARABLE
-
-
 def weight_contracted_tree(wt: WeightedTree) -> RootedTree:
     """Contract every edge having a positively weighted vertex at or above its
     upper endpoint; what remains is the weightless upper shell."""
@@ -125,28 +100,12 @@ def order_compatible(bar: RootedTree) -> bool:
     return all(len(bar.children(v)) != 1 for v in bar.edges)
 
 
-def _section_sizes(t: WeightedLevelTree) -> tuple[int, ...]:
-    """The number of edges in the cross-section of each rank ``1..m_rank``
-    (entry 0 is 0), counted once per class: a hat edge's span covers the
-    ranks from just below its upper endpoint down to its edge rank."""
-    memo = t._memo
-    if "section_sizes" not in memo:
-        data = level_data(t)
-        rank = t.ranks().of_vertex
-        starts = [0] * (data.m_rank + 2)  # +1 where a span starts, -1 past its end
-        for e, k in data.edge_rank.items():
-            starts[rank[t.tree.parent[e]] + 1] += 1
-            starts[k + 1] -= 1
-        memo["section_sizes"] = tuple(itertools.accumulate(starts[:-1]))
-    return memo["section_sizes"]
-
-
 def _qualifying_ranks(chart: TwistedChart, k: int) -> list[int]:
     """The ranks of the levels whose cross-section has at most ``k`` edges."""
     if k < 1:
         raise DomainError("divisor index must be positive")
-    sizes = _section_sizes(chart.frame.t)
-    return [r for r in range(1, len(sizes)) if sizes[r] <= k]
+    sections = chart.frame.data.sections
+    return [r for r in range(1, len(sections)) if len(sections[r]) <= k]
 
 
 def _zk_table(frame: ChartFrame, sections: frozenset) -> tuple[list, list, list, list]:
@@ -160,7 +119,7 @@ def _zk_table(frame: ChartFrame, sections: frozenset) -> tuple[list, list, list,
     if last is not None and last[0] is sections:
         return last[1]
     keep = data.hat_edges - frame.part.i_m
-    sizes = _section_sizes(t)
+    sizes = [len(s) for s in data.sections]
     rank = t.ranks().of_vertex
     edge_ready = {e: max(sizes[rank[t.tree.parent[e]] + 1:data.edge_rank[e] + 1])
                   for e in keep}
@@ -427,12 +386,10 @@ def stage_ideals(t: WeightedLevelTree, step: int
         raise DomainError("step must be positive")
     if step > level_data(t).m_rank:
         raise DomainError(f"this chart sees no center at stage {step}")
-    levels = t.ranks().levels
-    section = cross_section(t, levels[step])
-    prev_section = cross_section(t, levels[step - 1]) if step > 1 else frozenset()
+    sections = level_data(t).sections  # entry 0, above level 0, is empty
     generators = frozenset(
-        Monomial.sym(Symbol("zch" if e in prev_section else "zt", e))
-        for e in section)
+        Monomial.sym(Symbol("zch" if e in sections[step - 1] else "zt", e))
+        for e in sections[step])
     factor = _stage_factor(t, step)
     cumulative = frozenset(g * factor for g in generators)
     return generators, cumulative, factor

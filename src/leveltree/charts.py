@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .contraction import ContractionResult, contract
 from .errors import DomainError, MonomialError, VerificationError
 from .levels import (IndexPartition, Level, LevelData, SpecialMap,
-                     WeightedLevelTree, cross_section, default_special_by_rank,
+                     WeightedLevelTree, default_special_by_rank,
                      index_partition, level_data, special_by_rank)
 from .monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum, Symbol,
                        compose, equal_on_stratum)
@@ -276,7 +275,7 @@ def build_mu(chart: TwistedChart, subset: Iterable) -> dict[tuple[Level, Edge], 
             continue
         i = levels[k]
         num_ratio = _collapsed_product(frame, mask, frame.special_at[k], chart.theta_of)
-        for e in cross_section(t, i):
+        for e in frame.data.sections[k]:
             le = frame.data.edge_rank[e]
             val = frame.u_mon(e) * frame.up_chain(le) / frame.up_chain(k)
             val = val * num_ratio / _collapsed_product(frame, mask, e, chart.theta_of)
@@ -306,59 +305,6 @@ def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
         else:
             return False  # a cross-section edge can never land above its level
     return True
-
-
-@dataclass(frozen=True)
-class BasePoint:
-    """A normalized twisted-field readout: one scalar per hat edge, equal to 1
-    on special edges, nonzero off the dropping edges, zero on them."""
-
-    frame: ChartFrame
-    lambdas: Mapping[Edge, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas",
-                           {e: Fraction(v) for e, v in self.lambdas.items()})
-        frame = self.frame
-        if set(self.lambdas) != set(frame.data.hat_edges):
-            raise DomainError("one lambda per hat edge is required")
-        for e, v in self.lambdas.items():
-            if e in frame.special_edges():
-                if v != 1:
-                    raise DomainError(f"lambda of special edge {e!r} must be 1")
-            elif e in frame.part.i_m:
-                if v != 0:
-                    raise DomainError(f"lambda of dropping edge {e!r} must be 0")
-            elif v == 0:
-                raise DomainError(f"lambda of {e!r} must be nonzero")
-
-    def values(self) -> dict[Symbol, Fraction]:
-        """Coordinate values of the chart's center: all gaps closed, ``u``
-        coordinates at their lambdas, everything else 0."""
-        frame = self.frame
-        vals: dict[Symbol, Fraction] = {frame.eps(i): Fraction(0) for i in frame.part.i_plus}
-        for e in frame.data.hat_edges - frame.special_edges():
-            vals[frame.usym(e)] = self.lambdas[e]
-        for e in frame.part.i_minus:
-            vals[frame.zsym(e)] = Fraction(0)
-        for j in frame.extra_tags:
-            vals[frame.wsym(j)] = Fraction(0)
-        return vals
-
-
-def evaluate(mon: Monomial, values: Mapping[Symbol, Fraction]) -> Fraction:
-    """Numeric evaluation; a negative power of a zero value is ill-defined."""
-    if mon.is_zero:
-        return Fraction(0)
-    out = Fraction(1)
-    for s, e in mon.exps:
-        v = values[s]
-        if v == 0:
-            if e < 0:
-                raise MonomialError(f"negative power of vanishing {s}")
-            return Fraction(0)
-        out *= v ** e
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +638,10 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
     mu_I = chart.mu(subset)
     theta = chart.theta.assignment
 
-    for k in tops[1:]:  # the cross-sections must be preserved
-        if cross_section(t, levels[k]) != cross_section(tpr, levels[k]):
+    for j in range(1, len(tops)):  # the cross-sections must be preserved
+        if frame.data.sections[tops[j]] != fp.data.sections[j]:
             raise VerificationError("cross-section changed under contraction",
-                                    witness=(subset, levels[k]))
+                                    witness=(subset, levels[tops[j]]))
 
     def mu_chain(j: int) -> Monomial:
         return Monomial.product(mu_I[(tpr.level[p], p)] for p in fp.chain_edges[j])
@@ -709,9 +655,8 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
         val = val * frame.up_chain(k) / frame.up_chain(kup)
         val = val * mu_chain(j - 1) / mu_chain(j)
         assignment[fp.eps_at[j]] = val
-    data_new = level_data(tpr)
-    for e in data_new.hat_edges - fp.special_edges():
-        assignment[fp.usym(e)] = mu_I[(data_new.edge_level[e], e)]
+    for e in fp.data.hat_edges - fp.special_edges():
+        assignment[fp.usym(e)] = mu_I[(fp.data.edge_level[e], e)]
     for e in new_part.i_minus:
         if e in frame.part.i_minus:
             assignment[fp.zsym(e)] = Monomial.sym(frame.zsym(e))
@@ -777,7 +722,7 @@ def remark_identities(chart: TwistedChart) -> bool:
 
     if anc_product(frame.special_at[m_rank]) != base:
         return False
-    for e in cross_section(t, frame.data.m):
+    for e in frame.data.sections[m_rank]:
         if anc_product(e) != frame.u_mon(e) * base:
             return False
     return True

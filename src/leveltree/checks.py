@@ -15,6 +15,7 @@ failed or, on a pass, is a remark the report counts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -24,10 +25,15 @@ from . import blowup as blowup_mod
 from . import charts as charts_mod
 from . import contraction as contraction_mod
 from . import levels as levels_mod
-from .errors import LevelTreeError, VerificationError
+from .errors import DomainError, LevelTreeError, VerificationError
 
 SUBSET, INSTANCE, CLASS = "per (class, subset)", "per instance", "per class"
 DROPOUT_REMARK = "literal minus-part identity fails on dropout edges"
+# The most special-edge maps whose ordered pairs ``special-vertex-transition``
+# checks.  Instances of at most 4, 5 or 6 edges have at most 4, 6 or 9 maps;
+# the root with 14 spokes of two leaves each has 14 x 28 = 392 maps, so
+# 153,664 pairs.
+MAX_SPECIAL_MAPS = 64
 
 
 @dataclass
@@ -141,6 +147,10 @@ def _index_identities(c, subset, _):
 
 def _special_pairs(c):
     choices = levels_mod.special_choices(c.t)
+    count = math.prod(map(len, choices.values()))
+    if count > MAX_SPECIAL_MAPS:
+        raise DomainError(f"the tree has {count} special-edge maps; their pairs are "
+                          f"checked only up to {MAX_SPECIAL_MAPS} maps")
     keys = sorted(choices)
     maps = [dict(zip(keys, combo))
             for combo in itertools.product(*(choices[i] for i in keys))]
@@ -226,10 +236,11 @@ SUITES = {
 CHECKS = {check.name: check for suite in SUITES.values() for check in suite}
 
 
-def _run(report: RunReport, check: Check, label: str, c: LevelClass, *args) -> bool:
-    """Run ``check`` on each of its cases; False if one raised."""
+def _run(report: RunReport, check: Check, cases: Iterable, label: str,
+         c: LevelClass, *args) -> bool:
+    """Run ``check`` on each of its ``cases``; False if one raised."""
     clean = True
-    for case in check.cases(c):
+    for case in cases:
         try:
             ok, detail = check.fn(c, *args, case)
         except LevelTreeError as exc:
@@ -244,22 +255,24 @@ def run_checks(t: levels_mod.WeightedLevelTree, checks: Iterable[Check],
     the other instances of its group as ``(name, tree)`` pairs.
 
     The subsets are enumerated once, and refused up front above the label
-    bound of ``IndexPartition.subsets``; the traverse sections likewise,
-    above ``blowup.MAX_SECTIONS``.  A check that raises a
+    bound of ``IndexPartition.subsets``.  The cases of the class checks are
+    listed next, before any subset is checked, so the traverse sections
+    above ``blowup.MAX_SECTIONS`` and the special-edge maps above
+    ``MAX_SPECIAL_MAPS`` are refused up front too.  A check that raises a
     ``LevelTreeError`` fails with the error as its detail, and the later
     checks of that subset are skipped, since they would meet the same error.
     """
     c = LevelClass(t, name, members)
     per_subset = [check for check in checks if check.scope != CLASS]
-    if per_subset:
-        for subset in c.part.subsets():
-            label = f"{name} I={sorted(map(str, subset))}"
-            for check in per_subset:
-                if not _run(report, check, label, c, subset):
-                    break
-    for check in checks:
-        if check.scope == CLASS:
-            _run(report, check, name, c)
+    subsets = c.part.subsets() if per_subset else ()
+    per_class = [(check, list(check.cases(c))) for check in checks if check.scope == CLASS]
+    for subset in subsets:
+        label = f"{name} I={sorted(map(str, subset))}"
+        for check in per_subset:
+            if not _run(report, check, check.cases(c), label, c, subset):
+                break
+    for check, cases in per_class:
+        _run(report, check, cases, name, c)
     # the checks shared the charts through t's memo; a sweep keeps its trees
     # to the end, and would keep every class's charts with them
     charts_mod.drop_charts(t)

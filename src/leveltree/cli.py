@@ -11,8 +11,10 @@ checks the acceptance sweeps run.  What a command lists is bounded, and
 refused up front with exit 2 above the bound: ``chart`` and the subset
 checks of ``verify`` refuse more than ``levels.MAX_SUBSET_LABELS`` labels,
 ``blowup-report`` and the blowup suite more than ``blowup.MAX_SECTIONS``
-traverse sections, and ``enumerate`` more than ``ENUM_MAX_EDGES`` edges or
-weights above ``ENUM_MAX_WEIGHT``.
+traverse sections, the chart suite more than ``checks.MAX_SPECIAL_MAPS``
+special-edge maps, and ``enumerate`` more than ``ENUM_MAX_EDGES`` edges or
+weights above ``ENUM_MAX_WEIGHT``.  A tree file that repeats a key in any
+JSON object is refused.
 
 The argument parser is built once per process, on the first ``run``, and
 reused by every later call; ``LEVELTREE_MAX_EDGES`` is read by ``enumerate``
@@ -33,15 +35,26 @@ from . import charts as charts_mod
 from . import contraction as contraction_mod
 from . import enumerate as enum_mod
 from .checks import SUITES, RunReport, run_checks
-from .errors import DomainError, LevelTreeError
+from .errors import DomainError, LevelTreeError, StructureError
 from .levels import (WeightedLevelTree, cross_section, default_special,
                      index_partition, level_data)
 from .tree import to_dot, tree_json
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; a repeated key would
+    otherwise take its last value silently."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise StructureError(f"repeated key {json.dumps(key)} in a JSON object")
+        out[key] = value
+    return out
+
+
 def _load_level_tree(path: str) -> WeightedLevelTree:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_unique_keys)
     return WeightedLevelTree.from_json_dict(data)
 
 
@@ -122,7 +135,10 @@ def _parse_special(t: WeightedLevelTree, text: str | None):
     special = {}
     for piece in text.split(","):
         lvl, _, edge = piece.partition("=")
-        special[_parse_level(lvl)] = edge.strip()
+        level = _parse_level(lvl)
+        if level in special:
+            raise DomainError(f"level {level} is given twice in --special={text!r}")
+        special[level] = edge.strip()
     return special
 
 

@@ -7,6 +7,7 @@ levels and weights we derive
 * ``m`` -- the highest level carrying positive weight,
 * the *hat* edges (upper endpoint strictly above ``m``) and their edge level,
 * the cross-sections ``E_i`` of edges spanning the gap above level ``i``,
+  one rank table (``LevelData.sections``),
 * the index set ``I = I_plus | I_m | I_minus`` (levels in ``[m, 0)``,
   hat edges dropping below ``m``, and non-hat edges),
 * ascent sequences through a chosen family of special vertices.
@@ -18,8 +19,9 @@ data is computed on integer order ranks: rank 0 is level 0 and ranks grow
 downwards through the occupied levels.  Each tree keeps its rank tables in
 its memo: the occupied levels and every vertex's rank
 (``WeightedLevelTree.ranks``), each hat edge's span as a bitmask over ranks
-(``LevelData.span``), the cross-sections and the default special edges by
-rank.  They are built on first use, except that ``contract`` hands a
+(``LevelData.span``), the cross-section of each rank
+(``LevelData.sections``, built on first read) and the default special edges
+by rank.  They are built on first use, except that ``contract`` hands a
 contraction its rank table: the contraction's levels are levels of its
 parent tree, so its table is the parent's, restricted to the surviving
 ranks.
@@ -209,6 +211,18 @@ class LevelData:
     edge_rank: Mapping[Edge, int]
     span: Mapping[Edge, int]
 
+    @cached_property
+    def sections(self) -> tuple[frozenset[Edge], ...]:
+        """The cross-section of each rank ``0..m_rank``: the hat edges whose
+        span holds the rank (none at rank 0), built on first use."""
+        out: list[list[Edge]] = [[] for _ in range(self.m_rank + 1)]
+        for e, span in self.span.items():
+            while span:
+                low = span & -span
+                out[low.bit_length() - 1].append(e)
+                span ^= low
+        return tuple(map(frozenset, out))
+
 
 def level_data(t: WeightedLevelTree) -> LevelData:
     """``m``, hat edges and their levels; errors if every weight is zero."""
@@ -251,18 +265,12 @@ def edge_span(t: WeightedLevelTree, e: Edge) -> frozenset[Level]:
 
 
 def cross_section(t: WeightedLevelTree, i) -> frozenset[Edge]:
-    """Edges spanning the gap above level ``i``: ``edge_level(e) <= i < level(v_e^+)``."""
-    memo = t._memo
-    if "sections" not in memo:
-        data = level_data(t)
-        levels = t.ranks().levels
-        memo["sections"] = {
-            levels[k]: frozenset(e for e, span in data.span.items() if span >> k & 1)
-            for k in range(1, data.m_rank + 1)}
-    section = memo["sections"].get(as_level(i))
-    if section is None:
+    """Edges spanning the gap above level ``i``: ``edge_level(e) <= i <
+    level(v_e^+)``, read off ``LevelData.sections`` by the rank of ``i``."""
+    k = index_partition(t).plus_rank.get(as_level(i))
+    if k is None:
         raise DomainError(f"level {i} is not an occupied level in [m, 0)")
-    return section
+    return level_data(t).sections[k]
 
 
 @dataclass(frozen=True)

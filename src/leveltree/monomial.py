@@ -31,9 +31,11 @@ class Symbol:
     ``(kind, key)`` uniquely identifies a symbol; instances are interned so
     identity comparison is valid.  Distinct chart instances use a flavor
     prefix on the kind (e.g. ``"a:u"``) to keep their coordinates apart.
+    Its rendering and ``sort_key``, the order of its factor in a rendered
+    monomial, are computed once, at interning.
     """
 
-    __slots__ = ("kind", "key", "sid", "_render")
+    __slots__ = ("kind", "key", "sid", "_render", "sort_key")
 
     def __new__(cls, kind: str, key: Hashable):
         cached = _INTERN.get((kind, key))
@@ -43,6 +45,7 @@ class Symbol:
         self.kind = kind
         self.key = key
         self.sid = len(_INTERN)
+        self.sort_key = kind, _key_str(key)
         self._render = _render_symbol(kind, key)
         _INTERN[(kind, key)] = self
         return self
@@ -52,9 +55,6 @@ class Symbol:
 
     def __str__(self) -> str:
         return self._render
-
-    def sort_key(self) -> tuple:
-        return (self.kind, _key_str(self.key))
 
     def __reduce__(self):
         # unpickling goes through the constructor, which re-interns
@@ -210,7 +210,7 @@ class Monomial:
         if not self.exps:
             return "1"
         parts = []
-        for s, e in sorted(self.exps, key=lambda it: it[0].sort_key()):
+        for s, e in sorted(self.exps, key=lambda it: it[0].sort_key):
             parts.append(str(s) if e == 1 else f"{s}^{e}")
         return " * ".join(parts)
 

@@ -1,18 +1,18 @@
-"""Rooted trees with tree order, and weighted trees.
+"""Rooted trees and weighted trees.
 
 Vertices are opaque strings.  Every non-root vertex ``v`` has a unique parent
 edge, and we identify that edge with ``v`` itself (the edge name *is* the name
 of its lower endpoint).  This makes the vertex/edge bijection lossless and
 keeps all edge-indexed maps plain string-keyed dicts.
 
-The tree order is ``v > w`` iff ``v != w`` and ``v`` lies on the path from the
-root to ``w``; the root is the unique maximum.  The induced order on edges is
-``e > f`` iff the lower endpoint of ``e`` is >= the upper endpoint of ``f``.
+The engine reads the tree order (``v >= w`` iff ``v`` lies on the path from
+``w`` to the root) only through root paths: the edges at or above an edge
+``e`` are the non-root vertices of the root path of ``e``
+(``descendants_geq``).
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -21,13 +21,6 @@ from .errors import StructureError
 
 Vertex = str
 Edge = str  # an edge is named by its child (lower) endpoint
-
-
-class Cmp(enum.Enum):
-    GREATER = "greater"
-    LESS = "less"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -77,9 +70,6 @@ class RootedTree:
         self._check_vertex(v)
         return tuple(self._children[v])
 
-    def leaves(self) -> frozenset[Vertex]:
-        return frozenset(v for v, cs in self._children.items() if not cs)
-
     def _check_vertex(self, v: Vertex) -> None:
         if v not in self._children:
             raise StructureError(f"unknown vertex {v!r}")
@@ -98,48 +88,10 @@ class RootedTree:
             path.append(self.parent[path[-1]])
         return tuple(path)
 
-    def endpoints(self, e: Edge) -> tuple[Vertex, Vertex]:
-        """Return ``(v_plus, v_minus)`` with ``v_plus`` the parent endpoint."""
-        self._check_edge(e)
-        return self.parent[e], e
-
-    def compare_vertices(self, v: Vertex, w: Vertex) -> Cmp:
-        self._check_vertex(v)
-        self._check_vertex(w)
-        if v == w:
-            return Cmp.EQUAL
-        if v in self.root_path(w):
-            return Cmp.GREATER
-        if w in self.root_path(v):
-            return Cmp.LESS
-        return Cmp.INCOMPARABLE
-
-    def vertex_geq(self, v: Vertex, w: Vertex) -> bool:
-        return self.compare_vertices(v, w) in (Cmp.GREATER, Cmp.EQUAL)
-
-    def compare_edges(self, e: Edge, f: Edge) -> Cmp:
-        """Order on edges: ``e > f`` iff ``v_e^- >= v_f^+``."""
-        self._check_edge(e)
-        self._check_edge(f)
-        if e == f:
-            return Cmp.EQUAL
-        if self.vertex_geq(e, self.parent[f]):
-            return Cmp.GREATER
-        if self.vertex_geq(f, self.parent[e]):
-            return Cmp.LESS
-        return Cmp.INCOMPARABLE
-
-    def edge_geq(self, e: Edge, f: Edge) -> bool:
-        return self.compare_edges(e, f) in (Cmp.GREATER, Cmp.EQUAL)
-
     def descendants_geq(self, e: Edge) -> frozenset[Edge]:
         """All edges ``f >= e``: the edges on the path from ``v_e^-`` to the root."""
         self._check_edge(e)
-        out = []
-        while e != self.root:
-            out.append(e)
-            e = self.parent[e]
-        return frozenset(out)
+        return frozenset(self.root_path(e)[:-1])
 
     def ancestors_gt(self, e: Edge) -> frozenset[Edge]:
         return self.descendants_geq(e) - {e}

@@ -6,9 +6,8 @@ import pytest
 
 from leveltree import blowup
 from leveltree.blowup import (MAX_SECTIONS, bundle_identity, divisor_slots,
-                              ideal_transform_check, is_traverse_section,
-                              order_compatible, psi2_chart_check,
-                              psi2_level_tree, section_compare, stage_ideals,
+                              ideal_transform_check, order_compatible,
+                              psi2_chart_check, psi2_level_tree, stage_ideals,
                               traverse_sections, twisted_bundles,
                               weight_contracted_tree, yk_pullback, zk_components)
 from leveltree.charts import build_chart
@@ -18,9 +17,25 @@ from leveltree.errors import DomainError, InfeasibleError, VerificationError
 from leveltree.levels import (WeightedLevelTree, cross_section, index_partition,
                               is_equivalent, level_data, make_level_tree)
 from leveltree.monomial import Monomial, Symbol, parse_monomial
-from leveltree.tree import Cmp, RootedTree, WeightedTree
+from leveltree.tree import RootedTree, WeightedTree
 
 F = Fraction
+
+
+def is_traverse_section(tree, edges):
+    """The definition: ``edges`` meets the path from each leaf to the root
+    exactly once."""
+    edges = frozenset(edges)
+    leaves = tree.vertices - set(tree.parent.values())
+    return edges <= tree.edges and all(len(edges.intersection(tree.root_path(leaf))) == 1
+                                       for leaf in leaves)
+
+
+def section_above(tree, s1, s2):
+    """The section order: ``s1 > s2`` iff they differ and every edge of
+    ``s1`` lies at or above some edge of ``s2``."""
+    above = frozenset().union(*map(tree.descendants_geq, s2))
+    return frozenset(s1) != frozenset(s2) and frozenset(s1) <= above
 
 
 def brute_sections(tree):
@@ -75,14 +90,15 @@ def test_sections_are_refused_above_the_bound():
 
 def test_section_compare(nested_tree):
     tree = nested_tree.tree
-    assert section_compare(tree, {"a", "b"}, {"a", "c", "d"}) is Cmp.GREATER
-    assert section_compare(tree, {"a", "c", "d"}, {"a", "b"}) is Cmp.LESS
-    assert section_compare(tree, {"a", "b"}, {"a", "b"}) is Cmp.EQUAL
+    assert section_above(tree, {"a", "b"}, {"a", "c", "d"})
+    assert not section_above(tree, {"a", "c", "d"}, {"a", "b"})
+    assert not section_above(tree, {"a", "b"}, {"a", "b"})
 
 
 def test_incomparable_sections():
     tree = RootedTree(root="o", parent={"a": "o", "b": "o", "p": "a", "q": "b"})
-    assert section_compare(tree, {"p", "b"}, {"a", "q"}) is Cmp.INCOMPARABLE
+    assert not section_above(tree, {"p", "b"}, {"a", "q"})
+    assert not section_above(tree, {"a", "q"}, {"p", "b"})
 
 
 def test_cross_sections_are_sections_of_the_upper_shell(deep_fan):
@@ -104,9 +120,8 @@ def test_cross_section_order_is_monotone_on_stable_trees():
         for i in part.i_plus:
             for j in part.i_plus:
                 if i < j:
-                    cmp = section_compare(t.tree, cross_section(t, j),
-                                          cross_section(t, i))
-                    assert cmp in (Cmp.GREATER, Cmp.EQUAL)
+                    upper, lower = cross_section(t, j), cross_section(t, i)
+                    assert upper == lower or section_above(t.tree, upper, lower)
 
 
 def test_weight_contracted_tree(nested_tree):
@@ -123,7 +138,7 @@ def test_weight_contracted_tree(nested_tree):
 def _pairwise_order_compatible(bar: RootedTree) -> bool:
     """The definition: blowing up by size respects the section order, so a
     section above another is strictly smaller."""
-    return not any(section_compare(bar, s1, s2) is Cmp.GREATER and len(s1) >= len(s2)
+    return not any(section_above(bar, s1, s2) and len(s1) >= len(s2)
                    for s1, s2 in itertools.permutations(traverse_sections(bar), 2))
 
 
@@ -265,10 +280,13 @@ def test_ideal_transform_check_all_steps(nested_tree, deep_fan):
 # -- the per-k, per-stage and per-edge definitions the blowup tables replace --
 
 def reference_qualifying_ranks(chart, k):
-    t = chart.frame.t
+    """The cross-sections counted from their definition, on ``Fraction``
+    levels: ``edge_level(e) <= i < level(v_e^+)``."""
+    t, data = chart.frame.t, chart.frame.data
     levels = t.ranks().levels
-    return [r for r in range(1, chart.frame.data.m_rank + 1)
-            if len(cross_section(t, levels[r])) <= k]
+    return [r for r in range(1, data.m_rank + 1)
+            if sum(data.edge_level[e] <= levels[r] < t.level[t.tree.parent[e]]
+                   for e in data.hat_edges) <= k]
 
 
 def reference_zk_components(chart, sections, k):
@@ -420,11 +438,12 @@ def test_a_wrong_cached_section_size_fails_divisor_containment(nested_tree):
     report = RunReport(suite="blowup")
     run_checks(nested_tree, SUITES["blowup"], report, "nested")
     assert report.ok()
-    # the deeper level's cross-section {a, c, d} cached as 4 edges: at k = 3
-    # the component {a, c, d} has no witness edge
+    # the deeper level's cross-section {a, c, d} cached as {a, b, c, d}: at
+    # k = 3 the component {a, c, d} has no witness edge
     t = make_level_tree("o", nested_tree.tree.parent, nested_tree.weight, nested_tree.level)
-    assert blowup._section_sizes(t) == (0, 2, 3)
-    t._memo["section_sizes"] = (0, 2, 4)
+    data = level_data(t)
+    assert data.sections == (frozenset(), {"a", "b"}, {"a", "c", "d"})
+    object.__setattr__(data, "sections", data.sections[:2] + (frozenset("abcd"),))
     report = RunReport(suite="blowup")
     run_checks(t, SUITES["blowup"], report, "planted")
     assert [(f["operation"], f["detail"].split(":")[0]) for f in report.failures] \

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from leveltree import charts, levels
-from leveltree.charts import (BasePoint, ChartFrame, build_chart, build_inverse, build_mu,
-                              check_mu_vanishing, evaluate, forward_map,
+from leveltree.charts import (ChartFrame, build_chart, build_inverse, build_mu,
+                              check_mu_vanishing, forward_map,
                               remark_identities, sigma, verify_parameter_transition,
                               verify_round_trip,
                               verify_special_vertex_transition,
@@ -16,7 +17,7 @@ from leveltree.checks import SUITES, RunReport, run_checks
 from leveltree.cli import render_chart
 from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
-from leveltree.errors import DomainError, VerificationError
+from leveltree.errors import VerificationError
 from leveltree.levels import (WeightedLevelTree, default_special, index_partition,
                               make_level_tree, special_by_rank, special_choices)
 from leveltree.monomial import Monomial, MonomialMap, Stratum, parse_monomial
@@ -75,25 +76,22 @@ def test_mu_vanishing_on_nested_tree(nested_chart, nested_tree):
         assert check_mu_vanishing(nested_chart, I)
 
 
+def value_at_center(mon, lambdas):
+    """``mon`` at the chart's centre: each ``u_e`` takes ``lambdas[e]`` and
+    every other coordinate is 0; a negative power of 0 is ill-defined."""
+    values = [(F(lambdas[s.key]) if s.kind == "u" else F(0), e) for s, e in mon.exps]
+    assert all(v or e > 0 for v, e in values), f"{mon} is ill-defined at the centre"
+    return math.prod(v ** e for v, e in values)
+
+
 def test_base_point_readout(nested_tree):
+    # the readout of the empty subset at the centre: each hat edge's lambda
+    # at its own level (1 on special edges), 0 above it
     chart = build_chart(nested_tree, special={F(-1): "b", F(-2): "a"}, tags=())
-    bp = BasePoint(frame=chart.frame,
-                   lambdas={"a": 1, "b": 1, "c": 5, "d": F(-2, 3)})
-    vals = bp.values()
-    table = chart.mu(frozenset())
-    for (i, e), mon in table.items():
-        if chart.frame.data.edge_level[e] == i:
-            assert evaluate(mon, vals) == bp.lambdas[e]
-        else:
-            assert evaluate(mon, vals) == 0
-
-
-def test_base_point_validation(nested_tree):
-    chart = build_chart(nested_tree, special={F(-1): "b", F(-2): "a"}, tags=())
-    with pytest.raises(DomainError):
-        BasePoint(frame=chart.frame, lambdas={"a": 2, "b": 1, "c": 1, "d": 1})
-    with pytest.raises(DomainError):
-        BasePoint(frame=chart.frame, lambdas={"a": 1, "b": 1, "c": 0, "d": 1})
+    lambdas = {"c": 5, "d": F(-2, 3)}
+    for (i, e), mon in chart.mu(frozenset()).items():
+        want = lambdas.get(e, 1) if chart.frame.data.edge_level[e] == i else 0
+        assert value_at_center(mon, lambdas) == want
 
 
 def test_inverse_on_the_open_stratum(nested_chart, nested_tree):

@@ -11,6 +11,7 @@ import pytest
 from leveltree import cli
 from leveltree.blowup import MAX_SECTIONS
 from leveltree.charts import TwistedChart
+from leveltree.checks import MAX_SPECIAL_MAPS
 from leveltree.cli import run
 from leveltree.levels import make_level_tree
 from leveltree.tree import tree_json
@@ -196,6 +197,17 @@ def test_too_many_sections_are_refused_up_front(tmp_path, capsys, argv):
                    f"listed only up to {MAX_SECTIONS}\n")
 
 
+@pytest.mark.parametrize("suite", ["charts", "all"])
+def test_too_many_special_maps_are_refused_up_front(tmp_path, capsys, suite):
+    # 14 spokes at -1 and 28 leaves at -2: 392 special-edge maps
+    path = _spoke_file(tmp_path, 14)
+    start = time.perf_counter()
+    assert run(["verify", path, "--suite", suite]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "error: the tree has 392 special-edge maps; their "
+                                       f"pairs are checked only up to {MAX_SPECIAL_MAPS} maps\n")
+
+
 def test_enumerate_counts(capsys):
     assert run(["enumerate", "--max-edges", "2", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "63"
@@ -296,7 +308,9 @@ def test_bad_level_arguments_are_usage_errors(tree_file, capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["chart", "--tags=j1,j1"], "error: repeated extra tag in ['j1', 'j1']"),
     (["chart", "--tags=j1,"], "error: empty tag name in --tags='j1,'"),
-], ids=["repeated", "empty"])
+    (["chart", "--special=-1=b,-2=a,-4/2=c"],
+     "error: level -2 is given twice in --special='-1=b,-2=a,-4/2=c'"),
+], ids=["repeated", "empty", "repeated-special-level"])
 def test_bad_tag_arguments_are_usage_errors(tree_file, capsys, argv, message):
     assert run([argv[0], tree_file] + argv[1:]) == 2
     assert capsys.readouterr() == ("", message + "\n")
@@ -332,6 +346,20 @@ def test_validate_rejects_malformed_tree_shapes(tmp_path, capsys, blob, message)
     path.write_text(json.dumps(blob))
     assert run(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"root": "o", "parents": {}, "weights": {"o": 1}, "levels": {"o": "0"}, "root": "o"}',
+     "root"),
+    # without the check the last value would win, and the tree would pass
+    ('{"root": "o", "parents": {"a": "o", "b": "o"}, "weights": {"o": 0, "a": 1, "b": 1, '
+     '"a": 0}, "levels": {"o": "0", "a": "-1", "b": "-1"}}', "a"),
+], ids=["top-level", "nested"])
+def test_validate_rejects_repeated_json_keys(tmp_path, capsys, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f'error: repeated key "{key}" in a JSON object\n')
 
 
 @pytest.mark.parametrize("level, shown", [(-0.1, "-0.1"), (-1, "-1"),

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from leveltree.errors import StructureError
-from leveltree.tree import Cmp, RootedTree, WeightedTree, to_dot, tree_json
+from leveltree.tree import RootedTree, WeightedTree, to_dot, tree_json
 
 
 def chain(n):
@@ -13,65 +13,51 @@ def chain(n):
     return RootedTree(root="o", parent=parent)
 
 
-def test_endpoints_orient_edges_toward_the_root(nested_tree, deep_fan):
-    assert nested_tree.tree.endpoints("b") == ("o", "b")
-    assert deep_fan.tree.endpoints("v1") == ("o", "v1")
-    for e in deep_fan.tree.edges:
-        vp, vm = deep_fan.tree.endpoints(e)
-        assert deep_fan.tree.compare_vertices(vp, vm) is Cmp.GREATER
-
-
-def test_endpoints_rejects_unknown_edge(nested_tree):
-    with pytest.raises(StructureError):
-        nested_tree.tree.endpoints("zz")
+def test_descendants_geq_rejects_unknown_edge(nested_tree):
+    for name in ("zz", "o"):  # the root is a vertex, not an edge
+        with pytest.raises(StructureError, match=f"^unknown edge '{name}'$"):
+            nested_tree.tree.descendants_geq(name)
 
 
 def test_vertex_order(nested_tree):
-    tree = nested_tree.tree
-    assert tree.compare_vertices("o", "c") is Cmp.GREATER
-    assert tree.compare_vertices("c", "o") is Cmp.LESS
-    assert tree.compare_vertices("a", "a") is Cmp.EQUAL
-    assert tree.compare_vertices("a", "b") is Cmp.INCOMPARABLE
+    # v >= w iff v lies on the path from w to the root
+    path = nested_tree.tree.root_path
+    assert path("c") == ("c", "b", "o")
+    assert "o" in path("c") and "c" not in path("o")
+    assert "a" not in path("b") and "b" not in path("a")
 
 
 def test_edge_order(nested_tree):
-    tree = nested_tree.tree
-    assert tree.compare_edges("b", "c") is Cmp.GREATER
-    assert tree.compare_edges("c", "b") is Cmp.LESS
-    assert tree.compare_edges("c", "c") is Cmp.EQUAL
-    assert tree.compare_edges("a", "c") is Cmp.INCOMPARABLE
+    # the edges at or above an edge
+    above = nested_tree.tree.descendants_geq
+    assert "b" in above("c") and "c" not in above("b")
+    assert "c" in above("c")
+    assert "a" not in above("c") and "c" not in above("a")
 
 
 def test_edge_order_agrees_with_vertex_order(deep_fan):
+    # e >= f as edges iff e >= f as vertices
     tree = deep_fan.tree
     for e in tree.edges:
         for f in tree.edges:
-            if tree.compare_edges(e, f) is Cmp.GREATER:
-                vp, _ = tree.endpoints(f)
-                assert tree.compare_vertices(e, vp) in (Cmp.GREATER, Cmp.EQUAL)
+            assert (e in tree.descendants_geq(f)) == (e in tree.root_path(f))
 
 
 def test_descendants_geq_is_the_root_path(nested_tree, deep_fan):
     assert nested_tree.tree.descendants_geq("c") == {"c", "b"}
     assert nested_tree.tree.descendants_geq("a") == {"a"}
     assert deep_fan.tree.descendants_geq("v3") == {"v3", "p3", "v1"}
-    tree = deep_fan.tree
-    for e in tree.edges:
-        for f in tree.descendants_geq(e):
-            assert tree.edge_geq(f, e)
 
 
 def test_edges_biject_with_nonroot_vertices(deep_fan):
     tree = deep_fan.tree
-    assert tree.edges == tree.vertices - {tree.root}
-    for e in tree.edges:
-        assert tree.endpoints(e)[1] == e
+    assert tree.edges == tree.vertices - {tree.root} == set(tree.parent)
 
 
 def test_single_vertex_tree():
     t = RootedTree(root="o", parent={})
     assert t.edges == frozenset()
-    assert t.leaves() == {"o"}
+    assert t.vertices == {"o"} and t.children("o") == ()
 
 
 def test_cycle_and_orphan_rejection():
@@ -94,7 +80,7 @@ def test_cycle_and_orphan_rejection():
 def test_long_path_builds():
     tree = chain(2000)
     assert len(tree.root_path("v2000")) == 2001
-    assert tree.leaves() == {"v2000"}
+    assert tree.children("v2000") == ()
 
 
 def test_long_path_holds_linear_memory():
