@@ -17,13 +17,16 @@ by downward induction over the levels.  The ``verify_*`` functions check the
 resulting identities exactly, as integer-exponent monomial equations.
 
 ``build_chart`` is the only way to a chart.  It keeps one chart per
-(special edges by rank, tags, flavor) in the tree's memo, so every check of
-a class, in the chart suite and in the blowup suite, reads the one chart of
-``t`` with the default special edges and the tags ``CHECK_TAGS``.  A chart
+(special edges by rank, tags) in the tree's memo, so every check of a class,
+in the chart suite and in the blowup suite, reads the one chart of ``t`` with
+the default special edges and the tags ``CHECK_TAGS``.  A chart
 keeps one ``mu`` table per level part of the subset (all ``build_mu``
 reads), and its frame keeps the record of the last subset -- its
 contraction, its stratum and its stratum-map target -- which the checks of
 that subset share.
+
+Every chart names its coordinates ``eps``, ``u``, ``z``, ``w`` and ``mu``: a
+transition's map ``g`` rewrites all symbols at once, so two charts may share.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ class ChartFrame:
     ``special_at`` is the special map read by rank, ``(None, e_1, ..., e_m)``
     with ``e_k`` the special edge of the level of rank ``k`` (see
     ``levels.special_by_rank``); ``special`` is the same map by level.
-    ``flavor`` prefixes every coordinate symbol, so distinct charts over the
-    same tree can coexist inside one identity.
 
     The frame tabulates, per level rank ``k`` of ``I_plus`` (see
     ``WeightedLevelTree.ranks``; entry 0 stands for level 0): the special
@@ -68,7 +69,6 @@ class ChartFrame:
     t: WeightedLevelTree
     special_at: tuple
     extra_tags: tuple[Hashable, ...] = ()
-    flavor: str = ""
     special: Mapping[Level, Edge] = field(init=False, compare=False, repr=False)
     part: IndexPartition = field(init=False, compare=False, repr=False)
     data: LevelData = field(init=False, compare=False, repr=False)
@@ -110,22 +110,19 @@ class ChartFrame:
         coords |= {self.wsym(j) for j in self.extra_tags}
         put("_coords", frozenset(coords))
 
-    def _kind(self, bare: str) -> str:
-        return self.flavor + bare
-
     # symbol families ------------------------------------------------------
 
     def eps(self, i: Level) -> Symbol:
-        return Symbol(self._kind("eps"), i)
+        return Symbol("eps", i)
 
     def usym(self, e: Edge) -> Symbol:
-        return Symbol(self._kind("u"), e)
+        return Symbol("u", e)
 
     def zsym(self, e: Edge) -> Symbol:
-        return Symbol(self._kind("z"), e)
+        return Symbol("z", e)
 
     def wsym(self, j: Hashable) -> Symbol:
-        return Symbol(self._kind("w"), j)
+        return Symbol("w", j)
 
     def special_edges(self) -> frozenset[Edge]:
         return self._specials
@@ -169,8 +166,6 @@ class ChartFrame:
         return Monomial.product(Monomial.sym(self.eps_at[k]) for k in range(lo, hi))
 
 
-# zeta/sigma name the base modular and extra parameters; they are shared by
-# every chart lying over the same base, so they carry no flavor.
 def zeta(e: Edge) -> Symbol:
     return Symbol("zeta", e)
 
@@ -179,8 +174,8 @@ def sigma(j: Hashable) -> Symbol:
     return Symbol("sig", j)
 
 
-def musym(frame: ChartFrame, e: Edge) -> Symbol:
-    return Symbol(frame._kind("mu"), e)
+def musym(e: Edge) -> Symbol:
+    return Symbol("mu", e)
 
 
 def build_theta(frame: ChartFrame) -> MonomialMap:
@@ -224,17 +219,17 @@ class TwistedChart:
 
 
 def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
-                tags: Sequence[Hashable] = CHECK_TAGS, flavor: str = "") -> TwistedChart:
+                tags: Sequence[Hashable] = CHECK_TAGS) -> TwistedChart:
     """The chart of ``t`` with the given special edges (by default the
-    smallest vertex at each level), extra tags and flavor.  The charts are
-    kept in ``t``'s memo, keyed by the special edges by rank, the tags and
-    the flavor, so equal arguments on one tree object return one chart, and
-    every check on the tree shares its ``mu`` tables."""
+    smallest vertex at each level) and extra tags.  The charts are kept in
+    ``t``'s memo, keyed by the special edges by rank and the tags, so equal
+    arguments on one tree object return one chart, and every check on the
+    tree shares its ``mu`` tables."""
     at = default_special_by_rank(t) if special is None else special_by_rank(t, special)
-    key = at, tuple(tags), flavor
+    key = at, tuple(tags)
     charts = t._memo.setdefault("charts", {})
     if key not in charts:
-        frame = ChartFrame(t=t, special_at=at, extra_tags=key[1], flavor=flavor)
+        frame = ChartFrame(t=t, special_at=at, extra_tags=key[1])
         charts[key] = TwistedChart(frame=frame, theta=build_theta(frame))
     return charts[key]
 
@@ -369,7 +364,7 @@ def _build_target(frame: ChartFrame, subset: frozenset) -> StratumTarget:
         raise VerificationError("readout coordinates disagree with the contraction's "
                                 "hat edges", witness=(frame.t, subset))
     coords = frozenset([*map(zeta, res.contracted), *map(sigma, frame.extra_tags),
-                        *(musym(frame, e) for e in free_mu)])
+                        *map(musym, free_mu)])
     stratum = Stratum(zeros=frozenset(zeros), units=frozenset(units))
     return StratumTarget(result=res, stratum=stratum, free_mu=frozenset(free_mu),
                          coords=coords, identity=MonomialMap.identity(coords))
@@ -389,7 +384,7 @@ def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     for j in frame.extra_tags:
         assignment[sigma(j)] = Monomial.sym(frame.wsym(j))
     for e in target.free_mu:
-        assignment[musym(frame, e)] = mu_table[(tpr.level[e], e)]
+        assignment[musym(e)] = mu_table[(tpr.level[e], e)]
     return MonomialMap(source_coords=frame.coords(),
                        target_coords=target.coords, assignment=assignment)
 
@@ -414,7 +409,7 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
 
     def mu_val(e: Edge) -> Monomial:
         if e in target.free_mu:
-            return Monomial.sym(musym(frame, e))
+            return Monomial.sym(musym(e))
         if e in new_part.i_m:
             return ZERO
         lvl = tpr.level[e]
@@ -509,6 +504,21 @@ def verify_round_trip(chart: TwistedChart, subset: Iterable) -> bool:
 # Transition identities
 # ---------------------------------------------------------------------------
 
+def _pulls_back(other: TwistedChart, g: MonomialMap, theta: Mapping[Symbol, Monomial],
+                expected_mu: Callable[[frozenset], Mapping]) -> bool:
+    """``g`` carries the chart ``other`` onto the expected one: ``other``'s
+    base map after ``g`` is ``theta``, and for every level part of its index
+    set (all that a readout table reads of a subset) its whole readout table,
+    pulled back through ``g``, is ``expected_mu`` of that part, keys included."""
+    if compose(other.theta, g).assignment != theta:
+        return False
+    for levels in other.frame.part.level_parts():
+        pulled = {key: mon.substitute(g.assignment) for key, mon in other.mu(levels).items()}
+        if pulled != expected_mu(levels):
+            return False
+    return True
+
+
 def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap,
                                      special_b: SpecialMap) -> bool:
     """Two choices of special edges give charts differing by an explicit
@@ -516,13 +526,13 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
     and each readout family is the old one renormalized by its value on the
     new special edge."""
     chart = build_chart(t, special_a)
-    other = build_chart(t, special_b, flavor="a:")
+    other = build_chart(t, special_b)
     fa, fb = chart.frame, other.frame
 
     def chain(edges: Iterable[Edge]) -> Monomial:
         return Monomial.product(fa.u_mon(e) for e in edges)
 
-    assignment: dict[Symbol, Monomial] = {}
+    assignment = {s: Monomial.sym(s) for s in fb.coords() if s.kind in ("z", "w")}
     for k in range(1, fa.data.m_rank + 1):
         up = k - 1  # the rank of the level's successor
         val = Monomial.sym(fa.eps_at[k])
@@ -533,29 +543,14 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
     for e, k in fa.data.edge_rank.items():
         if e not in fb.special_edges():
             assignment[fb.usym(e)] = fa.u_mon(e) / fa.u_mon(fb.special_at[k])
-    for e in fa.part.i_minus:
-        assignment[fb.zsym(e)] = Monomial.sym(fa.zsym(e))
-    for j in CHECK_TAGS:
-        assignment[fb.wsym(j)] = Monomial.sym(fa.wsym(j))
     g = MonomialMap(source_coords=fa.coords(), target_coords=fb.coords(),
                     assignment=assignment)
 
-    if compose(other.theta, g).assignment != chart.theta.assignment:
-        return False
-    for levels in fa.part.level_parts():  # all the readout tables read
+    def renormalized(levels: frozenset) -> dict:
         mu_a = chart.mu(levels)
-        mu_b = other.mu(levels)
-        for (i, e), mon in mu_b.items():
-            lhs = mon.substitute(g.assignment)
-            rhs = mu_a[(i, e)] / mu_a[(i, special_b[i])]
-            if lhs != rhs:
-                return False
-    return True
+        return {(i, e): mon / mu_a[(i, fb.special[i])] for (i, e), mon in mu_a.items()}
 
-
-def _f_product(t: WeightedLevelTree, e: Edge) -> Monomial:
-    return Monomial.product(Monomial.sym(Symbol("f", a))
-                            for a in t.tree.descendants_geq(e))
+    return _pulls_back(other, g, chart.theta.assignment, renormalized)
 
 
 def verify_parameter_transition(t: WeightedLevelTree) -> bool:
@@ -564,54 +559,39 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
     units, and the readout families agree after normalizing each side by its
     own ``f`` content."""
     chart = build_chart(t)
-    hat_chart = build_chart(t, flavor="hat:")
-    fa, fh = chart.frame, hat_chart.frame
+    frame = chart.frame
+
+    def f(e: Edge) -> Monomial:
+        return Monomial.sym(Symbol("f", e))
+
+    def f_open(e: Edge, mask: int = 0) -> Monomial:
+        """The ``f`` of ``e`` and its ancestors that cross a level outside ``mask``."""
+        return Monomial.product(f(a) for a in t.tree.descendants_geq(e)
+                                if frame.data.span[a] & ~mask)
 
     def fchain(k: int) -> Monomial:
-        return Monomial.product(Monomial.sym(Symbol("f", e)) for e in fa.ascent[k])
+        return Monomial.product(f(e) for e in frame.ascent[k])
 
-    assignment: dict[Symbol, Monomial] = {}
-    for k in range(1, fa.data.m_rank + 1):
-        assignment[fh.eps_at[k]] = Monomial.sym(fa.eps_at[k]) * fchain(k) / fchain(k - 1)
-    for e, k in fa.data.edge_rank.items():
-        if e not in fa.special_edges():
-            assignment[fh.usym(e)] = (fa.u_mon(e) * _f_product(t, e)
-                                      / _f_product(t, fa.special_at[k]))
-    for e in fa.part.i_minus:
-        assignment[fh.zsym(e)] = Monomial.sym(fa.zsym(e))
-    for j in CHECK_TAGS:
-        assignment[fh.wsym(j)] = Monomial.sym(fa.wsym(j))
+    assignment = {s: Monomial.sym(s) for s in frame.coords() if s.kind in ("z", "w")}
+    for k in range(1, frame.data.m_rank + 1):
+        assignment[frame.eps_at[k]] = Monomial.sym(frame.eps_at[k]) * fchain(k) / fchain(k - 1)
+    for e, k in frame.data.edge_rank.items():
+        if e not in frame.special_edges():
+            assignment[frame.usym(e)] = frame.u_mon(e) * f_open(e) / f_open(frame.special_at[k])
     f_syms = frozenset(Symbol("f", e) for e in t.tree.edges)
-    g = MonomialMap(source_coords=fa.coords() | f_syms,
-                    target_coords=fh.coords(), assignment=assignment)
+    g = MonomialMap(source_coords=frame.coords() | f_syms,
+                    target_coords=frame.coords(), assignment=assignment)
 
-    for e in t.tree.edges:
-        actual = hat_chart.theta.assignment[zeta(e)].substitute(g.assignment)
-        expected = chart.theta.assignment[zeta(e)]
-        if e in fa.data.hat_edges:
-            expected = expected * Monomial.sym(Symbol("f", e))
-        if actual != expected:
-            return False
-    for j in CHECK_TAGS:
-        if hat_chart.theta.assignment[sigma(j)].substitute(g.assignment) \
-                != chart.theta.assignment[sigma(j)]:
-            return False
+    theta = dict(chart.theta.assignment)
+    for e in frame.data.hat_edges:
+        theta[zeta(e)] = theta[zeta(e)] * f(e)
 
-    for levels in fa.part.level_parts():  # all the readout tables read
-        mask, _, _ = fa.part.split(levels)
+    def rescaled(levels: frozenset) -> dict:
+        mask = frame.part.split(levels)[0]
+        return {(i, e): mon * f_open(e, mask) / f_open(frame.special[i], mask)
+                for (i, e), mon in chart.mu(levels).items()}
 
-        def f_not_collapsed(e: Edge) -> Monomial:
-            return Monomial.product(Monomial.sym(Symbol("f", a))
-                                    for a in t.tree.descendants_geq(e)
-                                    if fa.data.span[a] & ~mask)
-
-        mu_plain = chart.mu(levels)
-        for (i, e), mon in hat_chart.mu(levels).items():
-            lhs = mon.substitute(g.assignment) * f_not_collapsed(fa.special[i])
-            rhs = mu_plain[(i, e)] * f_not_collapsed(e)
-            if lhs != rhs:
-                return False
-    return True
+    return _pulls_back(chart, g, theta, rescaled)
 
 
 def _recentering(t: WeightedLevelTree, subset: frozenset
@@ -630,7 +610,7 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
     levels = t.ranks().levels
     special_new = {levels[k]: frame.special_at[k] for k in tops[1:]}
     new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
-    prime = build_chart(tpr, special_new, new_tags, "p:")
+    prime = build_chart(tpr, special_new, new_tags)
     # the chart refers back to tpr, which t's contract memo keeps, so it
     # leaves tpr's memo here and goes with the last reference to it
     drop_charts(tpr)
@@ -678,31 +658,11 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
     recentered readout families are the original ones at the union subset."""
     subset = frozenset(subset)
     chart, res, prime, g = _recentering(t, subset)
-    tpr = res.tree
     theta = chart.theta.assignment
-
-    # base maps agree through g
-    for e in tpr.edges():
-        if prime.theta.assignment[zeta(e)].substitute(g.assignment) != theta[zeta(e)]:
-            return False
-    for j in CHECK_TAGS:
-        if prime.theta.assignment[sigma(j)].substitute(g.assignment) \
-                != Monomial.sym(chart.frame.wsym(j)):
-            return False
-    for e in res.contracted:
-        if prime.theta.assignment[sigma(("ctr", e))].substitute(g.assignment) \
-                != theta[zeta(e)]:
-            return False
-
-    # recentered readout families come from the union subset; both tables
-    # read only the level part of the contraction's subset, so one family
-    # per level part makes every comparison a loop over all its subsets would
-    for levels in index_partition(tpr).level_parts():
-        mu_union = chart.mu(subset | levels)
-        for (i, e), mon in prime.mu(levels).items():
-            if mon.substitute(g.assignment) != mu_union[(i, e)]:
-                return False
-    return True
+    expected = {zeta(e): theta[zeta(e)] for e in res.tree.edges()}
+    expected.update((sigma(j), theta[sigma(j)]) for j in CHECK_TAGS)
+    expected.update((sigma(("ctr", e)), theta[zeta(e)]) for e in res.contracted)
+    return _pulls_back(prime, g, expected, lambda levels: chart.mu(subset | levels))
 
 
 def remark_identities(chart: TwistedChart) -> bool:

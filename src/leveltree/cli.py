@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import blowup as blowup_mod
 from . import charts as charts_mod
@@ -36,7 +35,7 @@ from . import contraction as contraction_mod
 from . import enumerate as enum_mod
 from .checks import SUITES, RunReport, run_checks
 from .errors import DomainError, LevelTreeError, StructureError
-from .levels import (WeightedLevelTree, cross_section, default_special,
+from .levels import (WeightedLevelTree, as_level, cross_section, default_special,
                      index_partition, level_data)
 from .tree import to_dot, tree_json
 
@@ -54,7 +53,12 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_level_tree(path: str) -> WeightedLevelTree:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise  # reported by ``run``
+        except ValueError:  # only an integer longer than Python converts
+            raise StructureError("a number in a tree file is too long to read") from None
     return WeightedLevelTree.from_json_dict(data)
 
 
@@ -75,12 +79,13 @@ def cmd_indices(args) -> int:
     data = level_data(t)
     part = index_partition(t)
     sections = {i: sorted(cross_section(t, i)) for i in part.i_plus}
+    i_plus = [str(i) for i in sorted(part.i_plus, reverse=True)]
     if args.json:
         out = {
             "m": str(data.m),
             "hat_edges": sorted(data.hat_edges),
             "edge_levels": {e: str(v) for e, v in sorted(data.edge_level.items())},
-            "i_plus": sorted(map(str, part.i_plus), key=Fraction, reverse=True),
+            "i_plus": i_plus,
             "i_m": sorted(part.i_m),
             "i_minus": sorted(part.i_minus),
             "cross_sections": {str(i): sections[i] for i in sorted(sections, reverse=True)},
@@ -91,7 +96,7 @@ def cmd_indices(args) -> int:
     print("hat edges:", ", ".join(sorted(data.hat_edges)) or "(none)")
     for e in sorted(data.edge_level):
         print(f"  level({e}) = {data.edge_level[e]}")
-    print("I_plus  =", sorted(map(str, part.i_plus), key=Fraction, reverse=True))
+    print("I_plus  =", i_plus)
     print("I_m     =", sorted(part.i_m))
     print("I_minus =", sorted(part.i_minus))
     for i in sorted(sections, reverse=True):
@@ -99,19 +104,11 @@ def cmd_indices(args) -> int:
     return 0
 
 
-def _parse_level(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"bad level {text.strip()!r}: expected an exact rational "
-                          "such as -1 or -3/2") from None
-
-
 def _parse_subset(levels: str | None, edges: str | None) -> frozenset:
     subset = set()
     if levels:
         for piece in levels.split(","):
-            subset.add(_parse_level(piece))
+            subset.add(as_level(piece))
     if edges:
         for piece in edges.split(","):
             subset.add(piece.strip())
@@ -135,7 +132,7 @@ def _parse_special(t: WeightedLevelTree, text: str | None):
     special = {}
     for piece in text.split(","):
         lvl, _, edge = piece.partition("=")
-        level = _parse_level(lvl)
+        level = as_level(lvl)
         if level in special:
             raise DomainError(f"level {level} is given twice in --special={text!r}")
         special[level] = edge.strip()

@@ -43,13 +43,14 @@ edge per rank.  The other modules work on those ranks.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainError, StructureError
-from .tree import Edge, RootedTree, Vertex, WeightedTree, json_object
+from .tree import MAX_DIGITS, Edge, RootedTree, Vertex, WeightedTree, json_object
 
 Level = Fraction
 # The largest index set whose 2^|I| subsets are enumerated.  The stratum
@@ -60,12 +61,32 @@ Level = Fraction
 MAX_SUBSET_LABELS = 10
 
 
+_LEVEL_TEXT = re.compile(r"(?a)(?P<sign>[-+]?)(?:(?P<num>\d+)/(?P<den>0*[1-9]\d*)|(?=\.?\d)"
+                         r"(?P<int>\d*)(?:\.(?P<frac>\d*))?(?:[eE](?P<exp>[-+]?\d{1,9}))?)")
+
+
 def as_level(x) -> Level:
     """An exact level from a ``Fraction``, an ``int`` or a string such as
-    ``"-1/2"``; a float (already rounded to binary) or a bool is refused."""
+    ``"-1/2"`` or ``"-1.5e2"``; a float (already rounded to binary), a bool and
+    malformed text are refused, and so is text whose numerator or denominator
+    would have more than ``MAX_DIGITS`` digits, before any power of 10 is built."""
+    if isinstance(x, str):
+        text = x.strip()
+        m = _LEVEL_TEXT.fullmatch(text)
+        if m is not None:
+            sign, num, den, whole, frac, exp = m.groups(default="")
+            shift = int(exp or 0) - len(frac)  # the power of 10 to scale by
+            num, den = num or whole + frac, den or "1"
+            up, down = max(shift, 0), max(-shift, 0)
+            if max(len(num) + up, len(den) + down) <= MAX_DIGITS:
+                return Fraction(int(sign + num) * 10 ** up, int(den) * 10 ** down)
+        shown = repr(text if len(text) <= 40 else text[:40] + "...")
+        why = (f"more than {MAX_DIGITS} digits" if m
+               else "expected an exact rational such as -1 or -3/2")
+        raise DomainError(f"bad level {shown}: {why}")
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
+    if isinstance(x, bool) or not isinstance(x, int):
         raise StructureError(f"level {x!r} must be an int, a Fraction or a string "
                              "such as \"-1/2\"")
     return Fraction(x)
@@ -161,17 +182,12 @@ class WeightedLevelTree:
     def from_json_dict(cls, data: dict) -> "WeightedLevelTree":
         base = WeightedTree.from_json_dict(data)
         raw = json_object(data, "levels")
-        levels = {}
         for v, s in raw.items():
             # a JSON number would be read through a binary float
             if not isinstance(s, str):
                 raise StructureError(f"level of {v!r} must be a string such as "
                                      f"\"-1/2\", not {json.dumps(s)}")
-            try:
-                levels[v] = Fraction(s)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise StructureError(f"bad level value: {exc}") from exc
-        return cls(base=base, level=levels)
+        return cls(base=base, level=raw)
 
 
 def _derived_level_tree(base: WeightedTree, level: dict,

@@ -29,8 +29,8 @@ class Symbol:
     """An atomic coordinate name: a kind plus a key (level, edge, or tag).
 
     ``(kind, key)`` uniquely identifies a symbol; instances are interned so
-    identity comparison is valid.  Distinct chart instances use a flavor
-    prefix on the kind (e.g. ``"a:u"``) to keep their coordinates apart.
+    identity comparison is valid.  A kind may carry a prefix, as the blowup
+    chart's gap symbols ``"t:eps"`` do.
     Its rendering and ``sort_key``, the order of its factor in a rendered
     monomial, are computed once, at interning.
     """
@@ -74,15 +74,15 @@ _PAREN_KINDS = {"eps", "delta"}
 
 
 def _render_symbol(kind: str, key) -> str:
-    flavor, _, bare = kind.rpartition(":")
-    prefix = flavor + ":" if flavor else ""
+    head, _, bare = kind.rpartition(":")
+    prefix = head + ":" if head else ""
     if bare in _PAREN_KINDS or isinstance(key, tuple):
         return f"{prefix}{bare}({_key_str(key)})"
     return f"{prefix}{bare}_{_key_str(key)}"
 
 
 def parse_symbol(text: str) -> Symbol:
-    flavor, _, bare = text.rpartition(":")
+    head, _, bare = text.rpartition(":")
     if "(" in bare:
         name, _, rest = bare.partition("(")
         if not rest.endswith(")"):
@@ -99,7 +99,7 @@ def parse_symbol(text: str) -> Symbol:
         name, _, key = bare.partition("_")
     else:
         raise MonomialError(f"cannot parse symbol {text!r}")
-    kind = (flavor + ":" + name) if flavor else name
+    kind = (head + ":" + name) if head else name
     return Symbol(kind, key)
 
 

@@ -21,6 +21,9 @@ from .errors import StructureError
 
 Vertex = str
 Edge = str  # an edge is named by its child (lower) endpoint
+# The most digits of a total weight or of a level's numerator or denominator;
+# Python converts ints of up to 4,300 digits to and from text.
+MAX_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,10 @@ class WeightedTree:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedTree":
         tree = RootedTree.from_json_dict(data)
-        return cls(tree=tree, weight=json_object(data, "weights"))
+        out = cls(tree=tree, weight=json_object(data, "weights"))
+        if out.total_weight() >= 10 ** MAX_DIGITS:
+            raise StructureError(f"the total weight has more than {MAX_DIGITS} digits")
+        return out
 
 
 def _derived_weighted_tree(root: Vertex, parent: dict, weight: dict) -> WeightedTree:

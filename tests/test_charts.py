@@ -270,10 +270,10 @@ def test_build_chart_keeps_one_chart_per_arguments(nested_tree):
     t = nested_tree
     chart = build_chart(t)
     assert build_chart(t) is chart
-    assert build_chart(t, default_special(t), tags=["j1", "j2"], flavor="") is chart
+    assert build_chart(t, default_special(t), tags=["j1", "j2"]) is chart
     releveled = WeightedLevelTree(base=t.base, level={v: 2 * x for v, x in t.level.items()})
     others = [build_chart(t, {F(-1): "b", F(-2): "c"}), build_chart(t, tags=("j1",)),
-              build_chart(t, flavor="a:"), build_chart(releveled), build_chart(_copy(t))]
+              build_chart(releveled), build_chart(_copy(t))]
     assert all(other is not chart for other in others)
     assert len({id(other) for other in others}) == len(others)
 
@@ -292,14 +292,14 @@ def test_a_given_special_map_is_read_once(nested_tree, monkeypatch):
     assert calls == [special]
     assert chart.frame.special == special
     assert chart.frame.special_at == (None, "b", "c")
-    ChartFrame(t=nested_tree, special_at=chart.frame.special_at, flavor="a:")
+    ChartFrame(t=nested_tree, special_at=chart.frame.special_at)
     assert calls == [special]
 
 
 def test_the_suites_share_one_chart_of_the_class(monkeypatch):
-    """The chart and blowup suites read one flavorless chart of the class's
-    representative, with the default special edges and the tags of the
-    checks; the memo is read as the executor drops it."""
+    """The chart and blowup suites keep one chart of the class's
+    representative per special-edge map, all with the tags of the checks;
+    the memo is read as the executor drops it."""
     real, kept = charts.drop_charts, []
 
     def spy(t):
@@ -316,17 +316,21 @@ def test_the_suites_share_one_chart_of_the_class(monkeypatch):
         report = RunReport(suite="charts and blowup")
         run_checks(t, SUITES["charts"] + SUITES["blowup"], report, f"#{k}")
         assert report.ok(), report.failures[:5]
-    # the stratum transition drops each contracted tree's one recentered chart
+    # the stratum transition drops each contracted tree's one recentered chart,
+    # whose tags are those of the checks and one per contracted edge
     reps = {id(t) for t in groups.values()}
     contracted = [keys for t, keys in kept if id(t) not in reps]
-    assert contracted and all(len(keys) == 1 and keys[0][2] == "p:" for keys in contracted)
+    n = len(charts.CHECK_TAGS)
+    assert contracted and all(
+        len(keys) == 1 and keys[0][1][:n] == charts.CHECK_TAGS
+        and all(tag[0] == "ctr" for tag in keys[0][1][n:]) for keys in contracted)
     kept = [(t, keys) for t, keys in kept if id(t) in reps]
     assert [t for t, _ in kept] == list(groups.values())
     for t, keys in kept:
-        default = special_by_rank(t, default_special(t))
-        assert [key for key in keys if key[0] == default and key[2] == ""] \
-            == [(default, charts.CHECK_TAGS, "")]
-        assert all(tags == charts.CHECK_TAGS for _, tags, _ in keys)
+        choices = special_choices(t)
+        maps = {tuple(zip(choices, combo)) for combo in itertools.product(*choices.values())}
+        assert len(keys) == len(maps)
+        assert set(keys) == {(special_by_rank(t, dict(m)), charts.CHECK_TAGS) for m in maps}
 
 
 def test_chart_equality_ignores_cached_mu_tables(nested_tree):
@@ -399,13 +403,13 @@ def test_stratum_transition_matches_the_all_subsets_reference(monkeypatch):
     def planted(t, subset):
         """One ``u`` entry of ``g`` multiplied by a tag."""
         chart, res, prime, g = real(t, subset)
-        u = min((s for s in g.assignment if s.kind == "p:u"), key=str)
+        u = min((s for s in g.assignment if s.kind == "u"), key=str)
         wrong = dict(g.assignment)
         wrong[u] = wrong[u] * Monomial.sym(chart.frame.wsym(charts.CHECK_TAGS[0]))
         return chart, res, prime, MonomialMap(g.source_coords, g.target_coords, wrong)
 
     faulty = [(t, I) for t, I in cases
-              if any(s.kind == "p:u" for s in real(t, I)[3].assignment)]
+              if any(s.kind == "u" for s in real(t, I)[3].assignment)]
     assert faulty
     with monkeypatch.context() as patch:
         patch.setattr(charts, "_recentering", planted)
@@ -413,23 +417,57 @@ def test_stratum_transition_matches_the_all_subsets_reference(monkeypatch):
             assert not verify_stratum_transition(t, I)
             assert not reference_stratum_transition(t, I)
 
-    real_mu = charts.build_mu
+    real_mu, top = charts.build_mu, None
 
     def wrong_readout(chart, subset):
         """One entry of each contracted chart's table at a nonempty level part
         multiplied by a tag: only the readout comparison sees it."""
         table = real_mu(chart, subset)
-        if chart.frame.flavor == "p:" and chart.frame.part.split(subset)[0] and table:
+        if chart.frame.t is not top and chart.frame.part.split(subset)[0] and table:
             key = min(table, key=str)
             table[key] = table[key] * Monomial.sym(chart.frame.wsym(charts.CHECK_TAGS[0]))
         return table
 
     monkeypatch.setattr(charts, "build_mu", wrong_readout)
-    # fresh copies, so no table built before the fault is reused
-    verdicts = [(verify_stratum_transition(_copy(t), I),
-                 reference_stratum_transition(_copy(t), I)) for t, I in cases]
+    verdicts = []
+    for t, I in cases:  # fresh copies, so no table built before the fault is reused
+        top = _copy(t)
+        new = verify_stratum_transition(top, I)
+        top = _copy(t)
+        verdicts.append((new, reference_stratum_transition(top, I)))
     assert all(new == ref for new, ref in verdicts)
     assert not all(new for new, _ in verdicts)
+
+
+def test_every_single_entry_fault_of_g_fails_its_transition(monkeypatch):
+    """Each entry of each transition's ``g`` in turn, multiplied by a tag,
+    makes that transition fail, while the true ``g`` passes."""
+    real, planted, missed = charts._pulls_back, Counter(), []
+    kind = None  # the transition running
+
+    def faulty(other, g, theta, expected_mu):
+        tag = Monomial.sym(other.frame.wsym(charts.CHECK_TAGS[0]))
+        for s in g.assignment:
+            wrong = dict(g.assignment)
+            wrong[s] = wrong[s] * tag
+            planted[kind] += 1
+            if real(other, MonomialMap(g.source_coords, g.target_coords, wrong),
+                    theta, expected_mu):
+                missed.append((kind, other.frame.t, s))
+        return real(other, g, theta, expected_mu)
+
+    monkeypatch.setattr(charts, "_pulls_back", faulty)
+    for t in gen_instances(EnumSpec(max_edges=3, max_weight=1)):
+        choices = special_choices(t)
+        maps = [dict(zip(choices, combo)) for combo in itertools.product(*choices.values())]
+        kind = "special-vertex"
+        assert all(verify_special_vertex_transition(t, a, b) for a in maps for b in maps)
+        kind = "parameter"
+        assert verify_parameter_transition(t)
+        kind = "stratum"
+        assert all(verify_stratum_transition(t, I) for I in index_partition(t).subsets())
+    assert not missed, missed[:5]
+    assert planted == {"special-vertex": 1059, "parameter": 555, "stratum": 3530}
 
 
 def test_build_mu_runs_once_per_chart_and_level_mask(monkeypatch):

@@ -298,7 +298,10 @@ def test_validate_rejects_non_integer_weights(tmp_path, capsys, weight):
 
 @pytest.mark.parametrize("argv", [["contract", "--levels=x"],
                                   ["contract", "--levels=-1/0"],
-                                  ["chart", "--special=x=b,-2=a"]])
+                                  ["chart", "--special=x=b,-2=a"],
+                                  ["contract", "--levels=-1e5000"],
+                                  ["contract", "--levels=-1,-1e10000000"],
+                                  ["chart", "--special=-1e-5000=b"]])
 def test_bad_level_arguments_are_usage_errors(tree_file, capsys, argv):
     assert run([argv[0], tree_file] + argv[1:]) == 2
     err = capsys.readouterr().err
@@ -346,6 +349,37 @@ def test_validate_rejects_malformed_tree_shapes(tmp_path, capsys, blob, message)
     path.write_text(json.dumps(blob))
     assert run(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("level", ["-1e5000", "-1e-5000", "-1e10000000"])
+@pytest.mark.parametrize("argv", [["validate"], ["indices"], ["contract", "--levels=-1"]])
+def test_levels_too_long_to_print_are_refused_in_time(tmp_path, capsys, level, argv):
+    path = tmp_path / "long_level.json"
+    path.write_text(json.dumps(dict(GOOD, levels={"o": "0", "a": level})))
+    start = time.perf_counter()
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    assert time.perf_counter() - start < 2  # refused before the power of 10 is built
+    assert capsys.readouterr() == ("", f"error: bad level {level!r}: more than 1000 digits\n")
+
+
+TWO_HEAVY = '{{"root": "o", "parents": {{"a": "o", "b": "o"}}, "weights": {{"o": 0, ' \
+    '"a": {}, "b": {}}}, "levels": {{"o": "0", "a": "-1", "b": "-1"}}}}'
+
+
+@pytest.mark.parametrize("text, message", [
+    # past 4,300 digits json.load itself fails, with a ValueError
+    (TWO_HEAVY.format("1" + "0" * 5000, 0), "a number in a tree file is too long to read"),
+    # each weight can be read, but their sum could not be printed
+    (TWO_HEAVY.format("4" * 4300, "4" * 4300), "the total weight has more than 1000 digits"),
+    # each weight is short enough, but their sum is not
+    (TWO_HEAVY.format("9" * 1000, "9" * 1000), "the total weight has more than 1000 digits"),
+], ids=["unreadable", "unprintable-sum", "long-total"])
+@pytest.mark.parametrize("argv", [["validate"], ["contract", "--edges=b"]])
+def test_weights_too_long_to_read_or_print_are_refused(tmp_path, capsys, text, message, argv):
+    path = tmp_path / "heavy.json"
+    path.write_text(text)
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text, key", [

@@ -5,7 +5,7 @@ import pytest
 
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, StructureError
-from leveltree.levels import (WeightedLevelTree, ascent_sequence,
+from leveltree.levels import (WeightedLevelTree, as_level, ascent_sequence,
                               canonical_form, cross_section, default_special,
                               edge_span, index_partition,
                               is_equivalent, level_data, level_successor,
@@ -33,6 +33,18 @@ def test_level_map_validation():
         with pytest.raises(StructureError, match=message):
             WeightedLevelTree(base=base, level=level)
     assert make_level_tree(*edge, {"o": "0", "a": F(-1, 3)}).level["a"] == F(-1, 3)
+
+
+def test_level_text_is_read_exactly_or_refused_before_scaling():
+    assert [as_level(x) for x in [" -3/2 ", "-1.5e1", "-.25", "-2e-3", "-1" + "0" * 999]] \
+        == [F(-3, 2), F(-15), F(-1, 4), F(-1, 500), -10 ** 999]
+    malformed = "expected an exact rational such as -1 or -3/2"
+    for text, reason in [("x", malformed), ("-1/0", malformed), ("1_0", malformed),
+                         ("-1/-2", malformed), ("-1e", malformed), ("-1e5000", "1000 digits"),
+                         ("-1e-5000", "1000 digits"), ("-1e10000000", "1000 digits"),
+                         ("-0e1000", "1000 digits"), ("-1" + "0" * 1000, "1000 digits")]:
+        with pytest.raises(DomainError, match=f"^bad level '.*': .*{reason}"):
+            as_level(text)
 
 
 def test_level_map_validation_on_fractional_levels():
