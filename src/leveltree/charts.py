@@ -19,11 +19,21 @@ resulting identities exactly, as integer-exponent monomial equations.
 ``build_chart`` is the only way to a chart.  It keeps one chart per
 (special edges by rank, tags) in the tree's memo, so every check of a class,
 in the chart suite and in the blowup suite, reads the one chart of ``t`` with
-the default special edges and the tags ``CHECK_TAGS``.  A chart
-keeps one ``mu`` table per level part of the subset (all ``build_mu``
-reads), and its frame keeps the record of the last subset -- its
-contraction, its stratum and its stratum-map target -- which the checks of
-that subset share.
+the default special edges and the tags ``CHECK_TAGS``.
+
+Each public function reads its index subset once, through the frame's
+partition (``levels.IndexPartition.read``), and hands the ``IndexSubset`` on;
+from there the chart goes by its masks and by level ranks, never by a level
+label.  A chart keeps one ``mu`` table per level part of the subset (all
+``build_mu`` reads), keyed by its rank mask; a table is keyed by
+``(level, edge)`` for its callers and holds the same entries by rank
+(``Readouts.rows``), which the checks and transitions read.  The frame keeps
+the record of the last subset, keyed by its mask -- its contraction, its
+stratum and its stratum-map target -- which the checks of that subset
+share.  The contraction's levels are levels of ``t`` (its rank ``j`` is
+rank ``ContractionResult.used[j]`` of ``t``), so its special edges, its
+readouts and the union subsets of the stratum transition are read off
+``t``'s ranks.
 
 Every chart names its coordinates ``eps``, ``u``, ``z``, ``w`` and ``mu``: a
 transition's map ``g`` rewrites all symbols at once, so two charts may share.
@@ -32,12 +42,12 @@ transition's map ``g`` rewrites all symbols at once, so two charts may share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from functools import cached_property, partial
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .contraction import ContractionResult, contract
 from .errors import DomainError, MonomialError, VerificationError
-from .levels import (IndexPartition, Level, LevelData, SpecialMap,
+from .levels import (IndexPartition, IndexSubset, Level, LevelData, SpecialMap,
                      WeightedLevelTree, default_special_by_rank,
                      index_partition, level_data, special_by_rank)
 from .monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum, Symbol,
@@ -57,7 +67,8 @@ class ChartFrame:
 
     ``special_at`` is the special map read by rank, ``(None, e_1, ..., e_m)``
     with ``e_k`` the special edge of the level of rank ``k`` (see
-    ``levels.special_by_rank``); ``special`` is the same map by level.
+    ``levels.special_by_rank``); ``special`` is the same map by level, built
+    on first read (the engine reads ``special_at``).
 
     The frame tabulates, per level rank ``k`` of ``I_plus`` (see
     ``WeightedLevelTree.ranks``; entry 0 stands for level 0): the special
@@ -69,7 +80,6 @@ class ChartFrame:
     t: WeightedLevelTree
     special_at: tuple
     extra_tags: tuple[Hashable, ...] = ()
-    special: Mapping[Level, Edge] = field(init=False, compare=False, repr=False)
     part: IndexPartition = field(init=False, compare=False, repr=False)
     data: LevelData = field(init=False, compare=False, repr=False)
     ascent: tuple = field(init=False, compare=False, repr=False)
@@ -92,7 +102,6 @@ class ChartFrame:
         put("data", level_data(t))
         ranks = t.ranks()
         top = range(1, self.data.m_rank + 1)
-        put("special", {ranks.levels[k]: self.special_at[k] for k in top})
         put("_specials", frozenset(self.special_at[1:]))
         ascent: list[tuple[Edge, ...]] = [()]
         for k in top:
@@ -109,6 +118,11 @@ class ChartFrame:
         coords |= {self.zsym(e) for e in self.part.i_minus}
         coords |= {self.wsym(j) for j in self.extra_tags}
         put("_coords", frozenset(coords))
+
+    @cached_property
+    def special(self) -> Mapping[Level, Edge]:
+        levels = self.t.ranks().levels
+        return {levels[k]: self.special_at[k] for k in range(1, self.data.m_rank + 1)}
 
     # symbol families ------------------------------------------------------
 
@@ -198,6 +212,39 @@ def build_theta(frame: ChartFrame) -> MonomialMap:
                        assignment=assignment)
 
 
+class Readouts(Mapping):
+    """A readout table: ``(level, edge) -> coefficient``, as
+    ``TwistedChart.mu`` returns it.  ``rows[k]`` holds the entries of the
+    level of rank ``k`` by edge (empty for level 0 and for collapsed
+    levels).  The engine reads the rows; the mapping by label is built on
+    first read, so the engine never hashes a level."""
+
+    __slots__ = ("rows", "_levels", "_by_label")
+
+    def __init__(self, levels: Sequence[Level], rows: Sequence[Mapping[Edge, Monomial]]):
+        self.rows = tuple(rows)
+        self._levels = levels
+        self._by_label = None
+
+    def _table(self) -> dict:
+        if self._by_label is None:
+            self._by_label = {(self._levels[k], e): mon for k, row in enumerate(self.rows)
+                              for e, mon in row.items()}
+        return self._by_label
+
+    def __getitem__(self, key):
+        return self._table()[key]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Readouts({self._table()!r})"
+
+
 @dataclass
 class TwistedChart:
     frame: ChartFrame
@@ -205,10 +252,10 @@ class TwistedChart:
     # keyed by the rank mask of the subset's level part, all ``build_mu`` reads
     _mu_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def mu(self, subset: Iterable) -> Mapping[tuple[Level, Edge], Monomial]:
+    def mu(self, subset: Iterable) -> Readouts:
         """The readout table of an index subset, built on first use."""
-        subset = frozenset(subset)
-        mask = self.frame.part.split(subset)[0]
+        subset = self.frame.part.read(subset)
+        mask = subset.plus_mask
         if mask not in self._mu_cache:
             self._mu_cache[mask] = build_mu(self, subset)
         return self._mu_cache[mask]
@@ -219,13 +266,19 @@ class TwistedChart:
 
 
 def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
-                tags: Sequence[Hashable] = CHECK_TAGS) -> TwistedChart:
+                tags: Sequence[Hashable] = CHECK_TAGS, *,
+                special_at: tuple | None = None) -> TwistedChart:
     """The chart of ``t`` with the given special edges (by default the
-    smallest vertex at each level) and extra tags.  The charts are kept in
-    ``t``'s memo, keyed by the special edges by rank and the tags, so equal
-    arguments on one tree object return one chart, and every check on the
-    tree shares its ``mu`` tables."""
-    at = default_special_by_rank(t) if special is None else special_by_rank(t, special)
+    smallest vertex at each level) and extra tags.  A special map is checked
+    and read by rank; ``special_at`` gives the special edges by rank
+    instead, as ``ChartFrame.special_at`` holds them, taken as they are: the
+    engine hands a contraction the special edges of its parent's chart so.
+    The charts are kept in ``t``'s memo, keyed by the special edges by rank
+    and the tags, so equal arguments on one tree object return one chart,
+    and every check on the tree shares its ``mu`` tables."""
+    at = special_at
+    if at is None:
+        at = default_special_by_rank(t) if special is None else special_by_rank(t, special)
     key = at, tuple(tags)
     charts = t._memo.setdefault("charts", {})
     if key not in charts:
@@ -256,26 +309,25 @@ def _collapsed_product(frame: ChartFrame, plus_mask: int, above_of: Edge | None,
     return out
 
 
-def build_mu(chart: TwistedChart, subset: Iterable) -> dict[tuple[Level, Edge], Monomial]:
+def build_mu(chart: TwistedChart, subset: Iterable) -> Readouts:
     """For each surviving level ``i`` and each edge of its cross-section, the
     coefficient normalizing that edge against the special one: a chain ratio,
     a ratio of collapsed modular parameters, and the gap product up to ``i``."""
     frame = chart.frame
-    t = frame.t
-    mask, _, _ = frame.part.split(subset)
-    levels = t.ranks().levels
-    table: dict[tuple[Level, Edge], Monomial] = {}
-    for k in range(1, frame.data.m_rank + 1):  # surviving levels, top down
+    mask = frame.part.read(subset).plus_mask
+    rows: list[dict[Edge, Monomial]] = [{}]
+    for k in range(1, frame.data.m_rank + 1):  # levels top down
+        row: dict[Edge, Monomial] = {}
+        rows.append(row)
         if mask >> k & 1:
             continue
-        i = levels[k]
         num_ratio = _collapsed_product(frame, mask, frame.special_at[k], chart.theta_of)
         for e in frame.data.sections[k]:
             le = frame.data.edge_rank[e]
             val = frame.u_mon(e) * frame.up_chain(le) / frame.up_chain(k)
             val = val * num_ratio / _collapsed_product(frame, mask, e, chart.theta_of)
-            table[(i, e)] = val * frame.gaps(k + 1, le + 1)
-    return table
+            row[e] = val * frame.gaps(k + 1, le + 1)
+    return Readouts(frame.t.ranks().levels, rows)
 
 
 def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
@@ -283,22 +335,24 @@ def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
     contraction drops the edge's lower endpoint below the level, and be a
     unit exactly when it lands on the level."""
     frame = chart.frame
+    subset = frame.part.read(subset)
     target = stratum_target(frame, subset)
     strat, res = target.stratum, target.result
-    # the contraction keeps the levels of t, so one rank table serves both
-    rank = frame.t.ranks().of_level
-    for (i, e), mon in chart.mu(subset).items():
-        if e in res.contracted:
-            return False  # cross-section edges must survive contraction
-        new_rank, k = rank[res.tree.level[e]], rank[i]
-        if new_rank == k:
-            if not strat.is_unit(mon):
-                return False
-        elif new_rank > k:
-            if not strat.reduce(mon).is_zero:
-                return False
-        else:
-            return False  # a cross-section edge can never land above its level
+    # the contraction keeps levels of t: its rank j is rank used[j] of t
+    new_rank = res.tree.ranks().of_vertex
+    for k, row in enumerate(chart.mu(subset).rows):
+        for e, mon in row.items():
+            if e in res.contracted:
+                return False  # cross-section edges must survive contraction
+            lands = res.used[new_rank[e]]
+            if lands == k:
+                if not strat.is_unit(mon):
+                    return False
+            elif lands > k:
+                if not strat.reduce(mon).is_zero:
+                    return False
+            else:
+                return False  # a cross-section edge can never land above its level
     return True
 
 
@@ -328,17 +382,24 @@ def stratum_target(frame: ChartFrame, subset: Iterable) -> StratumTarget:
     (one entry, so memory stays bounded), so the forward map, the inverse,
     the round trip and the ``mu``-vanishing check of a subset share one
     record and one contraction; a build that raises is not kept, so the
-    consistency check of ``_build_target`` runs again on the next call."""
-    subset = frozenset(subset)
+    consistency check of ``_build_target`` runs again on the next call.  The
+    record is keyed by the subset's mask."""
+    subset = frame.part.read(subset)
     last = frame._memo.get("target")
-    if last is None or last[0] != subset:
-        last = frame._memo["target"] = (subset, _build_target(frame, subset))
+    if last is None or last[0] != subset.mask:
+        last = frame._memo["target"] = (subset.mask, _build_target(frame, subset))
     return last[1]
 
 
-def _build_target(frame: ChartFrame, subset: frozenset) -> StratumTarget:
+def _special_new(frame: ChartFrame, res: ContractionResult) -> tuple:
+    """The frame's special edges by rank of the contraction: the special edge
+    of a surviving level survives, at that level."""
+    return tuple(frame.special_at[k] for k in res.used[:level_data(res.tree).m_rank + 1])
+
+
+def _build_target(frame: ChartFrame, subset: IndexSubset) -> StratumTarget:
     part = frame.part
-    plus_mask, i_m, i_minus = part.split(subset)
+    plus_mask, i_m, i_minus = subset.plus_mask, subset.i_m, subset.i_minus
     top = range(1, frame.data.m_rank + 1)
     zeros = {frame.eps_at[k] for k in top if not plus_mask >> k & 1}
     zeros |= {frame.usym(e) for e in part.i_m - i_m}
@@ -352,15 +413,14 @@ def _build_target(frame: ChartFrame, subset: frozenset) -> StratumTarget:
     res = contract(frame.t, subset)
     tpr = res.tree
     new_part = index_partition(tpr)
+    special_new = _special_new(frame, res)
     free_mu = set()
-    for e in tpr.edges():
-        lvl = tpr.level[e]
-        if lvl in new_part.i_plus and e != frame.special[lvl]:
+    for e, j in tpr.ranks().of_vertex.items():
+        if 0 < j < len(special_new) and e != special_new[j]:
             free_mu.add(e)
     # the two descriptions of the readout coordinates must agree
     hat_new = level_data(tpr).hat_edges
-    specials_new = {frame.special[i] for i in new_part.i_plus}
-    if frozenset(free_mu) != hat_new - specials_new - new_part.i_m:
+    if frozenset(free_mu) != hat_new - set(special_new[1:]) - new_part.i_m:
         raise VerificationError("readout coordinates disagree with the contraction's "
                                 "hat edges", witness=(frame.t, subset))
     coords = frozenset([*map(zeta, res.contracted), *map(sigma, frame.extra_tags),
@@ -375,16 +435,18 @@ def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     the chart-to-base map, extra parameters through, and the cross-section
     readout through the ``mu`` table."""
     frame = chart.frame
+    subset = frame.part.read(subset)
     target = stratum_target(frame, subset)
-    tpr = target.result.tree
-    mu_table = chart.mu(subset)
+    res = target.result
+    new_rank = res.tree.ranks().of_vertex
+    rows = chart.mu(subset).rows
     assignment: dict[Symbol, Monomial] = {}
-    for e in target.result.contracted:
+    for e in res.contracted:
         assignment[zeta(e)] = chart.theta.assignment[zeta(e)]
     for j in frame.extra_tags:
         assignment[sigma(j)] = Monomial.sym(frame.wsym(j))
     for e in target.free_mu:
-        assignment[musym(e)] = mu_table[(tpr.level[e], e)]
+        assignment[musym(e)] = rows[res.used[new_rank[e]]][e]
     return MonomialMap(source_coords=frame.coords(),
                        target_coords=target.coords, assignment=assignment)
 
@@ -396,13 +458,14 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     divide out the chains and gap products accumulated so far."""
     frame = chart.frame
     t = frame.t
-    subset = frozenset(subset)
-    mask, i_m, _ = frame.part.split(subset)
+    subset = frame.part.read(subset)
+    mask, i_m = subset.plus_mask, subset.i_m
     rank = t.ranks().of_vertex
     target = stratum_target(frame, subset)
     res = target.result
-    tpr = res.tree
-    new_part = index_partition(tpr)
+    new_i_m = index_partition(res.tree).i_m
+    new_rank = res.tree.ranks().of_vertex
+    special_new = _special_new(frame, res)
 
     def zeta_val(e: Edge) -> Monomial:
         return Monomial.sym(zeta(e)) if e in res.contracted else ZERO
@@ -410,10 +473,10 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     def mu_val(e: Edge) -> Monomial:
         if e in target.free_mu:
             return Monomial.sym(musym(e))
-        if e in new_part.i_m:
+        if e in new_i_m:
             return ZERO
-        lvl = tpr.level[e]
-        if lvl in new_part.i_plus and e == frame.special[lvl]:
+        j = new_rank[e]
+        if 0 < j < len(special_new) and e == special_new[j]:
             return ONE
         raise MonomialError(f"no readout coordinate for edge {e!r}")
 
@@ -489,7 +552,7 @@ def verify_round_trip(chart: TwistedChart, subset: Iterable) -> bool:
     """Both compositions of the stratum map with its inverse are identities:
     exactly on the target chart, and modulo the stratum's zeros on the source."""
     frame = chart.frame
-    subset = frozenset(subset)
+    subset = frame.part.read(subset)
     fwd = forward_map(chart, subset)
     inv = build_inverse(chart, subset)
     target = stratum_target(frame, subset)
@@ -505,15 +568,17 @@ def verify_round_trip(chart: TwistedChart, subset: Iterable) -> bool:
 # ---------------------------------------------------------------------------
 
 def _pulls_back(other: TwistedChart, g: MonomialMap, theta: Mapping[Symbol, Monomial],
-                expected_mu: Callable[[frozenset], Mapping]) -> bool:
+                expected_mu: Callable[[IndexSubset], list]) -> bool:
     """``g`` carries the chart ``other`` onto the expected one: ``other``'s
     base map after ``g`` is ``theta``, and for every level part of its index
     set (all that a readout table reads of a subset) its whole readout table,
-    pulled back through ``g``, is ``expected_mu`` of that part, keys included."""
+    pulled back through ``g``, is ``expected_mu`` of that part: its rows by
+    ``other``'s ranks (``Readouts.rows``), keys included."""
     if compose(other.theta, g).assignment != theta:
         return False
     for levels in other.frame.part.level_parts():
-        pulled = {key: mon.substitute(g.assignment) for key, mon in other.mu(levels).items()}
+        pulled = [{e: mon.substitute(g.assignment) for e, mon in row.items()}
+                  for row in other.mu(levels).rows]
         if pulled != expected_mu(levels):
             return False
     return True
@@ -546,9 +611,12 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
     g = MonomialMap(source_coords=fa.coords(), target_coords=fb.coords(),
                     assignment=assignment)
 
-    def renormalized(levels: frozenset) -> dict:
-        mu_a = chart.mu(levels)
-        return {(i, e): mon / mu_a[(i, fb.special[i])] for (i, e), mon in mu_a.items()}
+    def renormalized(levels: IndexSubset) -> list:
+        out = []
+        for k, row in enumerate(chart.mu(levels).rows):
+            unit = row[fb.special_at[k]] if row else ONE
+            out.append({e: mon / unit for e, mon in row.items()})
+        return out
 
     return _pulls_back(other, g, chart.theta.assignment, renormalized)
 
@@ -586,21 +654,23 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
     for e in frame.data.hat_edges:
         theta[zeta(e)] = theta[zeta(e)] * f(e)
 
-    def rescaled(levels: frozenset) -> dict:
-        mask = frame.part.split(levels)[0]
-        return {(i, e): mon * f_open(e, mask) / f_open(frame.special[i], mask)
-                for (i, e), mon in chart.mu(levels).items()}
+    def rescaled(levels: IndexSubset) -> list:
+        mask = levels.plus_mask
+        return [{e: mon * f_open(e, mask) / f_open(frame.special_at[k], mask)
+                 for e, mon in row.items()}
+                for k, row in enumerate(chart.mu(levels).rows)]
 
     return _pulls_back(chart, g, theta, rescaled)
 
 
-def _recentering(t: WeightedLevelTree, subset: frozenset
+def _recentering(t: WeightedLevelTree, subset: Iterable
                  ) -> tuple[TwistedChart, ContractionResult, TwistedChart, MonomialMap]:
     """The chart of ``t``, the contraction along ``subset``, the chart of the
     contracted tree and the explicit recentering map ``g`` between them."""
     chart = build_chart(t)
     frame = chart.frame
-    mask, _, _ = frame.part.split(subset)
+    subset = frame.part.read(subset)
+    mask = subset.plus_mask
     res = contract(t, subset)
     tpr = res.tree
     new_part = index_partition(tpr)
@@ -608,14 +678,16 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
     # tops[j] of t
     tops = [k for k in range(frame.data.m_rank + 1) if not mask >> k & 1]
     levels = t.ranks().levels
-    special_new = {levels[k]: frame.special_at[k] for k in tops[1:]}
+    if res.used[:level_data(tpr).m_rank + 1] != tuple(tops):
+        raise VerificationError("the contraction's levels in [m, 0) are not the "
+                                "surviving ones", witness=(subset, level_data(tpr).m))
     new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
-    prime = build_chart(tpr, special_new, new_tags)
+    prime = build_chart(tpr, tags=new_tags, special_at=_special_new(frame, res))
     # the chart refers back to tpr, which t's contract memo keeps, so it
     # leaves tpr's memo here and goes with the last reference to it
     drop_charts(tpr)
     fp = prime.frame
-    mu_I = chart.mu(subset)
+    rows = chart.mu(subset).rows
     theta = chart.theta.assignment
 
     for j in range(1, len(tops)):  # the cross-sections must be preserved
@@ -623,8 +695,10 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
             raise VerificationError("cross-section changed under contraction",
                                     witness=(subset, levels[tops[j]]))
 
+    new_rank = tpr.ranks().of_vertex
+
     def mu_chain(j: int) -> Monomial:
-        return Monomial.product(mu_I[(tpr.level[p], p)] for p in fp.chain_edges[j])
+        return Monomial.product(rows[tops[new_rank[p]]][p] for p in fp.chain_edges[j])
 
     assignment: dict[Symbol, Monomial] = {}
     for j in range(1, len(tops)):
@@ -636,7 +710,7 @@ def _recentering(t: WeightedLevelTree, subset: frozenset
         val = val * mu_chain(j - 1) / mu_chain(j)
         assignment[fp.eps_at[j]] = val
     for e in fp.data.hat_edges - fp.special_edges():
-        assignment[fp.usym(e)] = mu_I[(fp.data.edge_level[e], e)]
+        assignment[fp.usym(e)] = rows[tops[fp.data.edge_rank[e]]][e]
     for e in new_part.i_minus:
         if e in frame.part.i_minus:
             assignment[fp.zsym(e)] = Monomial.sym(frame.zsym(e))
@@ -656,13 +730,20 @@ def verify_stratum_transition(t: WeightedLevelTree, subset: Iterable) -> bool:
     """Recentering a chart on a stratum agrees with the chart of the
     contracted tree: the base maps match through the explicit ``g``, and the
     recentered readout families are the original ones at the union subset."""
-    subset = frozenset(subset)
+    subset = index_partition(t).read(subset)
     chart, res, prime, g = _recentering(t, subset)
     theta = chart.theta.assignment
     expected = {zeta(e): theta[zeta(e)] for e in res.tree.edges()}
     expected.update((sigma(j), theta[sigma(j)]) for j in CHECK_TAGS)
     expected.update((sigma(("ctr", e)), theta[zeta(e)]) for e in res.contracted)
-    return _pulls_back(prime, g, expected, lambda levels: chart.mu(subset | levels))
+    # the ranks of t that the contraction keeps at or above its m
+    tops = res.used[:prime.frame.data.m_rank + 1]
+
+    def recentered(levels: IndexSubset) -> list:
+        rows = chart.mu(subset.joined(levels, res.used)).rows
+        return [rows[k] for k in tops]
+
+    return _pulls_back(prime, g, expected, recentered)
 
 
 def remark_identities(chart: TwistedChart) -> bool:

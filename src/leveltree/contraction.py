@@ -24,19 +24,19 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError
-from .levels import (LevelData, LevelRanks, WeightedLevelTree, _derived_level_tree,
-                     canonical_form, index_partition, is_equivalent, level_data,
-                     phi_bijection)
+from .levels import (IndexSubset, LevelData, LevelRanks, WeightedLevelTree,
+                     _derived_level_tree, canonical_form, index_partition, is_equivalent,
+                     level_data, phi_bijection)
 from .tree import Edge, Vertex, _derived_weighted_tree
 
 
-def _collapsed(t: WeightedLevelTree, plus_mask: int, i_m: frozenset,
-               i_minus: frozenset) -> frozenset[Edge]:
-    """The contracted edges, given the level part of the subset as a rank
-    bitmask: a hat edge collapses when every level it crosses does."""
+def _collapsed(t: WeightedLevelTree, sub: IndexSubset) -> frozenset[Edge]:
+    """The contracted edges: a hat edge collapses when every level it
+    crosses does."""
     data = level_data(t)
-    out = set(i_minus)
-    for e in (data.hat_edges - index_partition(t).i_m) | i_m:
+    plus_mask, i_m = sub.plus_mask, sub.i_m
+    out = set(sub.i_minus)
+    for e in (data.hat_edges - sub.part.i_m) | i_m:
         if not data.span[e] & ~plus_mask:
             out.add(e)
     return frozenset(out)
@@ -49,24 +49,30 @@ def _kept_ranks(data: LevelData, plus_mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ContractionResult:
+    """The contracted tree, the projection of ``t``'s vertices onto it and
+    the contracted edges.  The tree's levels are levels of ``t``: its rank
+    ``j`` is rank ``used[j]`` of ``t``."""
+
     tree: WeightedLevelTree
     projection: Mapping[Vertex, Vertex]
     contracted: frozenset[Edge]
+    used: tuple[int, ...]
 
 
 def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
     """The contraction of ``t`` along ``subset``.
 
-    The tree keeps its last result (one entry, so memory stays bounded),
-    since the suites ask for the same contraction several times in a row.
+    The tree keeps its last result, keyed by the subset's mask (one entry,
+    so memory stays bounded), since the suites ask for the same contraction
+    several times in a row.
     """
-    key = frozenset(subset)
-    last = t._memo.get("contract")
-    if last is not None and last[0] == key:
-        return last[1]
     part = index_partition(t)
-    plus_mask, i_m, i_minus = part.split(key)
-    gone = _collapsed(t, plus_mask, i_m, i_minus)
+    sub = part.read(subset)
+    last = t._memo.get("contract")
+    if last is not None and last[0] == sub.mask:
+        return last[1]
+    plus_mask, i_m = sub.plus_mask, sub.i_m
+    gone = _collapsed(t, sub)
     tree = t.tree
     data = level_data(t)
 
@@ -110,7 +116,7 @@ def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
             new_rank[e] = rank[e]
 
     # the rank table of t_(I): the surviving ranks of t, renumbered 0, 1, ...
-    used = sorted(set(new_rank.values()))
+    used = tuple(sorted(set(new_rank.values())))
     renumber = {r: k for k, r in enumerate(used)}
     of_vertex = {v: renumber[r] for v, r in new_rank.items()}
     at: list[list[Vertex]] = [[] for _ in used]
@@ -121,8 +127,8 @@ def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
         _derived_weighted_tree(root, new_parent, new_weight),
         {v: levels[k] for v, k in of_vertex.items()},
         LevelRanks(levels=levels, of_vertex=of_vertex, at=tuple(map(tuple, at))))
-    out = ContractionResult(tree=new_tree, projection=proj, contracted=gone)
-    t._memo["contract"] = (key, out)
+    out = ContractionResult(tree=new_tree, projection=proj, contracted=gone, used=used)
+    t._memo["contract"] = (sub.mask, out)
     return out
 
 
@@ -149,14 +155,15 @@ class IndexIdentityReport:
 def index_identity_report(t: WeightedLevelTree, subset: Iterable,
                           result: ContractionResult | None = None) -> IndexIdentityReport:
     part = index_partition(t)
-    plus_mask, i_m, i_minus = part.split(subset)
-    res = result if result is not None else contract(t, subset)
+    sub = part.read(subset)
+    i_m = sub.i_m
+    res = result if result is not None else contract(t, sub)
     new_part = index_partition(res.tree)
-    new_m = level_data(res.tree).m
+    new_data = level_data(res.tree)
 
     ranks = t.ranks()
     levels = ranks.levels
-    kept = _kept_ranks(level_data(t), plus_mask)
+    kept = _kept_ranks(level_data(t), sub.plus_mask)
     # the rank of the new bottom level min(I_plus \ I), or of level 0 when
     # every level collapses
     bottom = kept[-1] if kept else 0
@@ -166,10 +173,13 @@ def index_identity_report(t: WeightedLevelTree, subset: Iterable,
     dropouts = frozenset(e for e in part.i_m - i_m
                          if ranks.of_vertex[t.tree.parent[e]] >= bottom)
     expected_mid = part.i_m - i_m - dropouts
-    expected_minus_strict = part.i_minus - i_minus
+    expected_minus_strict = part.i_minus - sub.i_minus
+    # the contraction keeps levels of t: its levels in [m, 0), in rank order,
+    # must be those of the kept ranks
+    new_levels = res.tree.ranks().levels
     return IndexIdentityReport(
-        m_ok=(new_m == levels[bottom]),
-        plus_ok=(new_part.i_plus == {levels[k] for k in kept}),
+        m_ok=(new_data.m == levels[bottom]),
+        plus_ok=(new_levels[1:new_data.m_rank + 1] == tuple(levels[k] for k in kept)),
         mid_ok=(new_part.i_m == expected_mid),
         minus_ok_strict=(new_part.i_minus == expected_minus_strict),
         minus_ok_corrected=(new_part.i_minus == expected_minus_strict | dropouts),
@@ -181,8 +191,9 @@ def verify_equivalence_compat(t: WeightedLevelTree, t2: WeightedLevelTree,
                               subset: Iterable) -> bool:
     """Contracting equivalent trees along transported subsets stays
     equivalent; the inputs must be equivalent (``DomainError`` otherwise)."""
-    moved = phi_bijection(t, t2, subset)
-    return is_equivalent(contract(t, subset).tree, contract(t2, moved).tree)
+    sub = index_partition(t).read(subset)
+    moved = phi_bijection(t, t2, sub)
+    return is_equivalent(contract(t, sub).tree, contract(t2, moved).tree)
 
 
 def nested_contraction_coherent(t: WeightedLevelTree, subset: Iterable,
@@ -196,6 +207,6 @@ def nested_contraction_coherent(t: WeightedLevelTree, subset: Iterable,
         raise DomainError("second subset must consist of surviving labels")
     staged = canonical_form(contract(first, sub2).tree)
     # the labels keep their names: edges persist, and the contraction keeps
-    # the surviving I_plus levels at their values; ``split`` refuses the rest
+    # the surviving I_plus levels at their values; ``read`` refuses the rest
     merged = canonical_form(contract(t, frozenset(subset) | sub2).tree)
     return staged.level == merged.level and staged.base == merged.base

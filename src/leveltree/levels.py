@@ -34,10 +34,17 @@ by construction as they are: contractions and the class representatives of
 ``enumerate.gen_level_trees``.  A proven equivalence ``t ~ t2`` is kept in
 ``t``'s memo, so ``phi_bijection`` proves it once per partner tree.
 
-Labels become ranks in two places only, both here: ``IndexPartition.split``
-returns the level part of an index subset as a bitmask over ranks, and
-``special_by_rank`` reads a special map (level -> edge) into one special
-edge per rank.  The other modules work on those ranks.
+Labels become ranks in two places only, both here.  ``IndexPartition.read``
+reads an index subset into an ``IndexSubset``: the same frozenset of labels,
+carrying its partition and its bitmask over the partition's label order
+(levels at the bits of their ranks, then the edges).  ``subsets()`` and
+``level_parts()`` yield ``IndexSubset``s, and ``read`` returns one of its
+own partition as it is, so a subset is read by its labels once, where it
+enters, and the engine's memos and level probes go by its masks and ranks
+from there on.  A subset of another tree -- a releveling, a contraction --
+is read again by its labels.  ``special_by_rank`` reads a special map
+(level -> edge) into one special edge per rank.  The other modules work on
+those ranks and read an ``IndexSubset``'s fields, never the mask layout.
 """
 
 from __future__ import annotations
@@ -289,17 +296,62 @@ def cross_section(t: WeightedLevelTree, i) -> frozenset[Edge]:
     return level_data(t).sections[k]
 
 
+class IndexSubset(frozenset):
+    """An index subset as its partition reads it: the frozenset of its labels
+    that also carries the partition (``part``), the bitmask of its labels
+    over the partition's label order (``mask``) and its level part as the
+    bitmask of its ranks (``plus_mask``).
+
+    The engine keys its memos on the masks and reads the parts off them, so
+    a subset is read once, where it enters.  Only ``IndexPartition.read``
+    and the partition's own enumerations make one."""
+
+    __slots__ = ("part", "mask", "plus_mask")
+
+    @property
+    def i_m(self) -> frozenset:
+        return self & self.part.i_m
+
+    @property
+    def i_minus(self) -> frozenset:
+        return self & self.part.i_minus
+
+    def joined(self, levels: "IndexSubset", lift) -> "IndexSubset":
+        """This subset with ``levels`` added: a level part read on a tree
+        whose level rank ``j`` is rank ``lift[j]`` here, so that its labels
+        are levels of this tree too -- a contraction, with ``lift`` its
+        ``ContractionResult.used``."""
+        mask, plus = self.mask, levels.plus_mask
+        while plus:
+            low = plus & -plus
+            mask |= 1 << lift[low.bit_length() - 1]
+            plus ^= low
+        return self.part._subset(self | levels, mask)
+
+
 @dataclass(frozen=True)
 class IndexPartition:
     """The index set attached to a weighted level tree, split into its parts:
     occupied levels in ``[m, 0)``, hat edges dropping below ``m``, and the
-    remaining (non-hat) edges.  ``plus_rank`` gives each level of ``I_plus``
-    its rank."""
+    remaining (non-hat) edges.
+
+    It fixes one order of the labels, the bits of an ``IndexSubset``'s
+    mask: the level of rank ``k`` at bit ``k`` (``plus_rank``, ranks
+    ``1..m_rank``), then the ``I_m`` edges and the ``I_minus`` edges, each
+    sorted (``edge_bit``).  Equivalent trees share the order (their ranks
+    agree up to ``m`` and their edge parts are equal), so a mask moves
+    between them as it is."""
 
     i_plus: frozenset[Level]
     i_m: frozenset[Edge]
     i_minus: frozenset[Edge]
     plus_rank: Mapping[Level, int] = field(compare=False, repr=False)
+
+    @cached_property
+    def edge_bit(self) -> Mapping[Edge, int]:
+        # built on first use: most contracted trees never read a label
+        first = len(self.plus_rank) + 1
+        return {e: first + n for n, e in enumerate(sorted(self.i_m) + sorted(self.i_minus))}
 
     def labels(self) -> frozenset:
         return self.i_plus | self.i_m | self.i_minus
@@ -307,39 +359,52 @@ class IndexPartition:
     def __len__(self) -> int:
         return len(self.i_plus) + len(self.i_m) + len(self.i_minus)
 
-    def split(self, subset: Iterable) -> tuple[int, frozenset, frozenset]:
-        """Partition an index subset into its plus/m/minus parts, the plus
-        part as the bitmask of its ranks, rejecting labels outside the index
-        set."""
+    def read(self, subset: Iterable) -> IndexSubset:
+        """The index subset with these labels, read by this partition: the
+        place where labels become ranks.  An ``IndexSubset`` this partition
+        made comes back as it is; any other set, an ``IndexSubset`` of
+        another partition too, is read by its labels, rejecting labels
+        outside the index set."""
+        if type(subset) is IndexSubset and subset.part is self:
+            return subset
         sub = frozenset(subset)
-        plus_mask, bad = 0, []
+        mask, bad = 0, []
         for lab in sub:
             k = self.plus_rank.get(lab)
-            if k is not None:
-                plus_mask |= 1 << k
-            elif lab not in self.i_m and lab not in self.i_minus:
-                bad.append(lab)
+            if k is None:
+                k = self.edge_bit.get(lab)
+                if k is None:
+                    bad.append(lab)
+                    continue
+            mask |= 1 << k
         if bad:
             raise DomainError(f"labels outside the index set: {sorted(map(str, bad))}")
-        return plus_mask, sub & self.i_m, sub & self.i_minus
+        return self._subset(sub, mask)
 
-    def subsets(self) -> list[frozenset]:
+    def _subset(self, labels: frozenset, mask: int) -> IndexSubset:
+        out = IndexSubset(labels)
+        out.part, out.mask = self, mask
+        out.plus_mask = mask & ((2 << len(self.plus_rank)) - 2)
+        return out
+
+    def subsets(self) -> list[IndexSubset]:
         """Every index subset, built up label by label with the labels sorted
         by ``str``; refused up front above ``MAX_SUBSET_LABELS`` labels."""
-        return self._power_set(self.labels())
+        return self._power_set({**self.plus_rank, **self.edge_bit})
 
-    def level_parts(self) -> list[frozenset]:
+    def level_parts(self) -> list[IndexSubset]:
         """Every subset of ``I_plus``, the level parts of the index subsets,
         in the order and under the bound of ``subsets``."""
-        return self._power_set(self.i_plus)
+        return self._power_set(self.plus_rank)
 
-    def _power_set(self, labels: frozenset) -> list[frozenset]:
+    def _power_set(self, bits: Mapping) -> list[IndexSubset]:
         if len(self) > MAX_SUBSET_LABELS:
             raise DomainError(f"the index set has {len(self)} labels; subsets are "
                               f"enumerated only up to {MAX_SUBSET_LABELS} labels")
-        out = [frozenset()]
-        for lab in sorted(labels, key=str):
-            out += [s | {lab} for s in out]
+        out = [self._subset(frozenset(), 0)]
+        for lab in sorted(bits, key=str):
+            one, bit = frozenset((lab,)), 1 << bits[lab]
+            out += [self._subset(s | one, s.mask | bit) for s in out]
         return out
 
 
@@ -391,12 +456,13 @@ def special_by_rank(t: WeightedLevelTree, special: SpecialMap) -> tuple:
     """The special map checked and read by rank: ``(None, e_1, ..., e_m)``
     with ``e_k`` the special edge of the level of rank ``k``."""
     plus_rank = index_partition(t).plus_rank
-    if special.keys() != plus_rank.keys():
+    # one probe per level: as many levels as I_plus, each one of them
+    ranks = [plus_rank.get(i) for i in special] if len(special) == len(plus_rank) else [None]
+    if None in ranks:
         raise DomainError("special map must cover exactly the levels of I_plus")
     of_vertex = t.ranks().of_vertex
     at = [None] * (len(plus_rank) + 1)
-    for i, e in special.items():
-        k = plus_rank[i]
+    for k, (i, e) in zip(ranks, special.items()):
         if of_vertex.get(e) != k:
             raise DomainError(f"special edge {e!r} does not end at level {i}")
         at[k] = e
@@ -465,9 +531,11 @@ def canonical_form(t: WeightedLevelTree) -> WeightedLevelTree:
     return WeightedLevelTree(base=t.base, level=new_level)
 
 
-def phi_bijection(t: WeightedLevelTree, t2: WeightedLevelTree, subset: Iterable) -> frozenset:
+def phi_bijection(t: WeightedLevelTree, t2: WeightedLevelTree, subset: Iterable) -> IndexSubset:
     """Transport an index subset along an equivalence: levels move through the
-    vertex-level correspondence, edge labels stay put.
+    vertex-level correspondence, edge labels stay put.  The classes at or
+    above ``m`` take the ranks ``0..m_rank`` in both trees, so the subset
+    keeps its mask, read on ``t2``'s partition.
 
     Whether ``t ~ t2`` is proven once per partner object and kept in ``t``'s
     memo; the entry holds ``t2``, so its ``id`` is not reused while kept."""
@@ -477,8 +545,8 @@ def phi_bijection(t: WeightedLevelTree, t2: WeightedLevelTree, subset: Iterable)
         entry = proven[id(t2)] = (t2, is_equivalent(t, t2))
     if not entry[1]:
         raise DomainError("phi is only defined between equivalent trees")
-    plus_mask, mid, minus = index_partition(t).split(subset)
-    # the classes at or above m take the ranks 0..m_rank in both trees
+    sub = index_partition(t).read(subset)
+    plus_mask = sub.plus_mask
     levels2 = t2.ranks().levels
-    moved = (levels2[k] for k in range(1, level_data(t).m_rank + 1) if plus_mask >> k & 1)
-    return frozenset(moved) | mid | minus
+    moved = frozenset(levels2[k] for k in range(1, plus_mask.bit_length()) if plus_mask >> k & 1)
+    return index_partition(t2)._subset(moved | sub.i_m | sub.i_minus, sub.mask)

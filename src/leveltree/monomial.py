@@ -176,6 +176,8 @@ class Monomial:
             return Monomial._ZERO
         if n == 0:
             return Monomial._ONE
+        if n == 1:  # a monomial never changes, so it is its own first power
+            return self
         return Monomial(tuple((s, e * n) for s, e in self.exps))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
@@ -341,14 +343,19 @@ class MonomialMap:
 
 
 def compose(f: MonomialMap, g: MonomialMap) -> MonomialMap:
-    """The map ``f after g``; requires ``g.target_coords == f.source_coords``."""
+    """The map ``f after g``; requires ``g.target_coords == f.source_coords``.
+
+    The result is built without the constructor's checks, which hold by
+    construction: its keys are ``f``'s targets, and each of its symbols comes
+    from a value of ``g``'s checked assignment, so lies in ``g``'s sources."""
     if g.target_coords != f.source_coords:
         raise MonomialError("cannot compose: coordinate sets do not match")
-    return MonomialMap(
-        source_coords=g.source_coords,
-        target_coords=f.target_coords,
-        assignment={t: mon.substitute(g.assignment) for t, mon in f.assignment.items()},
-    )
+    out = object.__new__(MonomialMap)
+    object.__setattr__(out, "source_coords", g.source_coords)
+    object.__setattr__(out, "target_coords", f.target_coords)
+    object.__setattr__(out, "assignment",
+                       {t: mon.substitute(g.assignment) for t, mon in f.assignment.items()})
+    return out
 
 
 def equal_on_stratum(f: MonomialMap, g: MonomialMap, s: Stratum) -> bool:

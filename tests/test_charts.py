@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltree import charts, levels
+from leveltree import blowup, charts, levels
 from leveltree.charts import (ChartFrame, build_chart, build_inverse, build_mu,
                               check_mu_vanishing, forward_map,
                               remark_identities, sigma, verify_parameter_transition,
@@ -218,7 +218,9 @@ def reference_stratum(frame, subset) -> Stratum:
     pin their coordinates to zero, collapsed labels make them units, and
     ``u`` over hat-but-not-dropping edges is a unit everywhere."""
     part = frame.part
-    plus_mask, i_m, i_minus = part.split(subset)
+    of_level = frame.t.ranks().of_level
+    plus_mask = sum(1 << of_level[x] for x in subset & part.i_plus)
+    i_m, i_minus = subset & part.i_m, subset & part.i_minus
     top = range(1, frame.data.m_rank + 1)
     zeros = {frame.eps_at[k] for k in top if not plus_mask >> k & 1}
     zeros |= {frame.usym(e) for e in part.i_m - i_m}
@@ -421,11 +423,16 @@ def test_stratum_transition_matches_the_all_subsets_reference(monkeypatch):
 
     def wrong_readout(chart, subset):
         """One entry of each contracted chart's table at a nonempty level part
-        multiplied by a tag: only the readout comparison sees it."""
+        multiplied by a tag: only the readout comparison sees it.  The table
+        is rebuilt from its rows, so its labels and its rows both hold it."""
         table = real_mu(chart, subset)
-        if chart.frame.t is not top and chart.frame.part.split(subset)[0] and table:
-            key = min(table, key=str)
-            table[key] = table[key] * Monomial.sym(chart.frame.wsym(charts.CHECK_TAGS[0]))
+        if chart.frame.t is not top and chart.frame.part.read(subset).plus_mask and table:
+            level, e = min(table, key=str)
+            ranks = chart.frame.t.ranks()
+            rows = [dict(row) for row in table.rows]
+            k = ranks.of_level[level]
+            rows[k][e] = rows[k][e] * Monomial.sym(chart.frame.wsym(charts.CHECK_TAGS[0]))
+            table = charts.Readouts(ranks.levels, rows)
         return table
 
     monkeypatch.setattr(charts, "build_mu", wrong_readout)
@@ -475,7 +482,7 @@ def test_build_mu_runs_once_per_chart_and_level_mask(monkeypatch):
 
     def counting(chart, subset):
         seen.append(chart)  # kept alive, so no id is reused
-        calls[(id(chart), chart.frame.part.split(subset)[0])] += 1
+        calls[(id(chart), chart.frame.part.read(subset).plus_mask)] += 1
         return real(chart, subset)
 
     monkeypatch.setattr(charts, "build_mu", counting)
@@ -484,3 +491,24 @@ def test_build_mu_runs_once_per_chart_and_level_mask(monkeypatch):
         run_checks(t, SUITES["charts"], report, f"#{k}")
         assert report.ok()
     assert calls and max(calls.values()) == 1
+
+
+def test_composed_maps_pass_the_validating_constructor(monkeypatch):
+    """``compose`` builds its result without the constructor's checks; every
+    map it builds in the chart and blowup suites over the <=3-edge instances
+    passes them and equals the map the constructor builds."""
+    real, composed = charts.compose, []
+
+    def checked(f, g):
+        out = real(f, g)
+        assert MonomialMap(out.source_coords, out.target_coords, out.assignment) == out
+        composed.append(out)
+        return out
+
+    for module in (charts, blowup):
+        monkeypatch.setattr(module, "compose", checked)
+    for k, t in enumerate(gen_instances(EnumSpec(max_edges=3, max_weight=1))):
+        report = RunReport(suite="charts and blowup")
+        run_checks(t, SUITES["charts"] + SUITES["blowup"], report, f"#{k}")
+        assert report.ok(), report.failures[:5]
+    assert len(composed) > 1000

@@ -55,7 +55,7 @@ def trees_and_subsets(draw):
 
 def reference_split(t, subset):
     """The set-based split: the level part intersected with ``I_plus`` and
-    mapped through the rank table."""
+    mapped through the rank table, and the two edge parts."""
     part = index_partition(t)
     of_level = t.ranks().of_level
     mask = sum(1 << of_level[x] for x in subset & part.i_plus)
@@ -64,9 +64,11 @@ def reference_split(t, subset):
 
 @PROPERTY
 @given(trees_and_subsets())
-def test_split_matches_the_set_reference(case):
+def test_read_matches_the_set_reference(case):
     t, subset = case
-    assert index_partition(t).split(subset) == reference_split(t, subset)
+    sub = index_partition(t).read(subset)
+    assert sub == subset
+    assert (sub.plus_mask, sub.i_m, sub.i_minus) == reference_split(t, subset)
 
 
 @PROPERTY
