@@ -33,10 +33,12 @@ tables they read are built once per class.  The cross-sections are read by
 rank from ``LevelData.sections``.  The tree's memo keeps the listed
 sections touching the non-dropping hat edges sorted by size, with the least
 ``k`` at which each has a witness edge (``"zk_components"``, kept for one
-section listing), the ``t:eps`` gap symbol of each rank (``"t:eps"``), and
-the scaling monomial of the last stage asked for (``"stage_factor"``),
-which the next stage extends.  The two sides of the bundle identity are
-running products down the tree.
+section listing), the ranks sorted by cross-section size
+(``"ranks_by_size"``), the ``Y_k`` pullback of the last ``k`` asked for
+(``"yk"``), the ``t:eps`` gap symbol of each rank (``"t:eps"``), and the
+scaling monomial of the last stage asked for (``"stage_factor"``).  The next
+``k`` extends that ``Y_k``, and the next stage that scaling monomial.  The
+two sides of the bundle identity are running products down the tree.
 """
 
 from __future__ import annotations
@@ -100,14 +102,6 @@ def order_compatible(bar: RootedTree) -> bool:
     return all(len(bar.children(v)) != 1 for v in bar.edges)
 
 
-def _qualifying_ranks(chart: TwistedChart, k: int) -> list[int]:
-    """The ranks of the levels whose cross-section has at most ``k`` edges."""
-    if k < 1:
-        raise DomainError("divisor index must be positive")
-    sections = chart.frame.data.sections
-    return [r for r in range(1, len(sections)) if len(sections[r]) <= k]
-
-
 def _zk_table(frame: ChartFrame, sections: frozenset) -> tuple[list, list, list, list]:
     """The ``sections`` touching the non-dropping hat edges, sorted by size:
     their sizes, the sections, the least ``k`` at which each has a witness
@@ -150,12 +144,36 @@ def zk_components(chart: TwistedChart, sections: Iterable[TraverseSection],
     return frozenset(listed[:n])
 
 
+def _ranks_by_size(t: WeightedLevelTree) -> tuple[list[int], list[int]]:
+    """The ranks ``1..m_rank`` sorted by the size of their cross-section,
+    and those sizes, built once per class."""
+    memo = t._memo
+    if "ranks_by_size" not in memo:
+        sections = level_data(t).sections
+        ranks = sorted(range(1, len(sections)), key=lambda r: len(sections[r]))
+        memo["ranks_by_size"] = [len(sections[r]) for r in ranks], ranks
+    return memo["ranks_by_size"]
+
+
 def yk_pullback(chart: TwistedChart, k: int) -> Monomial:
     """The divisor monomial of the ``k``-th cumulative center: the product of
     the gap coordinates of every level whose cross-section has at most ``k``
-    edges."""
-    return Monomial.product(Monomial.sym(chart.frame.eps_at[r])
-                            for r in _qualifying_ranks(chart, k))
+    edges.  The ranks are sorted by size once per class, so ``k`` reads a
+    prefix, and the last ``Y_k`` asked for is kept in the tree's memo and
+    extended, since the report goes through ``k`` in order; it starts again
+    when fewer ranks qualify."""
+    if k < 1:
+        raise DomainError("divisor index must be positive")
+    frame = chart.frame
+    memo = frame.t._memo
+    sizes, ranks = _ranks_by_size(frame.t)
+    n = bisect.bisect_right(sizes, k)
+    done, factor = memo.get("yk", (0, ONE))
+    if done > n:
+        done, factor = 0, ONE
+    factor = factor * Monomial.product(Monomial.sym(frame.eps_at[r]) for r in ranks[done:n])
+    memo["yk"] = n, factor
+    return factor
 
 
 # ---------------------------------------------------------------------------

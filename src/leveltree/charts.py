@@ -37,6 +37,10 @@ readouts and the union subsets of the stratum transition are read off
 
 Every chart names its coordinates ``eps``, ``u``, ``z``, ``w`` and ``mu``: a
 transition's map ``g`` rewrites all symbols at once, so two charts may share.
+The symbols of the base (``zeta``, ``sigma``), of the readouts (``musym``)
+and the frame's ``usym``, ``zsym`` and ``wsym`` are symbol families
+(``monomial.SymbolFamily``): a symbol read before costs one dict lookup, and
+it is the interned ``Symbol`` of its kind and key.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .levels import (IndexPartition, IndexSubset, Level, LevelData, SpecialMap,
                      WeightedLevelTree, default_special_by_rank,
                      index_partition, level_data, special_by_rank)
 from .monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum, Symbol,
-                       compose, equal_on_stratum)
+                       SymbolFamily, compose, equal_on_stratum)
 from .tree import Edge
 
 ONE = Monomial.one()
@@ -129,14 +133,10 @@ class ChartFrame:
     def eps(self, i: Level) -> Symbol:
         return Symbol("eps", i)
 
-    def usym(self, e: Edge) -> Symbol:
-        return Symbol("u", e)
-
-    def zsym(self, e: Edge) -> Symbol:
-        return Symbol("z", e)
-
-    def wsym(self, j: Hashable) -> Symbol:
-        return Symbol("w", j)
+    # ``usym(e)``, ``zsym(e)`` and ``wsym(j)``, each one dict lookup
+    usym = SymbolFamily("u").__getitem__
+    zsym = SymbolFamily("z").__getitem__
+    wsym = SymbolFamily("w").__getitem__
 
     def special_edges(self) -> frozenset[Edge]:
         return self._specials
@@ -180,16 +180,11 @@ class ChartFrame:
         return Monomial.product(Monomial.sym(self.eps_at[k]) for k in range(lo, hi))
 
 
-def zeta(e: Edge) -> Symbol:
-    return Symbol("zeta", e)
-
-
-def sigma(j: Hashable) -> Symbol:
-    return Symbol("sig", j)
-
-
-def musym(e: Edge) -> Symbol:
-    return Symbol("mu", e)
+# the base's modular parameters ``zeta(e)`` and extra parameters
+# ``sigma(j)``, and the readout coordinates ``musym(e)``
+zeta = SymbolFamily("zeta").__getitem__
+sigma = SymbolFamily("sig").__getitem__
+musym = SymbolFamily("mu").__getitem__
 
 
 def build_theta(frame: ChartFrame) -> MonomialMap:
@@ -301,12 +296,14 @@ def _collapsed_product(frame: ChartFrame, plus_mask: int, above_of: Edge | None,
     as a rank bitmask."""
     if above_of is None:
         return ONE
-    span = frame.data.span
-    out = ONE
-    for anc in frame.t.tree.ancestors_gt(above_of):
+    span, parent, root = frame.data.span, frame.t.tree.parent, frame.t.root
+    factors = []
+    anc = parent[above_of]
+    while anc != root:  # the edges strictly above, by their lower vertex
         if not span[anc] & ~plus_mask:
-            out = out * value(anc)
-    return out
+            factors.append(value(anc))
+        anc = parent[anc]
+    return Monomial.product(factors)
 
 
 def build_mu(chart: TwistedChart, subset: Iterable) -> Readouts:

@@ -4,8 +4,11 @@ Every coordinate expression in the chart machinery is a single product of
 symbol powers (or the constant 0), never a sum, so the whole calculus runs on
 integer exponent vectors.  Multiplication adds exponents, composition of maps
 is substitution, and identities are decided exactly.  A product of many
-factors, and a substitution, merge all their exponents in one pass and sort
-once, so their cost grows with the total number of factors, not its square.
+factors merges all their exponents in one pass and sorts once, so its cost
+grows with the total number of factors, not its square.  A product or
+quotient of two monomials and a substitution sum the exponents of each
+operand, times its power, into one table in one pass (``_combine``) and sort
+once: no inverse or power of an operand is built on the way.
 
 A ``Stratum`` constrains some symbols to 0 and some to be units (nonzero).
 On a stratum a monomial containing a positive power of a zero symbol *is* 0;
@@ -61,6 +64,23 @@ class Symbol:
         return (Symbol, (self.kind, self.key))
 
     # interning makes default object identity/hash correct and fast
+
+
+class SymbolFamily(dict):
+    """The symbols of one kind by key.  A family is read through its
+    ``__getitem__``, so a symbol read before costs one dict lookup; a new key
+    goes through ``Symbol``, which interns it, so a family's symbols are the
+    interned ones."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, key: Hashable) -> Symbol:
+        s = self[key] = Symbol(self.kind, key)
+        return s
 
 
 def _key_str(key) -> str:
@@ -167,7 +187,7 @@ class Monomial:
             return other
         if not other.exps:
             return self
-        return _merge((self, other))
+        return _combine(self.exps, ((other.exps, 1),))
 
     def __pow__(self, n: int) -> "Monomial":
         if self.exps is None:
@@ -183,26 +203,32 @@ class Monomial:
     def __truediv__(self, other: "Monomial") -> "Monomial":
         if other.exps is None:
             raise MonomialError("division by the zero monomial")
-        return self * (other ** -1)
+        if self.exps is None or not other.exps:
+            return self
+        return _combine(self.exps, ((other.exps, -1),))
 
     def substitute(self, assignment: Mapping[Symbol, "Monomial"]) -> "Monomial":
         """Rewrite every symbol through ``assignment`` (all symbols must be
         assigned).  A positive power of a zero value kills the product; a
-        negative power of a zero value is ill-defined."""
-        if self.exps is None:
-            return Monomial._ZERO
+        negative power of a zero value is ill-defined.  The symbols are read
+        in id order, and the first one that is unassigned or has a zero value
+        decides the outcome."""
+        if not self.exps:  # zero and one stay as they are
+            return self
         powers = []
         for s, e in self.exps:
             try:
                 val = assignment[s]
             except KeyError:
                 raise MonomialError(f"no assignment for symbol {s}") from None
-            if val.is_zero:
+            if val.exps is None:
                 if e < 0:
                     raise MonomialError(f"negative power of vanishing {s}")
                 return Monomial._ZERO
-            powers.append(val ** e)
-        return _merge(powers)
+            powers.append((val.exps, e))
+        if len(powers) == 1 and e == 1:  # a monomial is its own first power
+            return val
+        return _combine((), powers)
 
     # -- rendering -----------------------------------------------------------
 
@@ -254,6 +280,23 @@ def _merge(factors: Iterable[Monomial]) -> Monomial:
                 del merged[s]
     if merged is None:
         return first
+    return Monomial(tuple(sorted(merged.items(), key=_sid)))
+
+
+def _combine(exps: tuple, powers: Iterable[tuple[tuple, int]]) -> Monomial:
+    """The nonzero monomial with factors ``exps`` times ``m ** n`` for each
+    ``(m.exps, n)`` of ``powers`` (each ``m`` nonzero), in one pass: the
+    exponents go into one table, those that sum to 0 drop, and the result
+    is sorted by symbol id once."""
+    merged = dict(exps)
+    for factors, n in powers:
+        for s, e in factors:
+            # a stored exponent is never 0, so a sum of 0 cancels a stored one
+            cur = merged.get(s, 0) + e * n
+            if cur:
+                merged[s] = cur
+            else:
+                del merged[s]
     return Monomial(tuple(sorted(merged.items(), key=_sid)))
 
 
@@ -327,12 +370,14 @@ class MonomialMap:
     assignment: Mapping[Symbol, Monomial]
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
-        if set(self.assignment) != set(self.target_coords):
+        assignment = dict(self.assignment)
+        object.__setattr__(self, "assignment", assignment)
+        if assignment.keys() != self.target_coords:
             raise MonomialError("assignment must cover exactly the target coordinates")
-        for tgt, mon in self.assignment.items():
-            for s in mon.symbols():
-                if s not in self.source_coords:
+        source = self.source_coords
+        for tgt, mon in assignment.items():
+            for s, _ in mon.exps or ():
+                if s not in source:
                     raise MonomialError(f"{tgt} is assigned a foreign symbol {s}")
 
     @staticmethod

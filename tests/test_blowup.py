@@ -289,6 +289,13 @@ def reference_qualifying_ranks(chart, k):
                    for e in data.hat_edges) <= k]
 
 
+def reference_yk_pullback(chart, k):
+    """The gap coordinates of the qualifying ranks of ``k``, multiplied afresh."""
+    levels = chart.frame.t.ranks().levels
+    return Monomial.product(Monomial.sym(Symbol("eps", levels[r]))
+                            for r in reference_qualifying_ranks(chart, k))
+
+
 def reference_zk_components(chart, sections, k):
     """Every section filtered for each ``k``, each component checked for a
     witness edge against the qualifying ranks of ``k``."""
@@ -364,9 +371,11 @@ def _agrees_with_the_references(t, seen: set):
     sections = traverse_sections(weight_contracted_tree(t.base))
     n = len(t.edges())
     for k in range(1, n + 1):
-        assert blowup._qualifying_ranks(chart, k) == reference_qualifying_ranks(chart, k)
         assert _outcome(zk_components, chart, sections, k) \
             == _outcome(reference_zk_components, chart, sections, k)
+    # in order, as the report asks, then from the top down
+    for k in [*range(1, n + 1), *range(n, 0, -1)]:
+        assert yk_pullback(chart, k) == reference_yk_pullback(chart, k)
     m_rank = level_data(t).m_rank
     # in order, as the checks ask, then from the bottom up
     for step in [*range(1, m_rank + 1), *range(m_rank, 0, -1)]:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,7 @@ from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import VerificationError
 from leveltree.levels import (WeightedLevelTree, default_special, index_partition,
                               make_level_tree, special_by_rank, special_choices)
-from leveltree.monomial import Monomial, MonomialMap, Stratum, parse_monomial
+from leveltree.monomial import Monomial, MonomialMap, Stratum, Symbol, parse_monomial
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "nested_chart.txt"
@@ -512,3 +513,44 @@ def test_composed_maps_pass_the_validating_constructor(monkeypatch):
         run_checks(t, SUITES["charts"] + SUITES["blowup"], report, f"#{k}")
         assert report.ok(), report.failures[:5]
     assert len(composed) > 1000
+
+
+def test_symbol_families_hand_out_the_interned_symbols(nested_tree):
+    before = Symbol("zeta", "family-before")  # interned before the family reads it
+    assert zeta("family-before") is before
+    assert zeta("family-after") is Symbol("zeta", "family-after")
+    assert sigma(("ctr", "e")) is Symbol("sig", ("ctr", "e"))
+    assert charts.musym("e") is Symbol("mu", "e")
+    frame = build_chart(nested_tree).frame
+    for family, kind in ((frame.usym, "u"), (frame.zsym, "z"), (frame.wsym, "w")):
+        assert family("c") is Symbol(kind, "c")
+    for s in (zeta("e"), sigma("j1"), frame.usym("c")):
+        assert pickle.loads(pickle.dumps(s)) is s
+
+
+def reference_collapsed_product(frame, plus_mask, above_of, value):
+    """The filtered product over ``ancestors_gt``."""
+    if above_of is None:
+        return Monomial.one()
+    return Monomial.product(value(a) for a in frame.t.tree.ancestors_gt(above_of)
+                            if not frame.data.span[a] & ~plus_mask)
+
+
+def test_collapsed_product_walks_up_to_the_root():
+    classes = {}  # a chart reads the tree, its positive vertices and its levels
+    for t in gen_instances(EnumSpec(max_edges=4, max_weight=2)):
+        classes.setdefault((tuple(sorted(t.tree.parent.items())),
+                            frozenset(t.base.positive_vertices()),
+                            tuple(sorted(t.level.items()))), t)
+    for t in classes.values():
+        chart = build_chart(t)
+        frame = chart.frame
+
+        def vanishing(e):  # zero on the root's edges, so a product may vanish
+            return Monomial.zero() if t.tree.parent[e] == t.root else Monomial.sym(zeta(e))
+
+        for plus_mask in range(0, 2 << frame.data.m_rank, 2):  # bit k: rank k
+            for above_of in (None, *frame.data.hat_edges):
+                for value in (chart.theta_of, vanishing):
+                    assert charts._collapsed_product(frame, plus_mask, above_of, value) \
+                        == reference_collapsed_product(frame, plus_mask, above_of, value)

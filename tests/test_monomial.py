@@ -90,6 +90,26 @@ def test_compose_is_matrix_product_on_exponents():
     assert compose(f, g).assignment[c] == m((a, 6))
 
 
+def test_monomial_map_checks_its_targets_and_sources():
+    source = frozenset({E1, UC})
+    good = {ZA: m((E1, 1), (UC, -1))}
+    f = MonomialMap(source_coords=source, target_coords=frozenset({ZA}), assignment=good)
+    good[ZA] = Monomial.one()  # the map keeps its own copy
+    assert f.assignment[ZA] == m((E1, 1), (UC, -1))
+    with pytest.raises(MonomialError, match="exactly the target coordinates"):
+        MonomialMap(source_coords=source, target_coords=frozenset({ZA, UB}),
+                    assignment={ZA: m((E1, 1))})  # UB is missing
+    with pytest.raises(MonomialError, match="exactly the target coordinates"):
+        MonomialMap(source_coords=source, target_coords=frozenset({ZA}),
+                    assignment={ZA: m((E1, 1)), UB: m((UC, 1))})  # UB is extra
+    with pytest.raises(MonomialError, match="assigned a foreign symbol eps"):
+        MonomialMap(source_coords=source, target_coords=frozenset({ZA}),
+                    assignment={ZA: m((UC, 2), (E2, -1))})
+    zero = MonomialMap(source_coords=source, target_coords=frozenset({ZA}),
+                       assignment={ZA: Monomial.zero()})
+    assert zero.assignment[ZA].is_zero
+
+
 def test_equal_on_stratum():
     s = Stratum(zeros=frozenset({E2}), units=frozenset({E1, UC}))
     f = MonomialMap(source_coords=frozenset({E1, E2, UC}),
@@ -180,6 +200,24 @@ def test_product_is_the_fold_and_the_exponent_sum(raws):
     product = Monomial.product(factors)
     assert product == fold
     assert normal_form(product) == normal_form(fold) == exponent_sum(raws)
+
+
+# two operands, each zero about half the time
+operands = st.one_of(st.none(), st.lists(st.tuples(st.sampled_from(MERGE_SYMBOLS), exponents),
+                                         min_size=1, max_size=4))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(operands, operands)
+def test_product_and_quotient_of_two_are_the_exponent_sums(raw_a, raw_b):
+    a, b = built(raw_a), built(raw_b)
+    assert normal_form(a * b) == exponent_sum([raw_a, raw_b])
+    if raw_b is None:
+        with pytest.raises(MonomialError, match="division by the zero monomial"):
+            a / b
+    else:
+        inverse = [(s, -e) for s, e in raw_b]
+        assert normal_form(a / b) == exponent_sum([raw_a, inverse])
 
 
 def substitute_reference(exps, values):
