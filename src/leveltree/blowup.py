@@ -345,8 +345,7 @@ def blowup_side_maps(t: WeightedLevelTree
                              assignment=proj_assign)
 
     def rho_anc(e: Edge, strict: bool) -> Monomial:
-        edges = t.tree.ancestors_gt(e) if strict else t.tree.descendants_geq(e)
-        return Monomial.product(rho(a) for a in edges)
+        return Monomial.product(rho(a) for a in t.tree.root_path(e)[strict:-1])
 
     cmp_assign: dict[Symbol, Monomial] = {}
     for k in top:

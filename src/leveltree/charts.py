@@ -296,14 +296,9 @@ def _collapsed_product(frame: ChartFrame, plus_mask: int, above_of: Edge | None,
     as a rank bitmask."""
     if above_of is None:
         return ONE
-    span, parent, root = frame.data.span, frame.t.tree.parent, frame.t.root
-    factors = []
-    anc = parent[above_of]
-    while anc != root:  # the edges strictly above, by their lower vertex
-        if not span[anc] & ~plus_mask:
-            factors.append(value(anc))
-        anc = parent[anc]
-    return Monomial.product(factors)
+    span = frame.data.span
+    return Monomial.product(value(a) for a in frame.t.tree.root_path(above_of)[1:-1]
+                            if not span[a] & ~plus_mask)
 
 
 def build_mu(chart: TwistedChart, subset: Iterable) -> Readouts:
@@ -450,9 +445,12 @@ def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
 
 def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     """Solve the chart coordinates out of the stratum data by downward
-    induction over the levels: closed gaps stay 0; open gaps are read off a
-    collapsed special parameter or a readout coordinate; ``u`` coordinates
-    divide out the chains and gap products accumulated so far."""
+    induction over the levels.  Each hat edge ``e`` at rank ``k`` gives one
+    relation: its readout at the lowest level ``lo`` it crosses that
+    survives, or, when every level it crosses collapsed, its modular
+    parameter, is ``u_e`` times the gaps of the ranks ``lo+1..k``.  A level's
+    special edge (``u`` is 1) solves that level's gap coordinate, which is 0
+    where the level survives; every other hat edge solves its ``u``."""
     frame = chart.frame
     t = frame.t
     subset = frame.part.read(subset)
@@ -477,52 +475,38 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
             return ONE
         raise MonomialError(f"no readout coordinate for edge {e!r}")
 
+    others: list[list[Edge]] = [[] for _ in range(frame.data.m_rank + 1)]
+    for e in sorted(frame.data.hat_edges - frame.special_edges()):
+        others[frame.data.edge_rank[e]].append(e)
     built: dict[Symbol, Monomial] = {}
-
-    def u_val(e: Edge) -> Monomial:
-        if e in frame.special_edges():
-            return ONE
-        return built[frame.usym(e)]
-
-    def chain_val(k: int) -> Monomial:
-        return Monomial.product(u_val(e) for e in frame.chain_edges[k])
-
-    def eps_prod(lo: int, hi: int) -> Monomial:
-        """The built gap coordinates of the ranks in ``[lo, hi)``."""
-        return Monomial.product(built[frame.eps_at[h]] for h in range(lo, hi))
-
+    u = dict.fromkeys(frame.special_edges(), ONE)  # the built u by hat edge
+    chain = [ONE]  # the built climbing products by rank
     for k in range(1, frame.data.m_rank + 1):  # levels top down
         se = frame.special_at[k]
-        k1 = rank[t.tree.parent[se]]
-        open_gaps = ((2 << k) - (2 << k1)) & ~mask  # ranks k1+1..k left standing
-        if not mask >> k & 1:
-            built[frame.eps_at[k]] = ZERO
-        elif not open_gaps:
-            # the special edge collapsed: read its parameter, strip the gaps above
-            built[frame.eps_at[k]] = zeta_val(se) / eps_prod(k1 + 1, k)
-        else:
-            khat = open_gaps.bit_length() - 1  # the lowest level left standing
-            val = mu_val(se) * chain_val(khat) / chain_val(k)
-            val = val * (_collapsed_product(frame, mask, se, zeta_val)
-                         / _collapsed_product(frame, mask, frame.special_at[khat], zeta_val))
-            built[frame.eps_at[k]] = val / eps_prod(khat + 1, k)
-        for e in sorted(frame.data.hat_edges):
-            if frame.data.edge_rank[e] != k or e == se:
-                continue
-            top = rank[t.tree.parent[e]]
+        for e in (se, *others[k]):
+            v_plus = t.tree.parent[e]
+            dn = ONE if v_plus == t.root else u[v_plus] * chain[rank[v_plus]]
+            if e == se:
+                chain.append(dn)
+                if not mask >> k & 1:
+                    built[frame.eps_at[k]] = ZERO
+                    continue
             open_e = frame.data.span[e] & ~mask
             if open_e:
-                kappa = open_e.bit_length() - 1
-                val = mu_val(e) * chain_val(kappa) / chain_val(k)
+                lo = open_e.bit_length() - 1
+                val = mu_val(e) * chain[lo] / chain[k]
                 val = val * (_collapsed_product(frame, mask, e, zeta_val)
-                             / _collapsed_product(frame, mask, frame.special_at[kappa], zeta_val))
-                val = val / eps_prod(kappa + 1, k + 1)
+                             / _collapsed_product(frame, mask, frame.special_at[lo], zeta_val))
             else:
-                v_plus = t.tree.parent[e]
-                den = ONE if v_plus == t.root else u_val(v_plus) * chain_val(top)
-                val = zeta_val(e) * den / chain_val(k)
-                val = val / eps_prod(top + 1, k + 1)
-            built[frame.usym(e)] = val
+                lo = rank[v_plus]
+                val = zeta_val(e) * dn / chain[k]
+            # the special edge's unknown is the gap at k itself
+            hi = k if e == se else k + 1
+            val = val / Monomial.product(built[frame.eps_at[h]] for h in range(lo + 1, hi))
+            if e == se:
+                built[frame.eps_at[k]] = val
+            else:
+                u[e] = built[frame.usym(e)] = val
 
     for e in frame.part.i_minus:
         built[frame.zsym(e)] = zeta_val(e)
@@ -631,7 +615,7 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
 
     def f_open(e: Edge, mask: int = 0) -> Monomial:
         """The ``f`` of ``e`` and its ancestors that cross a level outside ``mask``."""
-        return Monomial.product(f(a) for a in t.tree.descendants_geq(e)
+        return Monomial.product(f(a) for a in t.tree.root_path(e)[:-1]
                                 if frame.data.span[a] & ~mask)
 
     def fchain(k: int) -> Monomial:
@@ -756,7 +740,7 @@ def remark_identities(chart: TwistedChart) -> bool:
 
     def anc_product(e: Edge) -> Monomial:
         return Monomial.product(chart.theta.assignment[zeta(a)]
-                                for a in t.tree.descendants_geq(e))
+                                for a in t.tree.root_path(e)[:-1])
 
     if anc_product(frame.special_at[m_rank]) != base:
         return False

@@ -35,8 +35,8 @@ from . import contraction as contraction_mod
 from . import enumerate as enum_mod
 from .checks import SUITES, RunReport, run_checks
 from .errors import DomainError, LevelTreeError, StructureError
-from .levels import (WeightedLevelTree, as_level, cross_section, default_special,
-                     index_partition, level_data)
+from .levels import (WeightedLevelTree, as_level, cross_section, index_partition,
+                     level_data)
 from .tree import to_dot, tree_json
 
 
@@ -126,9 +126,11 @@ def cmd_contract(args) -> int:
     return 0
 
 
-def _parse_special(t: WeightedLevelTree, text: str | None):
+def _parse_special(text: str | None):
+    """The special map of ``--special``; ``None`` without it, so the chart
+    takes the default special edges."""
     if not text:
-        return default_special(t)
+        return None
     special = {}
     for piece in text.split(","):
         lvl, _, edge = piece.partition("=")
@@ -155,7 +157,7 @@ def render_chart(chart: charts_mod.TwistedChart) -> str:
 
 def cmd_chart(args) -> int:
     t = _load_level_tree(args.file)
-    special = _parse_special(t, args.special)
+    special = _parse_special(args.special)
     tags = () if args.tags is None else tuple(s.strip() for s in args.tags.split(","))
     if "" in tags:
         raise DomainError(f"empty tag name in --tags={args.tags!r}")

@@ -436,13 +436,9 @@ def special_choices(t: WeightedLevelTree) -> dict[Level, tuple[Edge, ...]]:
     return {ranks.levels[k]: ranks.at[k] for k in range(1, level_data(t).m_rank + 1)}
 
 
-def default_special(t: WeightedLevelTree) -> dict[Level, Edge]:
-    """Lexicographically smallest vertex at each level of ``I_plus``."""
-    return {i: choices[0] for i, choices in special_choices(t).items()}
-
-
 def default_special_by_rank(t: WeightedLevelTree) -> tuple:
-    """``default_special`` by rank, as ``special_by_rank`` reads a map, read
+    """The default special edges by rank, as ``special_by_rank`` reads a map:
+    the lexicographically smallest vertex at each level of ``I_plus``, read
     off the rank table without a level lookup and kept in ``t``'s memo."""
     memo = t._memo
     if "default_special" not in memo:

@@ -3,12 +3,11 @@
 Every coordinate expression in the chart machinery is a single product of
 symbol powers (or the constant 0), never a sum, so the whole calculus runs on
 integer exponent vectors.  Multiplication adds exponents, composition of maps
-is substitution, and identities are decided exactly.  A product of many
-factors merges all their exponents in one pass and sorts once, so its cost
-grows with the total number of factors, not its square.  A product or
-quotient of two monomials and a substitution sum the exponents of each
-operand, times its power, into one table in one pass (``_combine``) and sort
-once: no inverse or power of an operand is built on the way.
+is substitution, and identities are decided exactly.  Every product --
+of two monomials, of many factors, a quotient, a substitution -- sums the
+exponents of each operand, times its power, into one table in one pass
+(``_combine``) and sorts once, so its cost grows with the total number of
+factors, not its square, and no inverse of an operand is built on the way.
 
 A ``Stratum`` constrains some symbols to 0 and some to be units (nonzero).
 On a stratum a monomial containing a positive power of a zero symbol *is* 0;
@@ -90,7 +89,7 @@ def _key_str(key) -> str:
 
 
 # kinds whose key is a level and renders in parentheses
-_PAREN_KINDS = {"eps", "delta"}
+_PAREN_KINDS = {"eps"}
 
 
 def _render_symbol(kind: str, key) -> str:
@@ -159,7 +158,17 @@ class Monomial:
 
     @staticmethod
     def product(factors: Iterable["Monomial"]) -> "Monomial":
-        return _merge(factors)
+        """The product of ``factors``: zero absorbs, no factor other than 1
+        gives 1, and a single such factor comes back as it is."""
+        first, rest = Monomial._ONE, []
+        for f in factors:
+            if f.exps is None:
+                return Monomial._ZERO
+            if not first.exps:
+                first = f
+            elif f.exps:
+                rest.append((f.exps, 1))
+        return _combine(first.exps, rest) if rest else first
 
     # -- structure ---------------------------------------------------------
 
@@ -188,17 +197,6 @@ class Monomial:
         if not other.exps:
             return self
         return _combine(self.exps, ((other.exps, 1),))
-
-    def __pow__(self, n: int) -> "Monomial":
-        if self.exps is None:
-            if n <= 0:
-                raise MonomialError("zero cannot be raised to a nonpositive power")
-            return Monomial._ZERO
-        if n == 0:
-            return Monomial._ONE
-        if n == 1:  # a monomial never changes, so it is its own first power
-            return self
-        return Monomial(tuple((s, e * n) for s, e in self.exps))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         if other.exps is None:
@@ -254,33 +252,6 @@ Monomial._ZERO = Monomial(None)
 
 def _sid(item: tuple) -> int:
     return item[0].sid
-
-
-def _merge(factors: Iterable[Monomial]) -> Monomial:
-    """The product of ``factors`` in one pass: zero absorbs, the exponents of
-    a repeated symbol add, zero exponents drop, and the result is sorted by
-    symbol id once.  Up to the second factor that is not 1, nothing is
-    built: the product of no factors is 1, and of one factor that factor."""
-    first = Monomial._ONE
-    merged = None
-    for f in factors:
-        if f.exps is None:
-            return Monomial._ZERO
-        if merged is None:
-            if not first.exps:
-                first = f
-                continue
-            merged = dict(first.exps)
-        for s, e in f.exps:
-            # a stored exponent is never 0, so a sum of 0 cancels a stored one
-            cur = merged.get(s, 0) + e
-            if cur:
-                merged[s] = cur
-            else:
-                del merged[s]
-    if merged is None:
-        return first
-    return Monomial(tuple(sorted(merged.items(), key=_sid)))
 
 
 def _combine(exps: tuple, powers: Iterable[tuple[tuple, int]]) -> Monomial:

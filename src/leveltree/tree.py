@@ -7,8 +7,8 @@ keeps all edge-indexed maps plain string-keyed dicts.
 
 The engine reads the tree order (``v >= w`` iff ``v`` lies on the path from
 ``w`` to the root) only through root paths: the edges at or above an edge
-``e`` are the non-root vertices of the root path of ``e``
-(``descendants_geq``).
+``e`` are ``root_path(e)[:-1]``, and those strictly above it
+``root_path(e)[1:-1]``.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class RootedTree:
         if v not in self._children:
             raise StructureError(f"unknown vertex {v!r}")
 
-    def _check_edge(self, e: Edge) -> None:
-        if e not in self.parent:
-            raise StructureError(f"unknown edge {e!r}")
-
     # -- tree order ---------------------------------------------------------
 
     def root_path(self, v: Vertex) -> tuple[Vertex, ...]:
@@ -90,14 +86,6 @@ class RootedTree:
         while path[-1] != self.root:
             path.append(self.parent[path[-1]])
         return tuple(path)
-
-    def descendants_geq(self, e: Edge) -> frozenset[Edge]:
-        """All edges ``f >= e``: the edges on the path from ``v_e^-`` to the root."""
-        self._check_edge(e)
-        return frozenset(self.root_path(e)[:-1])
-
-    def ancestors_gt(self, e: Edge) -> frozenset[Edge]:
-        return self.descendants_geq(e) - {e}
 
     # -- traversal ----------------------------------------------------------
 
@@ -236,20 +224,19 @@ def _dot_id(text: object) -> str:
     return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(wt: WeightedTree, levels: Mapping[Vertex, object] | None = None) -> str:
-    """Emit a graphviz digraph; with levels, draw dotted per-level rails."""
+def to_dot(wt: WeightedTree, levels: Mapping[Vertex, object]) -> str:
+    """Emit a graphviz digraph with dotted per-level rails."""
     lines = ["digraph leveltree {", "  rankdir=TB;"]
     by_level: dict[object, list[Vertex]] = {}
-    if levels is not None:
-        for v, lv in levels.items():
-            by_level.setdefault(lv, []).append(v)
-        for lv in sorted(by_level, reverse=True):
-            vs = " ".join(_dot_id(v) for v in sorted(by_level[lv]))
-            lines.append(f"  {{ rank=same; {_dot_id(f'rail_{lv}')} "
-                         f"[shape=plaintext label={_dot_id(lv)}]; {vs} }}")
-        rails = [_dot_id(f"rail_{lv}") for lv in sorted(by_level, reverse=True)]
-        if len(rails) > 1:
-            lines.append("  " + " -> ".join(rails) + " [style=dotted arrowhead=none];")
+    for v, lv in levels.items():
+        by_level.setdefault(lv, []).append(v)
+    for lv in sorted(by_level, reverse=True):
+        vs = " ".join(_dot_id(v) for v in sorted(by_level[lv]))
+        lines.append(f"  {{ rank=same; {_dot_id(f'rail_{lv}')} "
+                     f"[shape=plaintext label={_dot_id(lv)}]; {vs} }}")
+    rails = [_dot_id(f"rail_{lv}") for lv in sorted(by_level, reverse=True)]
+    if len(rails) > 1:
+        lines.append("  " + " -> ".join(rails) + " [style=dotted arrowhead=none];")
     for v in sorted(wt.tree.vertices):
         shape = "circle" if wt.weight[v] == 0 else "doublecircle"
         lines.append(f"  {_dot_id(v)} [shape={shape} label={_dot_id(f'{v}:{wt.weight[v]}')}];")
@@ -260,8 +247,7 @@ def to_dot(wt: WeightedTree, levels: Mapping[Vertex, object] | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
-def tree_json(wt: WeightedTree, levels: Mapping[Vertex, object] | None = None) -> str:
+def tree_json(wt: WeightedTree, levels: Mapping[Vertex, object]) -> str:
     d = wt.to_json_dict()
-    if levels is not None:
-        d["levels"] = {v: str(levels[v]) for v in sorted(levels)}
+    d["levels"] = {v: str(levels[v]) for v in sorted(levels)}
     return json.dumps(d, sort_keys=True, indent=2) + "\n"

@@ -34,7 +34,7 @@ def is_traverse_section(tree, edges):
 def section_above(tree, s1, s2):
     """The section order: ``s1 > s2`` iff they differ and every edge of
     ``s1`` lies at or above some edge of ``s2``."""
-    above = frozenset().union(*map(tree.descendants_geq, s2))
+    above = frozenset().union(*(tree.root_path(e)[:-1] for e in s2))
     return frozenset(s1) != frozenset(s2) and frozenset(s1) <= above
 
 
@@ -319,7 +319,7 @@ def reference_stage_factor(t, step):
 def ancestor_bundle(t, e):
     """The product of the basis classes over all edges at or above ``e``."""
     return Monomial.product(Monomial.sym(Symbol("L", a))
-                            for a in t.tree.descendants_geq(e))
+                            for a in t.tree.root_path(e)[:-1])
 
 
 def reference_bundle_sides(t):
@@ -330,7 +330,7 @@ def reference_bundle_sides(t):
     out = {}
     for e, k in data.edge_rank.items():
         lhs = by_edge[e] * Monomial.product(by_edge[a] / by_rank[data.edge_rank[a]]
-                                            for a in t.tree.ancestors_gt(e))
+                                            for a in t.tree.root_path(e)[1:-1])
         out[e] = lhs, ancestor_bundle(t, e) / Monomial.product(by_rank[1:k])
     return out
 

@@ -18,9 +18,8 @@ from leveltree.checks import SUITES, RunReport, run_checks
 from leveltree.cli import render_chart
 from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
-from leveltree.errors import VerificationError
-from leveltree.levels import (WeightedLevelTree, default_special, index_partition,
-                              make_level_tree, special_by_rank, special_choices)
+from leveltree.errors import MonomialError, VerificationError
+from leveltree.levels import (WeightedLevelTree, index_partition, make_level_tree, special_by_rank, special_choices)
 from leveltree.monomial import Monomial, MonomialMap, Stratum, Symbol, parse_monomial
 
 F = Fraction
@@ -273,7 +272,7 @@ def test_build_chart_keeps_one_chart_per_arguments(nested_tree):
     t = nested_tree
     chart = build_chart(t)
     assert build_chart(t) is chart
-    assert build_chart(t, default_special(t), tags=["j1", "j2"]) is chart
+    assert build_chart(t, chart.frame.special, tags=["j1", "j2"]) is chart
     releveled = WeightedLevelTree(base=t.base, level={v: 2 * x for v, x in t.level.items()})
     others = [build_chart(t, {F(-1): "b", F(-2): "c"}), build_chart(t, tags=("j1",)),
               build_chart(releveled), build_chart(_copy(t))]
@@ -529,20 +528,26 @@ def test_symbol_families_hand_out_the_interned_symbols(nested_tree):
 
 
 def reference_collapsed_product(frame, plus_mask, above_of, value):
-    """The filtered product over ``ancestors_gt``."""
+    """The filtered product over the edges strictly above ``above_of``."""
     if above_of is None:
         return Monomial.one()
-    return Monomial.product(value(a) for a in frame.t.tree.ancestors_gt(above_of)
+    return Monomial.product(value(a) for a in frame.t.tree.root_path(above_of)[1:-1]
                             if not frame.data.span[a] & ~plus_mask)
 
 
-def test_collapsed_product_walks_up_to_the_root():
-    classes = {}  # a chart reads the tree, its positive vertices and its levels
+def distinct_chart_trees():
+    """One tree of each distinct <=4-edge chart: a chart reads the tree, its
+    positive vertices and its levels."""
+    classes = {}
     for t in gen_instances(EnumSpec(max_edges=4, max_weight=2)):
         classes.setdefault((tuple(sorted(t.tree.parent.items())),
                             frozenset(t.base.positive_vertices()),
                             tuple(sorted(t.level.items()))), t)
-    for t in classes.values():
+    return classes.values()
+
+
+def test_collapsed_product_walks_up_to_the_root():
+    for t in distinct_chart_trees():
         chart = build_chart(t)
         frame = chart.frame
 
@@ -554,3 +559,103 @@ def test_collapsed_product_walks_up_to_the_root():
                 for value in (chart.theta_of, vanishing):
                     assert charts._collapsed_product(frame, plus_mask, above_of, value) \
                         == reference_collapsed_product(frame, plus_mask, above_of, value)
+
+
+def reference_inverse(chart, subset) -> MonomialMap:
+    """The inverse with a branch for the gap coordinates and one for the
+    ``u`` coordinates, each re-multiplying the climbing chains it reads."""
+    frame = chart.frame
+    t = frame.t
+    subset = frame.part.read(subset)
+    mask = subset.plus_mask
+    rank = t.ranks().of_vertex
+    target = charts.stratum_target(frame, subset)
+    res = target.result
+    new_i_m = index_partition(res.tree).i_m
+    new_rank = res.tree.ranks().of_vertex
+    special_new = charts._special_new(frame, res)
+    one, zero = Monomial.one(), Monomial.zero()
+
+    def zeta_val(e):
+        return Monomial.sym(zeta(e)) if e in res.contracted else zero
+
+    def mu_val(e):
+        if e in target.free_mu:
+            return Monomial.sym(charts.musym(e))
+        if e in new_i_m:
+            return zero
+        j = new_rank[e]
+        if 0 < j < len(special_new) and e == special_new[j]:
+            return one
+        raise MonomialError(f"no readout coordinate for edge {e!r}")
+
+    built = {}
+
+    def u_val(e):
+        if e in frame.special_edges():
+            return one
+        return built[frame.usym(e)]
+
+    def chain_val(k):
+        return Monomial.product(u_val(e) for e in frame.chain_edges[k])
+
+    def eps_prod(lo, hi):
+        return Monomial.product(built[frame.eps_at[h]] for h in range(lo, hi))
+
+    def collapsed(above_of):
+        return charts._collapsed_product(frame, mask, above_of, zeta_val)
+
+    for k in range(1, frame.data.m_rank + 1):  # levels top down
+        se = frame.special_at[k]
+        k1 = rank[t.tree.parent[se]]
+        open_gaps = ((2 << k) - (2 << k1)) & ~mask  # ranks k1+1..k left standing
+        if not mask >> k & 1:
+            built[frame.eps_at[k]] = zero
+        elif not open_gaps:
+            built[frame.eps_at[k]] = zeta_val(se) / eps_prod(k1 + 1, k)
+        else:
+            khat = open_gaps.bit_length() - 1  # the lowest level left standing
+            val = mu_val(se) * chain_val(khat) / chain_val(k)
+            val = val * (collapsed(se) / collapsed(frame.special_at[khat]))
+            built[frame.eps_at[k]] = val / eps_prod(khat + 1, k)
+        for e in sorted(frame.data.hat_edges):
+            if frame.data.edge_rank[e] != k or e == se:
+                continue
+            top = rank[t.tree.parent[e]]
+            open_e = frame.data.span[e] & ~mask
+            if open_e:
+                kappa = open_e.bit_length() - 1
+                val = mu_val(e) * chain_val(kappa) / chain_val(k)
+                val = val * (collapsed(e) / collapsed(frame.special_at[kappa]))
+                val = val / eps_prod(kappa + 1, k + 1)
+            else:
+                v_plus = t.tree.parent[e]
+                den = one if v_plus == t.root else u_val(v_plus) * chain_val(top)
+                val = zeta_val(e) * den / chain_val(k)
+                val = val / eps_prod(top + 1, k + 1)
+            built[frame.usym(e)] = val
+    for e in frame.part.i_minus:
+        built[frame.zsym(e)] = zeta_val(e)
+    for j in frame.extra_tags:
+        built[frame.wsym(j)] = Monomial.sym(sigma(j))
+    return MonomialMap(source_coords=target.coords, target_coords=frame.coords(),
+                       assignment=built)
+
+
+def test_inverse_matches_the_two_branch_reference():
+    """Every distinct <=4-edge chart under every special map of its tree
+    and every index subset: the one-relation inverse builds the reference's
+    assignment, in the reference's order."""
+    cases = 0
+    for t in distinct_chart_trees():
+        choices = special_choices(t)
+        keys = sorted(choices)
+        for picks in itertools.product(*(choices[i] for i in keys)):
+            chart = build_chart(t, dict(zip(keys, picks)))
+            for subset in index_partition(t).subsets():
+                want = reference_inverse(chart, subset).assignment
+                assert list(build_inverse(chart, subset).assignment.items()) \
+                    == list(want.items())
+                cases += 1
+        charts.drop_charts(t)
+    assert cases > 10000

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from leveltree.charts import build_chart
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError, StructureError
 from leveltree.levels import (WeightedLevelTree, as_level, ascent_sequence,
-                              canonical_form, cross_section, default_special,
-                              edge_span, index_partition,
+                              canonical_form, cross_section, edge_span, index_partition,
                               is_equivalent, level_data, level_successor,
                               make_level_tree, phi_bijection, special_choices)
 
@@ -135,7 +135,7 @@ def test_ascent_terminates_at_zero_and_increases(deep_fan, deep_fan_special):
 
 
 def test_default_special_picks_smallest_name(nested_tree):
-    assert default_special(nested_tree) == {F(-1): "b", F(-2): "a"}
+    assert build_chart(nested_tree).frame.special == {F(-1): "b", F(-2): "a"}
     assert special_choices(nested_tree)[F(-2)] == ("a", "c", "d")
 
 

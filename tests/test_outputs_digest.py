@@ -1,10 +1,10 @@
 """The CLI's outputs over a sample of small instances, pinned by digest.
 
-Four commands run in-process on every 7th instance of
-``gen_instances(EnumSpec(max_edges=4))`` (520 instances, 2,080 outputs):
-``verify --json --suite all``, ``chart``, ``blowup-report`` and
-``indices --json``.  Each command's exit codes, stdout and stderr, in
-enumeration order, are hashed into one sha256 line of
+Six commands run in-process on every 7th instance of
+``gen_instances(EnumSpec(max_edges=4))`` (520 instances, 3,120 outputs):
+``verify --json --suite all``, ``chart``, ``blowup-report``,
+``indices --json``, ``contract`` and ``contract --dot``.  Each command's
+exit codes, stdout and stderr, in enumeration order, are hashed into one sha256 line of
 ``tests/golden/outputs.sha256``, so a refactor that changes any output fails
 here and names the command.  After a declared change of output, regenerate
 the file with ``PYTHONPATH=src python tests/test_outputs_digest.py``.
@@ -25,7 +25,7 @@ from leveltree.tree import tree_json  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.sha256"
 COMMANDS = (["verify", "--json", "--suite", "all"], ["chart"], ["blowup-report"],
-            ["indices", "--json"])
+            ["indices", "--json"], ["contract"], ["contract", "--dot"])
 
 
 def output_digests(path: Path) -> list[str]:

@@ -13,40 +13,12 @@ def chain(n):
     return RootedTree(root="o", parent=parent)
 
 
-def test_descendants_geq_rejects_unknown_edge(nested_tree):
-    for name in ("zz", "o"):  # the root is a vertex, not an edge
-        with pytest.raises(StructureError, match=f"^unknown edge '{name}'$"):
-            nested_tree.tree.descendants_geq(name)
-
-
 def test_vertex_order(nested_tree):
     # v >= w iff v lies on the path from w to the root
     path = nested_tree.tree.root_path
     assert path("c") == ("c", "b", "o")
     assert "o" in path("c") and "c" not in path("o")
     assert "a" not in path("b") and "b" not in path("a")
-
-
-def test_edge_order(nested_tree):
-    # the edges at or above an edge
-    above = nested_tree.tree.descendants_geq
-    assert "b" in above("c") and "c" not in above("b")
-    assert "c" in above("c")
-    assert "a" not in above("c") and "c" not in above("a")
-
-
-def test_edge_order_agrees_with_vertex_order(deep_fan):
-    # e >= f as edges iff e >= f as vertices
-    tree = deep_fan.tree
-    for e in tree.edges:
-        for f in tree.edges:
-            assert (e in tree.descendants_geq(f)) == (e in tree.root_path(f))
-
-
-def test_descendants_geq_is_the_root_path(nested_tree, deep_fan):
-    assert nested_tree.tree.descendants_geq("c") == {"c", "b"}
-    assert nested_tree.tree.descendants_geq("a") == {"a"}
-    assert deep_fan.tree.descendants_geq("v3") == {"v3", "p3", "v1"}
 
 
 def test_edges_biject_with_nonroot_vertices(deep_fan):
