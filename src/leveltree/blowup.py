@@ -330,10 +330,11 @@ def blowup_side_maps(t: WeightedLevelTree
     source |= {Symbol("s", j) for j in CHECK_TAGS}
     source = frozenset(source)
 
+    rank = t.ranks().of_vertex
     proj_assign: dict[Symbol, Monomial] = {}
     for e in data.hat_edges:
-        gaps = Monomial.product(Monomial.sym(teps_at[k])
-                                for k in top if data.span[e] >> k & 1)
+        span = range(rank[t.tree.parent[e]] + 1, data.edge_rank[e] + 1)
+        gaps = Monomial.product(Monomial.sym(teps_at[k]) for k in span)
         head = Monomial.sym(Symbol("zch", e)) if e in part.i_m else rho(e)
         proj_assign[zeta(e)] = head * gaps
     for e in part.i_minus:

@@ -9,6 +9,13 @@ are
   is the constant 1),
 * ``z_e`` for each non-hat edge, and ``w_j`` for each tag.
 
+The chart's products run along ascent sequences: from a level, jump to the
+level of its special edge's parent, until level 0.  The frame keeps that
+step as one jump table by rank, and every product along an ascent -- the
+climbing chains of ``u``, and those the transitions build from another
+chart's ``u`` or from readouts -- is one recurrence over it
+(``ChartFrame.climb``), linear in the levels.
+
 ``build_theta`` expresses the base modular parameters ``zeta_e`` through
 these coordinates; ``build_mu`` produces, for every index subset ``I``, the
 normalized cross-section coefficients used by the stratum maps; and
@@ -28,12 +35,12 @@ label.  A chart keeps one ``mu`` table per level part of the subset (all
 ``build_mu`` reads), keyed by its rank mask; a table is keyed by
 ``(level, edge)`` for its callers and holds the same entries by rank
 (``Readouts.rows``), which the checks and transitions read.  The frame keeps
-the record of the last subset, keyed by its mask -- its contraction, its
-stratum and its stratum-map target -- which the checks of that subset
-share.  The contraction's levels are levels of ``t`` (its rank ``j`` is
-rank ``ContractionResult.used[j]`` of ``t``), so its special edges, its
-readouts and the union subsets of the stratum transition are read off
-``t``'s ranks.
+the record of the last subset, keyed by its mask (``StratumTarget``): its
+contraction, the contraction's special edges, its stratum and its
+stratum-map target, which the checks of that subset share.  The
+contraction's levels are levels of ``t``, so its readouts and the union
+subsets of the stratum transition are read off ``t``'s ranks
+(``ContractionResult.rank_of``).
 
 Every chart names its coordinates ``eps``, ``u``, ``z``, ``w`` and ``mu``: a
 transition's map ``g`` rewrites all symbols at once, so two charts may share.
@@ -75,10 +82,12 @@ class ChartFrame:
     on first read (the engine reads ``special_at``).
 
     The frame tabulates, per level rank ``k`` of ``I_plus`` (see
-    ``WeightedLevelTree.ranks``; entry 0 stands for level 0): the special
-    edges met by the ascent from ``k`` (``ascent[k]``), the edges of its
-    climbing product (``chain_edges[k]``) and that product
-    (``up_chain(k)``), and the gap coordinate ``eps_at[k]``.
+    ``WeightedLevelTree.ranks``; entry 0 stands for level 0): the ascent's
+    step ``jump[k]``, the rank of the parent of ``special_at[k]`` (0 at rank
+    0, and for a special edge hanging from the root); the climbing chain
+    ``chains[k]``, the ``u`` of the parent edge of each special edge along
+    the ascent from ``k`` (see ``climb``); and the gap coordinate
+    ``eps_at[k]``.
     """
 
     t: WeightedLevelTree
@@ -86,11 +95,10 @@ class ChartFrame:
     extra_tags: tuple[Hashable, ...] = ()
     part: IndexPartition = field(init=False, compare=False, repr=False)
     data: LevelData = field(init=False, compare=False, repr=False)
-    ascent: tuple = field(init=False, compare=False, repr=False)
-    chain_edges: tuple = field(init=False, compare=False, repr=False)
+    jump: tuple = field(init=False, compare=False, repr=False)
+    chains: tuple = field(init=False, compare=False, repr=False)
     eps_at: tuple = field(init=False, compare=False, repr=False)
     _specials: frozenset = field(init=False, compare=False, repr=False)
-    _chains: tuple = field(init=False, compare=False, repr=False)
     _coords: frozenset = field(init=False, compare=False, repr=False)
     # built on first use: the identity map, and the record of the last index
     # subset asked for (see ``stratum_target``)
@@ -107,16 +115,10 @@ class ChartFrame:
         ranks = t.ranks()
         top = range(1, self.data.m_rank + 1)
         put("_specials", frozenset(self.special_at[1:]))
-        ascent: list[tuple[Edge, ...]] = [()]
-        for k in top:
-            se = self.special_at[k]
-            ascent.append((se,) + ascent[ranks.of_vertex[t.tree.parent[se]]])
-        put("ascent", tuple(ascent))
-        # the last special edge of an ascent hangs from the root
-        put("chain_edges", tuple(tuple(t.tree.parent[e] for e in a[:-1]) for a in ascent))
+        put("jump", (0,) + tuple(ranks.of_vertex[t.tree.parent[self.special_at[k]]]
+                                 for k in top))
         put("eps_at", (None,) + tuple(self.eps(ranks.levels[k]) for k in top))
-        put("_chains", tuple(Monomial.product(self.u_mon(e) for e in edges)
-                             for edges in self.chain_edges))
+        put("chains", tuple(self.climb(self.u_mon, parents=True)))
         coords = {self.eps_at[k] for k in top}
         coords |= {self.usym(e) for e in self.data.hat_edges - self._specials}
         coords |= {self.zsym(e) for e in self.part.i_minus}
@@ -159,21 +161,24 @@ class ChartFrame:
             memo["identity"] = MonomialMap.identity(self.coords())
         return memo["identity"]
 
-    # chains ----------------------------------------------------------------
+    # products along ascents ------------------------------------------------
 
-    def up_chain(self, k: int) -> Monomial:
-        """The climbing product at level rank ``k``: the ``u`` of the parent
-        edge of each special vertex's parent along the ascent (1 at rank 0)."""
-        return self._chains[k]
-
-    def dn_chain(self, e: Edge) -> Monomial:
-        """Denominator chain of a hat edge: the parent edge of ``v_e^+``
-        (absent at the root) times the climbing product at its level."""
-        t = self.t
-        v_plus = t.tree.parent[e]
-        if v_plus == t.root:
-            return ONE
-        return self.u_mon(v_plus) * self.up_chain(t.ranks().of_vertex[v_plus])
+    def climb(self, value: Callable[[Edge], Monomial], parents: bool = False
+              ) -> list[Monomial]:
+        """The product of ``value`` along the ascent from each rank, by one
+        recurrence: entry ``k`` is ``value(special_at[k])`` times entry
+        ``jump[k]``, and entry 0 is 1.  With ``parents``, ``value`` is read
+        at the special edge's parent edge instead, and is 1 for a special
+        edge hanging from the root."""
+        parent, out = self.t.tree.parent, [ONE]
+        for k in range(1, len(self.jump)):
+            j = self.jump[k]
+            if not parents:
+                step = value(self.special_at[k])
+            else:
+                step = value(parent[self.special_at[k]]) if j else ONE
+            out.append(step * out[j])
+        return out
 
     def gaps(self, lo: int, hi: int) -> Monomial:
         """The product of the gap coordinates of the ranks in ``[lo, hi)``."""
@@ -192,12 +197,15 @@ def build_theta(frame: ChartFrame) -> MonomialMap:
     chain ratio times the product of the level gaps it crosses; non-hat edges
     and extra parameters pass through."""
     t = frame.t
-    rank = t.ranks().of_vertex
+    rank, chains = t.ranks().of_vertex, frame.chains
     assignment: dict[Symbol, Monomial] = {}
     for e, k in frame.data.edge_rank.items():
-        gaps = frame.gaps(rank[t.tree.parent[e]] + 1, k + 1)  # the span of e
-        num = frame.u_mon(e) * frame.up_chain(k)
-        assignment[zeta(e)] = num / frame.dn_chain(e) * gaps
+        v_plus = t.tree.parent[e]
+        top = rank[v_plus]
+        gaps = frame.gaps(top + 1, k + 1)  # the span of e
+        # the climbing chain of e's upper endpoint (1 at the root)
+        dn = frame.u_mon(v_plus) * chains[top] if top else ONE
+        assignment[zeta(e)] = frame.u_mon(e) * chains[k] / dn * gaps
     for e in frame.part.i_minus:
         assignment[zeta(e)] = Monomial.sym(frame.zsym(e))
     for j in frame.extra_tags:
@@ -316,7 +324,7 @@ def build_mu(chart: TwistedChart, subset: Iterable) -> Readouts:
         num_ratio = _collapsed_product(frame, mask, frame.special_at[k], chart.theta_of)
         for e in frame.data.sections[k]:
             le = frame.data.edge_rank[e]
-            val = frame.u_mon(e) * frame.up_chain(le) / frame.up_chain(k)
+            val = frame.u_mon(e) * frame.chains[le] / frame.chains[k]
             val = val * num_ratio / _collapsed_product(frame, mask, e, chart.theta_of)
             row[e] = val * frame.gaps(k + 1, le + 1)
     return Readouts(frame.t.ranks().levels, rows)
@@ -330,13 +338,11 @@ def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
     subset = frame.part.read(subset)
     target = stratum_target(frame, subset)
     strat, res = target.stratum, target.result
-    # the contraction keeps levels of t: its rank j is rank used[j] of t
-    new_rank = res.tree.ranks().of_vertex
     for k, row in enumerate(chart.mu(subset).rows):
         for e, mon in row.items():
             if e in res.contracted:
                 return False  # cross-section edges must survive contraction
-            lands = res.used[new_rank[e]]
+            lands = res.rank_of(e)
             if lands == k:
                 if not strat.is_unit(mon):
                     return False
@@ -354,15 +360,18 @@ def check_mu_vanishing(chart: TwistedChart, subset: Iterable) -> bool:
 
 @dataclass(frozen=True)
 class StratumTarget:
-    """What the checks of one index subset share on a frame: the contraction
-    along it; the chart stratum, where surviving labels pin their
+    """What the checks of one index subset share on a frame, each derived
+    once: the contraction along it (``result``); its special edges
+    (``special``), the frame's special edges of the surviving levels, each
+    still at its level; the chart stratum, where surviving labels pin their
     coordinates to zero and collapsed labels make them units (``u`` over
     hat-but-not-dropping edges is a unit everywhere); and the coordinates of
     the product chart the stratum maps onto -- the collapsed modular
     parameters (units there), the extra parameters, and one readout
-    coordinate per non-special surviving cross-section edge."""
+    coordinate per non-special surviving cross-section edge (``free_mu``)."""
 
     result: ContractionResult
+    special: frozenset[Edge]
     stratum: Stratum
     free_mu: frozenset[Edge]
     coords: frozenset[Symbol]
@@ -383,12 +392,6 @@ def stratum_target(frame: ChartFrame, subset: Iterable) -> StratumTarget:
     return last[1]
 
 
-def _special_new(frame: ChartFrame, res: ContractionResult) -> tuple:
-    """The frame's special edges by rank of the contraction: the special edge
-    of a surviving level survives, at that level."""
-    return tuple(frame.special_at[k] for k in res.used[:level_data(res.tree).m_rank + 1])
-
-
 def _build_target(frame: ChartFrame, subset: IndexSubset) -> StratumTarget:
     part = frame.part
     plus_mask, i_m, i_minus = subset.plus_mask, subset.i_m, subset.i_minus
@@ -404,21 +407,18 @@ def _build_target(frame: ChartFrame, subset: IndexSubset) -> StratumTarget:
 
     res = contract(frame.t, subset)
     tpr = res.tree
-    new_part = index_partition(tpr)
-    special_new = _special_new(frame, res)
-    free_mu = set()
-    for e, j in tpr.ranks().of_vertex.items():
-        if 0 < j < len(special_new) and e != special_new[j]:
-            free_mu.add(e)
+    new_data = level_data(tpr)
+    special = frozenset(frame.special_at[k] for k in res.used[1:new_data.m_rank + 1])
+    free_mu = frozenset(e for e, j in tpr.ranks().of_vertex.items()
+                        if 0 < j <= new_data.m_rank and e not in special)
     # the two descriptions of the readout coordinates must agree
-    hat_new = level_data(tpr).hat_edges
-    if frozenset(free_mu) != hat_new - set(special_new[1:]) - new_part.i_m:
+    if free_mu != new_data.hat_edges - special - index_partition(tpr).i_m:
         raise VerificationError("readout coordinates disagree with the contraction's "
                                 "hat edges", witness=(frame.t, subset))
     coords = frozenset([*map(zeta, res.contracted), *map(sigma, frame.extra_tags),
                         *map(musym, free_mu)])
     stratum = Stratum(zeros=frozenset(zeros), units=frozenset(units))
-    return StratumTarget(result=res, stratum=stratum, free_mu=frozenset(free_mu),
+    return StratumTarget(result=res, special=special, stratum=stratum, free_mu=free_mu,
                          coords=coords, identity=MonomialMap.identity(coords))
 
 
@@ -430,7 +430,6 @@ def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     subset = frame.part.read(subset)
     target = stratum_target(frame, subset)
     res = target.result
-    new_rank = res.tree.ranks().of_vertex
     rows = chart.mu(subset).rows
     assignment: dict[Symbol, Monomial] = {}
     for e in res.contracted:
@@ -438,7 +437,7 @@ def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     for j in frame.extra_tags:
         assignment[sigma(j)] = Monomial.sym(frame.wsym(j))
     for e in target.free_mu:
-        assignment[musym(e)] = rows[res.used[new_rank[e]]][e]
+        assignment[musym(e)] = rows[res.rank_of(e)][e]
     return MonomialMap(source_coords=frame.coords(),
                        target_coords=target.coords, assignment=assignment)
 
@@ -459,8 +458,6 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     target = stratum_target(frame, subset)
     res = target.result
     new_i_m = index_partition(res.tree).i_m
-    new_rank = res.tree.ranks().of_vertex
-    special_new = _special_new(frame, res)
 
     def zeta_val(e: Edge) -> Monomial:
         return Monomial.sym(zeta(e)) if e in res.contracted else ZERO
@@ -470,8 +467,7 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
             return Monomial.sym(musym(e))
         if e in new_i_m:
             return ZERO
-        j = new_rank[e]
-        if 0 < j < len(special_new) and e == special_new[j]:
+        if e in target.special:
             return ONE
         raise MonomialError(f"no readout coordinate for edge {e!r}")
 
@@ -574,17 +570,13 @@ def verify_special_vertex_transition(t: WeightedLevelTree, special_a: SpecialMap
     chart = build_chart(t, special_a)
     other = build_chart(t, special_b)
     fa, fb = chart.frame, other.frame
-
-    def chain(edges: Iterable[Edge]) -> Monomial:
-        return Monomial.product(fa.u_mon(e) for e in edges)
-
+    # a's u along b's ascents: at b's special edges and at their parent edges
+    lift, drop = fb.climb(fa.u_mon), fb.climb(fa.u_mon, parents=True)
     assignment = {s: Monomial.sym(s) for s in fb.coords() if s.kind in ("z", "w")}
     for k in range(1, fa.data.m_rank + 1):
         up = k - 1  # the rank of the level's successor
-        val = Monomial.sym(fa.eps_at[k])
-        val = val * fa.up_chain(k) / fa.up_chain(up)
-        val = val * chain(fb.ascent[k]) / chain(fb.ascent[up])
-        val = val * chain(fb.chain_edges[up]) / chain(fb.chain_edges[k])
+        val = Monomial.sym(fa.eps_at[k]) * fa.chains[k] / fa.chains[up]
+        val = val * lift[k] / lift[up] * drop[up] / drop[k]
         assignment[fb.eps_at[k]] = val
     for e, k in fa.data.edge_rank.items():
         if e not in fb.special_edges():
@@ -618,12 +610,10 @@ def verify_parameter_transition(t: WeightedLevelTree) -> bool:
         return Monomial.product(f(a) for a in t.tree.root_path(e)[:-1]
                                 if frame.data.span[a] & ~mask)
 
-    def fchain(k: int) -> Monomial:
-        return Monomial.product(f(e) for e in frame.ascent[k])
-
+    fchain = frame.climb(f)
     assignment = {s: Monomial.sym(s) for s in frame.coords() if s.kind in ("z", "w")}
     for k in range(1, frame.data.m_rank + 1):
-        assignment[frame.eps_at[k]] = Monomial.sym(frame.eps_at[k]) * fchain(k) / fchain(k - 1)
+        assignment[frame.eps_at[k]] = Monomial.sym(frame.eps_at[k]) * fchain[k] / fchain[k - 1]
     for e, k in frame.data.edge_rank.items():
         if e not in frame.special_edges():
             assignment[frame.usym(e)] = frame.u_mon(e) * f_open(e) / f_open(frame.special_at[k])
@@ -663,7 +653,8 @@ def _recentering(t: WeightedLevelTree, subset: Iterable
         raise VerificationError("the contraction's levels in [m, 0) are not the "
                                 "surviving ones", witness=(subset, level_data(tpr).m))
     new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
-    prime = build_chart(tpr, tags=new_tags, special_at=_special_new(frame, res))
+    prime = build_chart(tpr, tags=new_tags,
+                        special_at=tuple(frame.special_at[k] for k in tops))
     # the chart refers back to tpr, which t's contract memo keeps, so it
     # leaves tpr's memo here and goes with the last reference to it
     drop_charts(tpr)
@@ -676,19 +667,16 @@ def _recentering(t: WeightedLevelTree, subset: Iterable
             raise VerificationError("cross-section changed under contraction",
                                     witness=(subset, levels[tops[j]]))
 
-    new_rank = tpr.ranks().of_vertex
-
-    def mu_chain(j: int) -> Monomial:
-        return Monomial.product(rows[tops[new_rank[p]]][p] for p in fp.chain_edges[j])
-
+    # the readouts of the parent edges along the contraction's ascents
+    mu_chain = fp.climb(lambda p: rows[res.rank_of(p)][p], parents=True)
     assignment: dict[Symbol, Monomial] = {}
     for j in range(1, len(tops)):
         kup, k = tops[j - 1], tops[j]
         val = Monomial.sym(frame.eps_at[k]) * frame.gaps(kup + 1, k)
         val = val * (_collapsed_product(frame, mask, frame.special_at[kup], chart.theta_of)
                      / _collapsed_product(frame, mask, frame.special_at[k], chart.theta_of))
-        val = val * frame.up_chain(k) / frame.up_chain(kup)
-        val = val * mu_chain(j - 1) / mu_chain(j)
+        val = val * frame.chains[k] / frame.chains[kup]
+        val = val * mu_chain[j - 1] / mu_chain[j]
         assignment[fp.eps_at[j]] = val
     for e in fp.data.hat_edges - fp.special_edges():
         assignment[fp.usym(e)] = rows[tops[fp.data.edge_rank[e]]][e]
@@ -736,7 +724,7 @@ def remark_identities(chart: TwistedChart) -> bool:
     if not frame.part.i_plus:
         raise DomainError("identities need a nonempty level index")
     m_rank = frame.data.m_rank
-    base = frame.up_chain(m_rank) * frame.gaps(1, m_rank + 1)
+    base = frame.chains[m_rank] * frame.gaps(1, m_rank + 1)
 
     def anc_product(e: Edge) -> Monomial:
         return Monomial.product(chart.theta.assignment[zeta(a)]

@@ -51,12 +51,17 @@ def _kept_ranks(data: LevelData, plus_mask: int) -> list[int]:
 class ContractionResult:
     """The contracted tree, the projection of ``t``'s vertices onto it and
     the contracted edges.  The tree's levels are levels of ``t``: its rank
-    ``j`` is rank ``used[j]`` of ``t``."""
+    ``j`` is rank ``used[j]`` of ``t``, and ``rank_of`` reads a vertex's
+    level off ``t``'s ranks."""
 
     tree: WeightedLevelTree
     projection: Mapping[Vertex, Vertex]
     contracted: frozenset[Edge]
     used: tuple[int, ...]
+
+    def rank_of(self, v: Vertex) -> int:
+        """The rank in ``t`` of the level a vertex of the contraction sits at."""
+        return self.used[self.tree.ranks().of_vertex[v]]
 
 
 def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:

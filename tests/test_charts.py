@@ -19,7 +19,8 @@ from leveltree.cli import render_chart
 from leveltree.contraction import contract
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import MonomialError, VerificationError
-from leveltree.levels import (WeightedLevelTree, index_partition, make_level_tree, special_by_rank, special_choices)
+from leveltree.levels import (WeightedLevelTree, ascent_sequence, index_partition, level_data,
+                              make_level_tree, special_by_rank, special_choices)
 from leveltree.monomial import Monomial, MonomialMap, Stratum, Symbol, parse_monomial
 
 F = Fraction
@@ -561,6 +562,73 @@ def test_collapsed_product_walks_up_to_the_root():
                         == reference_collapsed_product(frame, plus_mask, above_of, value)
 
 
+def explicit_ascent(frame, k) -> list:
+    """The special edges met by the ascent from rank ``k``, walked up the
+    tree: from each special edge on to the special edge of its parent's
+    level, until an edge hangs from the root."""
+    t = frame.t
+    out = []
+    while k:
+        out.append(frame.special_at[k])
+        k = t.ranks().of_vertex[t.tree.parent[out[-1]]]
+    return out
+
+
+def test_climbs_match_products_over_the_explicit_ascent():
+    """Every distinct <=4-edge chart under every special map of its tree:
+    the climbing chains and the climbs of a symbol-valued ``value`` are the
+    products over the explicitly built ascents, and the jump table visits
+    the levels of ``levels.ascent_sequence``."""
+    def value(e):
+        return Monomial.sym(Symbol("x", e))
+
+    cases = 0
+    for t in distinct_chart_trees():
+        choices = special_choices(t)
+        keys = sorted(choices)
+        parent, levels_of = t.tree.parent, t.ranks().levels
+        for picks in itertools.product(*(choices[i] for i in keys)):
+            special = dict(zip(keys, picks))
+            frame = build_chart(t, special).frame
+            up, up_parents = frame.climb(value), frame.climb(value, parents=True)
+            for k in range(frame.data.m_rank + 1):
+                ascent = explicit_ascent(frame, k)
+                assert frame.chains[k] == Monomial.product(
+                    frame.u_mon(parent[e]) for e in ascent[:-1])
+                assert up[k] == Monomial.product(map(value, ascent))
+                assert up_parents[k] == Monomial.product(value(parent[e]) for e in ascent[:-1])
+                visited = [k]
+                while visited[-1]:
+                    visited.append(frame.jump[visited[-1]])
+                if k:
+                    assert tuple(levels_of[r] for r in visited) \
+                        == ascent_sequence(t, special, levels_of[k])
+                cases += 1
+        charts.drop_charts(t)
+    assert cases > 1000
+
+
+def test_a_chart_of_a_long_path_reads_each_u_a_bounded_number_of_times(monkeypatch):
+    # a 2,000-edge path, levels -1..-2000, weight on its lowest quarter: the
+    # climbing chains and the base map read u at most 3n times in all
+    n = 2000
+    t = make_level_tree(root="o", parent={f"s{k}": f"s{k - 1}" if k > 1 else "o"
+                                          for k in range(1, n + 1)},
+                        weight={"o": 0, **{f"s{k}": int(k > n - n // 4)
+                                           for k in range(1, n + 1)}},
+                        level={"o": 0, **{f"s{k}": -k for k in range(1, n + 1)}})
+    real, calls = ChartFrame.u_mon, 0
+
+    def counting(self, e):
+        nonlocal calls
+        calls += 1
+        return real(self, e)
+
+    monkeypatch.setattr(ChartFrame, "u_mon", counting)
+    build_chart(t)
+    assert 0 < calls <= 3 * n
+
+
 def reference_inverse(chart, subset) -> MonomialMap:
     """The inverse with a branch for the gap coordinates and one for the
     ``u`` coordinates, each re-multiplying the climbing chains it reads."""
@@ -573,7 +641,8 @@ def reference_inverse(chart, subset) -> MonomialMap:
     res = target.result
     new_i_m = index_partition(res.tree).i_m
     new_rank = res.tree.ranks().of_vertex
-    special_new = charts._special_new(frame, res)
+    # the special edge of a surviving level survives, at that level
+    special_new = [frame.special_at[k] for k in res.used[:level_data(res.tree).m_rank + 1]]
     one, zero = Monomial.one(), Monomial.zero()
 
     def zeta_val(e):
@@ -597,7 +666,8 @@ def reference_inverse(chart, subset) -> MonomialMap:
         return built[frame.usym(e)]
 
     def chain_val(k):
-        return Monomial.product(u_val(e) for e in frame.chain_edges[k])
+        # the last special edge of an ascent hangs from the root
+        return Monomial.product(u_val(t.tree.parent[e]) for e in explicit_ascent(frame, k)[:-1])
 
     def eps_prod(lo, hi):
         return Monomial.product(built[frame.eps_at[h]] for h in range(lo, hi))

@@ -9,6 +9,9 @@ from fractions import Fraction
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from leveltree.blowup import psi2_chart_check
+from leveltree.charts import (build_chart, check_mu_vanishing, remark_identities,
+                              verify_round_trip)
 from leveltree.contraction import contract, index_identity_report
 from leveltree.levels import (WeightedLevelTree, index_partition,
                               make_level_tree, phi_bijection)
@@ -83,3 +86,21 @@ def test_contraction_identities_on_sampled_trees(case):
     moved = phi_bijection(t, scaled, subset)
     assert moved == {F(3, 2) * x if isinstance(x, Fraction) else x for x in subset}
     assert phi_bijection(scaled, t, moved) == subset
+
+
+@PROPERTY
+@given(trees_and_subsets())
+def test_round_trip_and_mu_vanishing_on_sampled_trees(case):
+    t, subset = case
+    chart = build_chart(t)
+    assert verify_round_trip(chart, subset)
+    assert check_mu_vanishing(chart, subset)
+
+
+@PROPERTY
+@given(level_trees())
+def test_blowup_chart_and_ancestor_products_on_sampled_trees(t):
+    # both read the climbing chains through the chart-to-base map
+    assert psi2_chart_check(t)
+    if index_partition(t).i_plus:
+        assert remark_identities(build_chart(t))
