@@ -100,8 +100,8 @@ class ChartFrame:
     eps_at: tuple = field(init=False, compare=False, repr=False)
     _specials: frozenset = field(init=False, compare=False, repr=False)
     _coords: frozenset = field(init=False, compare=False, repr=False)
-    # built on first use: the identity map, and the record of the last index
-    # subset asked for (see ``stratum_target``)
+    # built on first use: the identity map, the record of the last index
+    # subset asked for (see ``stratum_target``) and the gap products
     _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -181,8 +181,12 @@ class ChartFrame:
         return out
 
     def gaps(self, lo: int, hi: int) -> Monomial:
-        """The product of the gap coordinates of the ranks in ``[lo, hi)``."""
-        return Monomial.product(Monomial.sym(self.eps_at[k]) for k in range(lo, hi))
+        """The product of the gap coordinates of the ranks in ``[lo, hi)``,
+        kept in the frame's memo: a frame has at most O(m^2) ranges."""
+        memo, key = self._memo, (lo, hi)
+        if key not in memo:
+            memo[key] = Monomial.product(Monomial.sym(self.eps_at[k]) for k in range(lo, hi))
+        return memo[key]
 
 
 # the base's modular parameters ``zeta(e)`` and extra parameters

@@ -12,8 +12,17 @@ endpoint, and re-leveling:
   edges are lifted exactly to the new bottom level ``min(I_plus \\ I)``;
   everything else keeps the highest level merged into it.
 
-``index_identity_report`` checks how the index data transforms.  The
-literal bookkeeping identity for the minus part admits boundary
+``contract`` makes one pass over a per-tree plan, built on first use and
+kept in the tree's memo: one row per non-root vertex, parents first, with
+its parent, the kind of its edge, its span mask, its bit in a subset's
+mask, its rank and its weight, and the tree's vertices sorted once.  The pass tests each row
+for collapse on masks, builds the projection, the new parent and weight maps
+and the contracted edges, and gives each survivor its rank from one lift
+table per subset.  The contraction's rank table is read off the same pass.
+
+``index_identity_report`` checks how the index data transforms, from its own
+reading of ``t`` and of the contracted tree's maps, never from the plan.
+The literal bookkeeping identity for the minus part admits boundary
 counterexamples ("dropout" edges, the report's ``dropouts``), so the strict
 and the corrected reading are exposed separately.
 """
@@ -24,27 +33,58 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError
-from .levels import (IndexSubset, LevelData, LevelRanks, WeightedLevelTree,
+from .levels import (LevelData, LevelRanks, WeightedLevelTree,
                      _derived_level_tree, canonical_form, index_partition, is_equivalent,
                      level_data, phi_bijection)
 from .tree import Edge, Vertex, _derived_weighted_tree
 
 
-def _collapsed(t: WeightedLevelTree, sub: IndexSubset) -> frozenset[Edge]:
-    """The contracted edges: a hat edge collapses when every level it
-    crosses does."""
-    data = level_data(t)
-    plus_mask, i_m = sub.plus_mask, sub.i_m
-    out = set(sub.i_minus)
-    for e in (data.hat_edges - sub.part.i_m) | i_m:
-        if not data.span[e] & ~plus_mask:
-            out.add(e)
-    return frozenset(out)
-
-
 def _kept_ranks(data: LevelData, plus_mask: int) -> list[int]:
     """Ranks of the ``I_plus`` levels a subset leaves standing, top down."""
     return [k for k in range(1, data.m_rank + 1) if not plus_mask >> k & 1]
+
+
+# the kinds of a plan row's edge
+HAT, I_M, OTHER = "hat", "I_m", "other"
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What ``contract`` reads of a level tree, built once per tree.
+
+    ``rows`` holds one row per non-root vertex ``v``, in preorder (parents
+    first): ``(v, parent, kind, span, bit, rank, weight)``.  ``kind`` is
+    ``HAT`` for a hat edge outside ``I_m``, ``I_M`` for an ``I_m`` edge and
+    ``OTHER`` for the rest (the ``I_minus`` edges); ``span`` is a hat edge's
+    ``LevelData.span`` (0 otherwise); ``bit`` is the edge's bit in an
+    ``IndexSubset``'s mask (0 for a hat edge outside ``I_m``, which is no
+    label); ``rank`` is the rank of ``v``.  ``ordered`` lists every vertex,
+    sorted."""
+
+    rows: tuple
+    ordered: tuple
+    m_rank: int
+
+
+def _contraction_plan(t: WeightedLevelTree) -> _Plan:
+    """The plan of ``t``, built on first use and kept in ``t``'s memo.  It is
+    read off ``t``'s own tables, never shared with another level tree on the
+    same base, so that each of two equivalent trees contracts by itself."""
+    data = level_data(t)
+    part = index_partition(t)
+    rank = t.ranks().of_vertex
+    tree = t.tree
+    parent, weight, edge_bit = tree.parent, t.weight, part.edge_bit
+    rows = []
+    for v in tree.preorder():
+        if v == tree.root:
+            continue
+        kind = OTHER if v not in data.hat_edges else I_M if v in part.i_m else HAT
+        bit = 0 if kind == HAT else 1 << edge_bit[v]
+        rows.append((v, parent[v], kind, data.span.get(v, 0), bit, rank[v], weight[v]))
+    plan = _Plan(rows=tuple(rows), ordered=tuple(sorted(tree.vertices)), m_rank=data.m_rank)
+    t._memo["plan"] = plan
+    return plan
 
 
 @dataclass(frozen=True)
@@ -64,76 +104,90 @@ class ContractionResult:
         return self.used[self.tree.ranks().of_vertex[v]]
 
 
+def _lift(m_rank: int, plus_mask: int) -> list:
+    """The lift table of a subset's level part, one entry per rank
+    ``0..m_rank``: the rank of the lowest level the part leaves standing at
+    or above that rank, or None where it leaves none."""
+    lift, kept = [None] * (m_rank + 1), None
+    for k in range(1, m_rank + 1):
+        if not plus_mask >> k & 1:
+            kept = k
+        lift[k] = kept
+    return lift
+
+
 def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
-    """The contraction of ``t`` along ``subset``.
+    """The contraction of ``t`` along ``subset``: one pass over the rows of
+    ``t``'s plan.
 
     The tree keeps its last result, keyed by the subset's mask (one entry,
     so memory stays bounded), since the suites ask for the same contraction
     several times in a row.
     """
-    part = index_partition(t)
-    sub = part.read(subset)
-    last = t._memo.get("contract")
+    sub = index_partition(t).read(subset)
+    memo = t._memo
+    last = memo.get("contract")
     if last is not None and last[0] == sub.mask:
         return last[1]
-    plus_mask, i_m = sub.plus_mask, sub.i_m
-    gone = _collapsed(t, sub)
-    tree = t.tree
-    data = level_data(t)
+    plan = memo.get("plan") or _contraction_plan(t)
+    mask, plus_mask = sub.mask, sub.plus_mask
+    lift = _lift(plan.m_rank, plus_mask)
+    bottom = lift[-1]  # the rank of the new bottom level min(I_plus \ I)
 
-    # projection: a vertex whose own edge is contracted goes where its
-    # parent goes; the survivors hang from their parents' images
-    root, parent = tree.root, tree.parent
+    # A vertex whose own edge is contracted goes where its parent goes, and
+    # its weight with it; the survivors hang from their parents' images.
+    # Everything merged into a survivor lies below it, so its own level is
+    # the highest one in its class, and it keeps a level of t, recorded by
+    # its rank there.
+    root = t.root
     proj: dict[Vertex, Vertex] = {root: root}
     new_parent: dict[Vertex, Vertex] = {}
-    for v in tree.preorder():  # parents before children
-        if v == root:
-            continue
-        up = proj[parent[v]]
-        if v in gone:
-            proj[v] = up
-        else:
-            proj[v] = v
-            new_parent[v] = up
-    new_weight = dict.fromkeys(proj.values(), 0)
-    for v, w in t.weight.items():
-        new_weight[proj[v]] += w
-
-    # Everything merged into a surviving vertex lies below it, so its own
-    # level is the highest one in its class.  Each survivor keeps a level of
-    # ``t``, recorded by its rank there.
-    ranks = t.ranks()
-    rank = ranks.of_vertex
-    kept = _kept_ranks(data, plus_mask)
+    new_weight: dict[Vertex, int] = {root: t.weight[root]}
     new_rank: dict[Vertex, int] = {root: 0}
-    for e in new_parent:
-        if e in data.hat_edges and e not in part.i_m:
-            # lifted to the lowest surviving level at or above it
-            above = [k for k in kept if k <= rank[e]]
-            if not above:
-                raise DomainError(f"no surviving level dominates the class of {e!r}")
-            new_rank[e] = above[-1]
-        elif e in i_m:
-            if not kept:
+    gone = []
+    used_mask, standing = 1, ~plus_mask
+    for v, p, kind, span, bit, r, w in plan.rows:
+        up = proj[p]
+        # collapsed: an I_minus edge of the subset, or a hat edge outside I_m
+        # or in the subset's I_m whose every crossed level collapses
+        if mask & bit == bit and not span & standing:
+            proj[v] = up
+            new_weight[up] += w
+            gone.append(v)
+            continue
+        proj[v] = v
+        new_parent[v] = up
+        new_weight[v] = w
+        if kind == HAT:  # lifted to the lowest surviving level at or above it
+            r = lift[r]
+            if r is None:
+                raise DomainError(f"no surviving level dominates the class of {v!r}")
+        elif kind == I_M and mask & bit:  # lifted to the new bottom level
+            if bottom is None:
                 raise DomainError("a surviving lifted edge needs a surviving level")
-            new_rank[e] = kept[-1]
-        else:  # (I_m \ i_m) edges and minus edges keep their top merged level
-            new_rank[e] = rank[e]
+            r = bottom
+        # the rest, (I_m \ I) and minus edges, keep their top merged level
+        new_rank[v] = r
+        used_mask |= 1 << r
 
     # the rank table of t_(I): the surviving ranks of t, renumbered 0, 1, ...
-    used = tuple(sorted(set(new_rank.values())))
-    renumber = {r: k for k, r in enumerate(used)}
+    used = tuple(k for k in range(used_mask.bit_length()) if used_mask >> k & 1)
+    renumber = dict(zip(used, range(len(used))))
     of_vertex = {v: renumber[r] for v, r in new_rank.items()}
     at: list[list[Vertex]] = [[] for _ in used]
-    for v in sorted(of_vertex):
-        at[of_vertex[v]].append(v)
-    levels = tuple(ranks.levels[r] for r in used)
+    for v in plan.ordered:
+        k = of_vertex.get(v)
+        if k is not None:
+            at[k].append(v)
+    old_levels = t.ranks().levels
+    levels = tuple(old_levels[r] for r in used)
     new_tree = _derived_level_tree(
         _derived_weighted_tree(root, new_parent, new_weight),
         {v: levels[k] for v, k in of_vertex.items()},
         LevelRanks(levels=levels, of_vertex=of_vertex, at=tuple(map(tuple, at))))
-    out = ContractionResult(tree=new_tree, projection=proj, contracted=gone, used=used)
-    t._memo["contract"] = (sub.mask, out)
+    out = ContractionResult(tree=new_tree, projection=proj, contracted=frozenset(gone),
+                            used=used)
+    memo["contract"] = (sub.mask, out)
     return out
 
 

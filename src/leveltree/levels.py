@@ -22,9 +22,10 @@ its memo: the occupied levels and every vertex's rank
 (``LevelData.span``), the cross-section of each rank
 (``LevelData.sections``, built on first read) and the default special edges
 by rank.  They are built on first use, except that ``contract`` hands a
-contraction its rank table: the contraction's levels are levels of its
-parent tree, so its table is the parent's, restricted to the surviving
-ranks.
+contraction its rank table, built in its one pass over the parent tree's
+plan: the contraction's levels are levels of its parent tree, so its table
+is the parent's, restricted to the surviving ranks, with each rank's
+vertices read off the parent's sorted vertex list.
 
 Trees come from two paths.  The public constructors -- used for file and
 CLI input, ``make_level_tree``, relevelings, ``canonical_form`` and the

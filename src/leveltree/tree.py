@@ -14,7 +14,8 @@ The engine reads the tree order (``v >= w`` iff ``v`` lies on the path from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import StructureError
@@ -32,19 +33,22 @@ class RootedTree:
 
     ``parent`` maps every non-root vertex to its parent; the edge set is
     derived (one edge per non-root vertex).  Instances are immutable after
-    construction.  The constructor validates eagerly; only a tree derived
-    from an already valid one (``_derived_weighted_tree``) skips the walk
-    that proves the parent map acyclic.
+    construction.  The constructor validates eagerly, and builds the child
+    lists to check every parent; only a tree derived from an already valid
+    one (``_derived_weighted_tree``) skips the walk that proves the parent
+    map acyclic, and builds its child lists on first read, when something
+    walks it.
     """
 
     root: Vertex
     parent: Mapping[Vertex, Vertex]
-    _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parent", dict(self.parent))
         if self.root in self.parent:
             raise StructureError(f"root {self.root!r} must not have a parent")
+        # built eagerly, to check that every parent is a vertex, and stored
+        # where ``_children`` caches its value
         object.__setattr__(self, "_children", _child_lists(self.root, self.parent))
         # one walk up from each vertex proves that it reaches the root
         # (connected, acyclic); it stops at the first vertex already reached
@@ -59,11 +63,15 @@ class RootedTree:
                 cur = self.parent[cur]
             reached.update(pending)
 
+    @cached_property
+    def _children(self) -> dict:
+        return _child_lists(self.root, self.parent)
+
     # -- basic sets ---------------------------------------------------------
 
     @property
     def vertices(self) -> frozenset[Vertex]:
-        return frozenset(self._children)
+        return frozenset((self.root, *self.parent))
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -74,7 +82,7 @@ class RootedTree:
         return tuple(self._children[v])
 
     def _check_vertex(self, v: Vertex) -> None:
-        if v not in self._children:
+        if v != self.root and v not in self.parent:
             raise StructureError(f"unknown vertex {v!r}")
 
     # -- tree order ---------------------------------------------------------
@@ -183,13 +191,13 @@ class WeightedTree:
 
 def _derived_weighted_tree(root: Vertex, parent: dict, weight: dict) -> WeightedTree:
     """A weighted tree from maps derived from a valid tree, taken as they
-    are: the child lists are built as the constructor builds them, but the
-    acyclicity walk and the weight checks are skipped.  The caller owns the
-    dicts and must not change them afterwards."""
+    are: the parent checks, the acyclicity walk and the weight checks are
+    skipped, and the child lists are built on first read, so a contraction
+    that nothing walks never builds them.  The caller owns the dicts and
+    must not change them afterwards."""
     tree = object.__new__(RootedTree)
     object.__setattr__(tree, "root", root)
     object.__setattr__(tree, "parent", parent)
-    object.__setattr__(tree, "_children", _child_lists(root, parent))
     out = object.__new__(WeightedTree)
     object.__setattr__(out, "tree", tree)
     object.__setattr__(out, "weight", weight)

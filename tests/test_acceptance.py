@@ -5,7 +5,9 @@ from the registry in ``leveltree.checks``, which ``_sweep`` runs exhaustively
 and exactly through the executor ``leveltree verify`` uses.  Instances that
 share the tree, the levels and the positivity pattern of the weights form a
 group: its checks run once, on its first instance, and weight conservation
-on every member.  The groups fan out over a small fork pool.
+on every member.  Each instance set is enumerated and grouped once per
+session, shared by the rows on it, and the groups fan out over a small fork
+pool.
 
 Two documented readings of boundary slips in the source formulas (see the
 README) are exercised: the minus-part identity of contractions holds in its
@@ -14,6 +16,7 @@ counted; and levels are reconstructed from divisor slots on stable trees
 without dropping edges, the classes the slots determine.
 """
 
+import functools
 import multiprocessing as mp
 import time
 from fractions import Fraction
@@ -67,18 +70,28 @@ def _sweep_groups(args):
     return report
 
 
+@functools.cache
+def _corpus(spec: EnumSpec):
+    """The instance set of ``spec`` and its groups, as lists of indices into
+    it, enumerated once per session and shared by the rows on ``spec``."""
+    instances = list(gen_instances(spec))
+    groups: dict = {}
+    for k, t in enumerate(instances):
+        groups.setdefault(_positivity_key(t), []).append(k)
+    return instances, sorted(groups.values())
+
+
 def _sweep(spec: EnumSpec, names):
     """Run the named checks on every group of the instance set; the merged
     report and the number of groups."""
     global _INSTANCES
-    _INSTANCES = list(gen_instances(spec))
-    groups: dict = {}
-    for k, t in enumerate(_INSTANCES):
-        groups.setdefault(_positivity_key(t), []).append(k)
-    ordered = sorted(groups.values())
+    _INSTANCES, ordered = _corpus(spec)
     with mp.get_context("fork").Pool(WORKERS) as pool:
         parts = pool.map(_sweep_groups,
                          [(ordered[w::WORKERS], names) for w in range(WORKERS)])
+    # the checks ran in the workers: the instances a later row inherits hold
+    # nothing that an earlier row's checks left in their memos
+    assert not any(t._memo for t in _INSTANCES)
     total = RunReport(suite="sweep")
     for part in parts:
         total.instances += part.instances

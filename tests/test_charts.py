@@ -608,6 +608,26 @@ def test_climbs_match_products_over_the_explicit_ascent():
     assert cases > 1000
 
 
+def test_gaps_are_the_products_of_their_gap_coordinates():
+    """Every distinct <=4-edge chart and every range ``[lo, hi)`` of level
+    ranks: the frame's gap product, asked for twice, is the explicit
+    product of the ``eps`` of the ranks in the range."""
+    cases = 0
+    for t in distinct_chart_trees():
+        frame = build_chart(t).frame
+        top = frame.data.m_rank + 1
+        for lo in range(1, top + 1):
+            for hi in range(lo, top + 1):
+                want = Monomial.one()
+                for k in range(lo, hi):
+                    want = want * Monomial.sym(Symbol("eps", t.ranks().levels[k]))
+                assert frame.gaps(lo, hi) == want
+                assert frame.gaps(lo, hi) is frame.gaps(lo, hi)
+                cases += 1
+        charts.drop_charts(t)
+    assert cases > 4000
+
+
 def test_a_chart_of_a_long_path_reads_each_u_a_bounded_number_of_times(monkeypatch):
     # a 2,000-edge path, levels -1..-2000, weight on its lowest quarter: the
     # climbing chains and the base map read u at most 3n times in all

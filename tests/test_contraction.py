@@ -1,14 +1,20 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from leveltree.contraction import (contract, index_identity_report,
+import leveltree.contraction as contraction_mod
+import leveltree.tree as tree_mod
+from leveltree.checks import SUITES, RunReport, relevelings, run_checks
+from leveltree.contraction import (ContractionResult, contract, index_identity_report,
                                    nested_contraction_coherent,
                                    verify_equivalence_compat)
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
-from leveltree.levels import (WeightedLevelTree, index_partition,
-                              level_data)
+from leveltree.levels import (LevelRanks, WeightedLevelTree, _derived_level_tree,
+                              index_partition, level_data)
+from leveltree.tree import _derived_weighted_tree
+from test_ranks import renamed
 
 F = Fraction
 
@@ -130,3 +136,143 @@ def test_surviving_cross_sections_are_preserved():
             res = contract(t, I)
             for i in index_partition(res.tree).i_plus:
                 assert cross_section(t, i) == cross_section(res.tree, i)
+
+
+def reference_contract(t, subset) -> ContractionResult:
+    """The contraction as it was written before the one-pass kernel: the
+    collapsed edges as a set, a projection walk, and each surviving edge's
+    rank from a scan of the kept ranks."""
+    part = index_partition(t)
+    sub = part.read(subset)
+    data = level_data(t)
+    plus_mask, i_m = sub.plus_mask, sub.i_m
+    gone = set(sub.i_minus)
+    for e in (data.hat_edges - part.i_m) | i_m:
+        if not data.span[e] & ~plus_mask:
+            gone.add(e)
+    gone = frozenset(gone)
+    tree = t.tree
+    root, parent = tree.root, tree.parent
+    proj = {root: root}
+    new_parent = {}
+    for v in tree.preorder():
+        if v == root:
+            continue
+        up = proj[parent[v]]
+        if v in gone:
+            proj[v] = up
+        else:
+            proj[v] = v
+            new_parent[v] = up
+    new_weight = dict.fromkeys(proj.values(), 0)
+    for v, w in t.weight.items():
+        new_weight[proj[v]] += w
+    ranks = t.ranks()
+    rank = ranks.of_vertex
+    kept = [k for k in range(1, data.m_rank + 1) if not plus_mask >> k & 1]
+    new_rank = {root: 0}
+    for e in new_parent:
+        if e in data.hat_edges and e not in part.i_m:
+            above = [k for k in kept if k <= rank[e]]
+            if not above:
+                raise DomainError(f"no surviving level dominates the class of {e!r}")
+            new_rank[e] = above[-1]
+        elif e in i_m:
+            if not kept:
+                raise DomainError("a surviving lifted edge needs a surviving level")
+            new_rank[e] = kept[-1]
+        else:
+            new_rank[e] = rank[e]
+    used = tuple(sorted(set(new_rank.values())))
+    renumber = {r: k for k, r in enumerate(used)}
+    of_vertex = {v: renumber[r] for v, r in new_rank.items()}
+    at = [[] for _ in used]
+    for v in sorted(of_vertex):
+        at[of_vertex[v]].append(v)
+    levels = tuple(ranks.levels[r] for r in used)
+    new_tree = _derived_level_tree(
+        _derived_weighted_tree(root, new_parent, new_weight),
+        {v: levels[k] for v, k in of_vertex.items()},
+        LevelRanks(levels=levels, of_vertex=of_vertex, at=tuple(map(tuple, at))))
+    return ContractionResult(tree=new_tree, projection=proj, contracted=gone, used=used)
+
+
+def test_contract_matches_the_reference():
+    """Every <=4-edge instance, its three relevelings and a renamed copy,
+    along every index subset: the same maps, in the same order, the same
+    rank table and the same preorder as the reference."""
+    cases = 0
+    for t in gen_instances(EnumSpec(max_edges=4, max_weight=2)):
+        for tree in (t, *relevelings(t), renamed(t)):
+            for I in index_partition(tree).subsets():
+                got, want = contract(tree, I), reference_contract(tree, I)
+                g, w = got.tree, want.tree
+                assert list(g.tree.parent.items()) == list(w.tree.parent.items())
+                assert list(g.weight.items()) == list(w.weight.items())
+                assert list(g.level.items()) == list(w.level.items())
+                assert (got.projection, got.contracted, got.used) \
+                    == (want.projection, want.contracted, want.used)
+                gr, wr = g.ranks(), w.ranks()
+                assert (gr.levels, list(gr.of_vertex.items()), gr.at) \
+                    == (wr.levels, list(wr.of_vertex.items()), wr.at)
+                assert list(g.tree.preorder()) == list(w.tree.preorder())
+                cases += 1
+    assert cases > 200000
+
+
+def test_a_lift_that_skips_a_kept_rank_fails_the_report_checks(monkeypatch):
+    """A planted fault in the kernel's lift table -- the lowest level left
+    standing is skipped whenever another stands above it -- is caught by
+    the contraction suite's own readings, so the report is no copy of the
+    kernel."""
+    real = contraction_mod._lift
+
+    def skipping(m_rank, plus_mask):
+        lift = real(m_rank, plus_mask)
+        kept = sorted({k for k in lift if k is not None})
+        if len(kept) < 2:
+            return lift
+        return [kept[-2] if k == kept[-1] else k for k in lift]
+
+    monkeypatch.setattr(contraction_mod, "_lift", skipping)
+    report = RunReport(suite="contraction")
+    for k, t in enumerate(gen_instances(EnumSpec(max_edges=3))):
+        run_checks(t, SUITES["contraction"], report, f"#{k}")
+    failed = Counter(f["operation"] for f in report.failures)
+    assert failed["index-identities"] + failed["equivalence-compat"] > 0, failed
+
+
+def test_a_suite_pass_builds_each_plan_once(nested_tree, monkeypatch):
+    """One contraction-suite pass builds the plan of the tree and of each of
+    its three relevelings once, and no child lists of the contracted trees,
+    which nothing walks: the only child lists built are those of the trees
+    ``contract-validity`` rebuilds, one per subset."""
+    plans, walked, results = Counter(), [], []
+    real_plan = contraction_mod._contraction_plan
+    real_lists = tree_mod._child_lists
+    real_contract = contraction_mod.contract
+
+    def plan_spy(t):
+        plans[id(t)] += 1
+        return real_plan(t)
+
+    def lists_spy(root, parent):
+        walked.append(parent)
+        return real_lists(root, parent)
+
+    def contract_spy(t, subset):
+        results.append(real_contract(t, subset))
+        return results[-1]
+
+    monkeypatch.setattr(contraction_mod, "_contraction_plan", plan_spy)
+    monkeypatch.setattr(tree_mod, "_child_lists", lists_spy)
+    monkeypatch.setattr(contraction_mod, "contract", contract_spy)
+    report = RunReport(suite="contraction")
+    run_checks(nested_tree, SUITES["contraction"], report, "nested")
+    subsets = len(index_partition(nested_tree).subsets())
+    assert report.ok() and subsets == 4
+    assert sorted(plans.values()) == [1, 1, 1, 1]
+    contracted = {id(res.tree.tree.parent) for res in results}
+    assert len(results) >= 5 * subsets
+    assert not [p for p in walked if id(p) in contracted]
+    assert len(walked) <= subsets
