@@ -2,14 +2,11 @@
 them for ``leveltree verify`` and for the acceptance sweeps.
 
 A ``Check`` is a named identity; its name is the operation string reports
-count it under.  Its scope says where it runs on one level class: on every
-index subset (``SUBSET``), on every subset once for each instance of the
-class's group (``INSTANCE``: instances sharing the tree, the levels and the
-positivity pattern of the weights), or once on the class (``CLASS``).  It
-runs once per case its ``cases`` yields -- a releveling, a divisor index, a
-pair of special-edge choices, an instance -- and on none where its identity
-is void.  Its function returns ``(ok, detail)``: the detail says why it
-failed or, on a pass, is a remark the report counts.
+count it under.  It runs on one level class, on every index subset
+(``SUBSET``) or once (``CLASS``), once per case its ``cases`` yields -- a
+releveling, a divisor index, a pair of special-edge choices -- and on none
+where its identity is void.  Its function returns ``(ok, detail)``: the
+detail says why it failed or, on a pass, is a remark the report counts.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from . import contraction as contraction_mod
 from . import levels as levels_mod
 from .errors import DomainError, LevelTreeError, VerificationError
 
-SUBSET, INSTANCE, CLASS = "per (class, subset)", "per instance", "per class"
+SUBSET, CLASS = "per (class, subset)", "per class"
 DROPOUT_REMARK = "literal minus-part identity fails on dropout edges"
 # The most special-edge maps whose ordered pairs ``special-vertex-transition``
 # checks.  Instances of at most 4, 5 or 6 edges have at most 4, 6 or 9 maps;
@@ -86,14 +83,12 @@ def relevelings(t: levels_mod.WeightedLevelTree):
 
 
 class LevelClass:
-    """One level class under check: its representative ``t``, the named
-    instances of its group (``t`` first), and what its checks share, each
-    built once.  Its one chart is ``charts.build_chart(t)``, kept in
-    ``t``'s memo."""
+    """One level class under check: its representative ``t`` and what its
+    checks share, each built once.  Its one chart is
+    ``charts.build_chart(t)``, kept in ``t``'s memo."""
 
-    def __init__(self, t: levels_mod.WeightedLevelTree, name: str, members=()):
+    def __init__(self, t: levels_mod.WeightedLevelTree):
         self.t = t
-        self.instances = ((name, t), *members)
         self.part = levels_mod.index_partition(t)
 
     @cached_property
@@ -122,15 +117,20 @@ def _contract_validity(c, subset, _):
     return True, ""
 
 
-def _weight_conservation(c, subset, instance):
-    """Each instance of the group pushes its own weights through the
-    representative's projection."""
-    name, member = instance
+def _weight_conservation(c, subset, _):
+    """The weights of ``t``, pushed through the projection, are those of
+    ``t_(I)`` vertex by vertex, not only in total; the first vertex that
+    differs is named."""
     res = contraction_mod.contract(c.t, subset)
-    total = (res.tree.base.total_weight() if member is c.t
-             else sum(member.weight[v] for v in res.projection))
-    ok = total == member.base.total_weight()
-    return ok, "" if ok else f"{name}: total weight {total} after contraction"
+    pushed = dict.fromkeys(res.tree.weight, 0)
+    for v, w in c.t.weight.items():
+        u = res.projection[v]
+        pushed[u] = pushed.get(u, 0) + w
+    for u, w in pushed.items():
+        got = res.tree.weight.get(u)
+        if got != w:
+            return False, f"vertex {u}: weight {got} after contraction, {w} pushed onto it"
+    return True, ""
 
 
 def _index_identities(c, subset, _):
@@ -195,8 +195,7 @@ def _if_levels(c):
 SUITES = {
     "contraction": (
         Check("contract-validity", SUBSET, _contract_validity),
-        Check("weight-conservation", INSTANCE, _weight_conservation,
-              lambda c: c.instances),
+        Check("weight-conservation", SUBSET, _weight_conservation),
         Check("index-identities", SUBSET, _index_identities),
         Check("equivalence-compat", SUBSET,
               lambda c, subset, t2: (
@@ -250,9 +249,8 @@ def _run(report: RunReport, check: Check, cases: Iterable, label: str,
 
 
 def run_checks(t: levels_mod.WeightedLevelTree, checks: Iterable[Check],
-               report: RunReport, name: str, members=()) -> None:
-    """Run ``checks`` on the class of ``t``, named ``name``; ``members`` are
-    the other instances of its group as ``(name, tree)`` pairs.
+               report: RunReport, name: str) -> None:
+    """Run ``checks`` on the class of ``t``, named ``name``.
 
     The subsets are enumerated once, and refused up front above the label
     bound of ``IndexPartition.subsets``.  The cases of the class checks are
@@ -262,8 +260,8 @@ def run_checks(t: levels_mod.WeightedLevelTree, checks: Iterable[Check],
     ``LevelTreeError`` fails with the error as its detail, and the later
     checks of that subset are skipped, since they would meet the same error.
     """
-    c = LevelClass(t, name, members)
-    per_subset = [check for check in checks if check.scope != CLASS]
+    c = LevelClass(t)
+    per_subset = [check for check in checks if check.scope == SUBSET]
     subsets = c.part.subsets() if per_subset else ()
     per_class = [(check, list(check.cases(c))) for check in checks if check.scope == CLASS]
     for subset in subsets:

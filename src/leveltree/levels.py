@@ -35,17 +35,18 @@ by construction as they are: contractions and the class representatives of
 ``enumerate.gen_level_trees``.  A proven equivalence ``t ~ t2`` is kept in
 ``t``'s memo, so ``phi_bijection`` proves it once per partner tree.
 
-Labels become ranks in two places only, both here.  ``IndexPartition.read``
-reads an index subset into an ``IndexSubset``: the same frozenset of labels,
-carrying its partition and its bitmask over the partition's label order
-(levels at the bits of their ranks, then the edges).  ``subsets()`` and
-``level_parts()`` yield ``IndexSubset``s, and ``read`` returns one of its
-own partition as it is, so a subset is read by its labels once, where it
-enters, and the engine's memos and level probes go by its masks and ranks
-from there on.  A subset of another tree -- a releveling, a contraction --
-is read again by its labels.  ``special_by_rank`` reads a special map
-(level -> edge) into one special edge per rank.  The other modules work on
-those ranks and read an ``IndexSubset``'s fields, never the mask layout.
+Labels become ranks only here.  ``IndexPartition.read`` reads an index subset
+into an ``IndexSubset``: the same frozenset of labels, carrying its partition
+and its bitmask over the partition's label order (levels at the bits of their
+ranks, then the edges).  ``subsets()`` and ``level_parts()`` yield
+``IndexSubset``s, and ``read`` returns one of its own partition as it is, so a
+subset is read by its labels once, where it enters, and the engine's memos and
+level probes go by its masks and ranks from there on.  A subset of another
+tree -- a releveling, a contraction -- is read again by its labels.
+``special_by_rank`` reads a special map (level -> edge) into one special edge
+per rank; ``level_successor``, ``cross_section`` and ``ascent_sequence`` look
+their one level up by rank.  The other modules work on ranks and read an
+``IndexSubset``'s fields, never the mask layout.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ Criteria 3-7 are rows of ``ROWS``: an instance set and the names of checks
 from the registry in ``leveltree.checks``, which ``_sweep`` runs exhaustively
 and exactly through the executor ``leveltree verify`` uses.  Instances that
 share the tree, the levels and the positivity pattern of the weights form a
-group: its checks run once, on its first instance, and weight conservation
-on every member.  Each instance set is enumerated and grouped once per
-session, shared by the rows on it, and the groups fan out over a small fork
-pool.
+group: its checks run once, on its first instance, and cover every member
+(``test_checks`` runs each instance alone and compares).  Each instance set
+is enumerated and grouped once per session, shared by the rows on it, and
+the groups fan out over a small fork pool.
 
 Two documented readings of boundary slips in the source formulas (see the
 README) are exercised: the minus-part identity of contractions holds in its
@@ -26,7 +26,7 @@ from leveltree import charts as charts_mod
 from leveltree.checks import CHECKS, DROPOUT_REMARK, RunReport, run_checks
 from leveltree.cli import render_chart, run as cli_run
 from leveltree.enumerate import EnumSpec, gen_instances
-from leveltree.levels import ascent_sequence, level_successor
+from leveltree.levels import ascent_sequence, index_partition, level_successor
 from leveltree.monomial import parse_monomial
 from leveltree.tree import tree_json
 
@@ -61,13 +61,16 @@ def _positivity_key(t):
 
 
 def _sweep_groups(args):
+    """Run the checks on the first instance of each group; the report and
+    the (tree, subset) pairs the groups cover."""
     groups, names = args
     checks = [CHECKS[name] for name in names]
-    report = RunReport(suite="sweep")
-    for first, *rest in groups:
-        run_checks(_INSTANCES[first], checks, report, f"#{first}",
-                   members=[(f"#{k}", _INSTANCES[k]) for k in rest])
-    return report
+    report, covered = RunReport(suite="sweep"), 0
+    for group in groups:
+        t = _INSTANCES[group[0]]
+        run_checks(t, checks, report, f"#{group[0]}")
+        covered += len(group) << len(index_partition(t))
+    return report, covered
 
 
 @functools.cache
@@ -83,7 +86,7 @@ def _corpus(spec: EnumSpec):
 
 def _sweep(spec: EnumSpec, names):
     """Run the named checks on every group of the instance set; the merged
-    report and the number of groups."""
+    report, the number of groups and the (tree, subset) pairs they cover."""
     global _INSTANCES
     _INSTANCES, ordered = _corpus(spec)
     with mp.get_context("fork").Pool(WORKERS) as pool:
@@ -93,14 +96,14 @@ def _sweep(spec: EnumSpec, names):
     # nothing that an earlier row's checks left in their memos
     assert not any(t._memo for t in _INSTANCES)
     total = RunReport(suite="sweep")
-    for part in parts:
+    for part, _ in parts:
         total.instances += part.instances
         for op, n in part.counts.items():
             total.counts[op] = total.counts.get(op, 0) + n
         for remark, n in part.remarks.items():
             total.remarks[remark] = total.remarks.get(remark, 0) + n
         total.failures += part.failures
-    return total, len(ordered)
+    return total, len(ordered), sum(covered for _, covered in parts)
 
 
 def _report(capsys, criterion: str, ok: bool, detail: str, failures=()):
@@ -111,15 +114,15 @@ def _report(capsys, criterion: str, ok: bool, detail: str, failures=()):
 
 def _check_row(capsys, criterion: int, summary, failures=()):
     """Sweep a row within its budget and report it; ``summary(report,
-    groups)`` says what was checked."""
+    groups, covered)`` says what was checked."""
     title, spec, names, budget = ROWS[criterion]
     start = time.perf_counter()
-    report, groups = _sweep(spec, names)
+    report, groups, covered = _sweep(spec, names)
     failures = [*failures, *report.failures]
     elapsed = time.perf_counter() - start
     ok = not failures and (budget is None or elapsed < budget)
     _report(capsys, f"{criterion} {title}", ok,
-            f"{summary(report, groups)}, {len(failures)} failures, {elapsed:.1f}s"
+            f"{summary(report, groups, covered)}, {len(failures)} failures, {elapsed:.1f}s"
             + (f" < {budget:.0f}s" if budget else ""), failures)
 
 
@@ -150,19 +153,20 @@ def test_criterion_2_annotations(deep_fan, deep_fan_special, capsys):
 # -- criteria 3-7: the check registry's sweeps -------------------------------
 
 def test_criterion_3_contraction_suite(capsys):
-    _check_row(capsys, 3, lambda r, _: (
-        f"{r.counts['weight-conservation']} (tree, subset) pairs, literal minus-part "
+    _check_row(capsys, 3, lambda r, _, covered: (
+        f"{r.counts['contract-validity']} (class, subset) pairs checked, covering "
+        f"{covered} (tree, subset) pairs, literal minus-part "
         f"identity fails only on {r.remarks.get(DROPOUT_REMARK, 0)} dropout instances "
         "(corrected reading asserted)"))
 
 
 def test_criterion_4_chart_suite(capsys):
-    _check_row(capsys, 4, lambda r, groups: (
+    _check_row(capsys, 4, lambda r, groups, _: (
         f"{r.counts['round-trip']} (tree, subset) pairs over {groups} distinct charts"))
 
 
 def test_criterion_5_transition_suite(capsys):
-    _check_row(capsys, 5, lambda r, groups: (
+    _check_row(capsys, 5, lambda r, groups, _: (
         f"{r.instances} transitions over {groups} distinct charts"))
 
 
@@ -172,13 +176,13 @@ def test_criterion_6_blowup_suite(nested_tree, capsys):
     expected = {1: "1", 2: "eps(-1)", 3: "eps(-1) * eps(-2)"}
     failures = [f"nested divisor k={k}" for k, text in expected.items()
                 if blowup_mod.yk_pullback(chart, k) != parse_monomial(text)]
-    _check_row(capsys, 6, lambda r, groups: (
+    _check_row(capsys, 6, lambda r, groups, _: (
         f"{len(expected) + r.instances} checks over {groups} distinct charts "
         "(reconstruction on stable classes without dropping edges)"), failures)
 
 
 def test_criterion_7_ancestor_product_identities(capsys):
-    _check_row(capsys, 7, lambda r, _: (
+    _check_row(capsys, 7, lambda r, *_: (
         f"{r.counts['ancestor-product-identities']} charts (bottom-level index "
         "product reading)"))
 

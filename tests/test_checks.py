@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from leveltree.checks import (CHECKS, CLASS, DROPOUT_REMARK, INSTANCE, SUBSET,
-                              SUITES, Check, RunReport, run_checks)
+from leveltree.checks import (CHECKS, CLASS, DROPOUT_REMARK, SUBSET, SUITES, Check,
+                              RunReport, run_checks)
 from leveltree.cli import run
 from leveltree.contraction import index_identity_report
 from leveltree.enumerate import EnumSpec, gen_instances
@@ -83,9 +83,7 @@ def test_check_names_are_unique_and_cover_the_acceptance_rows():
     names = [k.name for suite in SUITES.values() for k in suite]
     assert len(names) == len(set(names)) == len(CHECKS)
     assert all(set(row[2]) <= set(CHECKS) for row in ROWS.values())
-    assert {k.scope for k in CHECKS.values()} == {SUBSET, INSTANCE, CLASS}
-    assert [k.name for k in CHECKS.values() if k.scope == INSTANCE] == \
-        ["weight-conservation"]
+    assert {k.scope for k in CHECKS.values()} == {SUBSET, CLASS}
 
 
 # Equivalent level maps of a tree: the checks may see only the order of its
@@ -104,49 +102,70 @@ def _relevel(t, releveling):
     return WeightedLevelTree(base=t.base, level=RELEVELINGS[releveling](t))
 
 
+def _groups(max_edges):
+    """The instances with at most ``max_edges`` edges, grouped as the
+    acceptance sweeps group them."""
+    from test_acceptance import _positivity_key
+    groups: dict = {}
+    for t in gen_instances(EnumSpec(max_edges=max_edges)):
+        groups.setdefault(_positivity_key(t), []).append(t)
+    return list(groups.values())
+
+
 @functools.cache
 def _grouped_sweep(max_edges, suite, releveling=None):
-    """A suite (``"all"`` for every check) over every instance with at most
-    ``max_edges`` edges, grouped as the acceptance sweeps group them, so each
-    member gets its own weight conservation; every member is releveled."""
-    from test_acceptance import _positivity_key
-    instances = list(gen_instances(EnumSpec(max_edges=max_edges)))
-    groups: dict = {}
-    for t in instances:
-        groups.setdefault(_positivity_key(t), []).append(t)
+    """A suite (``"all"`` for every check) on the first instance of each
+    group, releveled."""
+    groups = _groups(max_edges)
     report = RunReport(suite=suite)
     checks = CHECKS.values() if suite == "all" else SUITES[suite]
-    for group in groups.values():
-        first, *rest = (_relevel(t, releveling) for t in group)
-        run_checks(first, checks, report, "first",
-                   members=[(f"m{k}", t) for k, t in enumerate(rest)])
-    return instances, groups, report
+    for first, *_ in groups:
+        run_checks(_relevel(first, releveling), checks, report, "first")
+    return groups, report
 
 
 def test_suites_pass_exhaustively_small():
-    instances, groups, report = _grouped_sweep(3, "all")
+    groups, report = _grouped_sweep(3, "all")
     assert report.ok(), report.failures[:5]
-    assert report.counts["weight-conservation"] == \
-        sum(2 ** len(index_partition(t)) for t in instances)
-    assert report.counts["round-trip"] == \
-        sum(2 ** len(index_partition(ts[0])) for ts in groups.values())
+    pairs = sum(2 ** len(index_partition(first)) for first, *_ in groups)
+    assert report.counts["weight-conservation"] == report.counts["round-trip"] == pairs
     assert report.remarks == {DROPOUT_REMARK: sum(
-        1 for first, *_ in groups.values()
+        1 for first, *_ in groups
         for I in index_partition(first).subsets()
         if index_identity_report(first, I).dropouts)}
 
 
+def _alone(t) -> RunReport:
+    report = RunReport(suite="all")
+    run_checks(t, CHECKS.values(), report, "alone")
+    return report
+
+
+def test_each_instance_checks_as_its_group_does():
+    """The group argument: the checks read only the tree, the levels and
+    which weights are positive, so every instance run alone gives the
+    counts, failures and remarks of its group's first instance."""
+    groups = _groups(3)
+    assert (len(groups), sum(map(len, groups))) == (124, 451)
+    for first, *rest in groups:
+        want = _alone(first)
+        for t in rest:
+            got = _alone(t)
+            assert (got.counts, got.failures, got.remarks) == \
+                (want.counts, want.failures, want.remarks), t.to_json_dict()
+
+
 @pytest.mark.parametrize("releveling", sorted(RELEVELINGS))
 def test_suites_agree_under_relevelings(releveling):
-    plain, moved = _grouped_sweep(3, "all")[2], _grouped_sweep(3, "all", releveling)[2]
+    plain, moved = _grouped_sweep(3, "all")[1], _grouped_sweep(3, "all", releveling)[1]
     assert moved.ok(), moved.failures[:5]
     assert (moved.counts, moved.remarks) == (plain.counts, plain.remarks)
 
 
 @pytest.mark.parametrize("releveling", sorted(RELEVELINGS))
 def test_contraction_suite_agrees_under_relevelings_up_to_four_edges(releveling):
-    plain = _grouped_sweep(4, "contraction")[2]
-    moved = _grouped_sweep(4, "contraction", releveling)[2]
+    plain = _grouped_sweep(4, "contraction")[1]
+    moved = _grouped_sweep(4, "contraction", releveling)[1]
     assert plain.ok() and moved.ok(), moved.failures[:5]
     assert (moved.counts, moved.remarks) == (plain.counts, plain.remarks)
 

@@ -13,6 +13,7 @@ from leveltree.blowup import MAX_SECTIONS
 from leveltree.charts import TwistedChart
 from leveltree.checks import MAX_SPECIAL_MAPS
 from leveltree.cli import run
+from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.levels import make_level_tree
 from leveltree.tree import tree_json
 
@@ -226,6 +227,16 @@ def test_enumerate_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LEVELTREE_MAX_EDGES", "1")
     assert run(["enumerate", "--count-only"]) == 0
     assert capsys.readouterr().out == "10\n"
+
+
+def test_enumerate_stable_only_and_max_levels(capsys):
+    stable = sum(1 for _ in gen_instances(EnumSpec(max_edges=3), stable_only=True))
+    assert run(["enumerate", "--max-edges", "3", "--stable-only", "--count-only"]) == 0
+    assert capsys.readouterr().out == f"{stable}\n" == "168\n"
+    assert run(["enumerate", "--max-edges", "3", "--max-levels", "2", "--count-only"]) == 0
+    assert capsys.readouterr().out == "56\n"
+    assert run(["enumerate", "--max-levels", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: enumeration bounds must be nonnegative\n")
 
 
 def test_the_parser_is_built_once(tree_file, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -220,11 +221,9 @@ def test_contract_matches_the_reference():
     assert cases > 200000
 
 
-def test_a_lift_that_skips_a_kept_rank_fails_the_report_checks(monkeypatch):
-    """A planted fault in the kernel's lift table -- the lowest level left
-    standing is skipped whenever another stands above it -- is caught by
-    the contraction suite's own readings, so the report is no copy of the
-    kernel."""
+def _lift_skipping_a_kept_rank(monkeypatch):
+    """The kernel's lift table skips the lowest level left standing whenever
+    another stands above it."""
     real = contraction_mod._lift
 
     def skipping(m_rank, plus_mask):
@@ -235,11 +234,69 @@ def test_a_lift_that_skips_a_kept_rank_fails_the_report_checks(monkeypatch):
         return [kept[-2] if k == kept[-1] else k for k in lift]
 
     monkeypatch.setattr(contraction_mod, "_lift", skipping)
+
+
+def _moving_contracted_weights(to_root):
+    """A kernel that takes the weight of every contracted vertex off the
+    root, dropping it from the total, or with ``to_root`` moves it from the
+    vertex it lands on to the root, keeping the total."""
+    def plant(monkeypatch):
+        real = contraction_mod.contract
+
+        def moving(t, subset):
+            res = real(t, subset)
+            nt = res.tree
+            weight = dict(nt.weight)
+            for v in res.contracted:
+                w = t.weight[v]
+                if to_root:
+                    weight[res.projection[v]] -= w
+                    weight[t.root] += w
+                else:
+                    weight[t.root] -= w
+            base = _derived_weighted_tree(nt.root, nt.tree.parent, weight)
+            return replace(res, tree=_derived_level_tree(base, nt.level, nt.ranks()))
+
+        monkeypatch.setattr(contraction_mod, "contract", moving)
+    return plant
+
+
+def _phi_dropping_the_minus_part(monkeypatch):
+    """The transport of a subset along an equivalence loses its ``I_minus``
+    edges."""
+    real = contraction_mod.phi_bijection
+
+    def dropping(t, t2, subset):
+        moved = real(t, t2, subset)
+        return index_partition(t2).read(moved - moved.i_minus)
+
+    monkeypatch.setattr(contraction_mod, "phi_bijection", dropping)
+
+
+# a plausible fault of the kernel or of its helpers, and the contraction
+# checks that must fail under it
+PLANTED = {
+    "lift-skips-a-kept-rank": (_lift_skipping_a_kept_rank, ("index-identities",)),
+    "weights-dropped": (_moving_contracted_weights(to_root=False),
+                        ("weight-conservation", "contract-validity")),
+    "weights-sent-to-the-root": (_moving_contracted_weights(to_root=True),
+                                 ("weight-conservation",)),
+    "phi-drops-the-minus-part": (_phi_dropping_the_minus_part, ("equivalence-compat",)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_a_planted_fault_fails_its_check(monkeypatch, fault):
+    """Each planted fault makes the checks named for it fail somewhere on the
+    <=3-edge representatives, so those checks are no copy of the kernel."""
+    from test_checks import _groups
+    plant, caught = PLANTED[fault]
+    plant(monkeypatch)
     report = RunReport(suite="contraction")
-    for k, t in enumerate(gen_instances(EnumSpec(max_edges=3))):
+    for k, (t, *_) in enumerate(_groups(3)):
         run_checks(t, SUITES["contraction"], report, f"#{k}")
     failed = Counter(f["operation"] for f in report.failures)
-    assert failed["index-identities"] + failed["equivalence-compat"] > 0, failed
+    assert all(failed[name] for name in caught), failed
 
 
 def test_a_suite_pass_builds_each_plan_once(nested_tree, monkeypatch):

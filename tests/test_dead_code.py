@@ -1,9 +1,10 @@
-"""No dead code in the package: every module-level function, every class and
-every method that is not a dunder is referenced by name somewhere in
-``src/``, ``tests/`` or ``bench/`` outside its own definition, and every
-name a module of the package (other than ``__init__.py``, which re-exports)
-imports is used in that module.  A definition that only ``tests/``
-references is listed in ``TEST_ONLY``, so none is added unnoticed.
+"""No dead code in the package: every module-level function, class and
+assigned name and every method that is not a dunder is referenced by name
+somewhere in ``src/``, ``tests/`` or ``bench/`` outside its own definition,
+and every name a module of the package (other than ``__init__.py``, which
+re-exports) imports is used in that module.  A definition that only
+``tests/`` references is listed in ``TEST_ONLY``, so none is added
+unnoticed.
 
 A reference is a bare name or an attribute name in the parsed source, so a
 method counts as used when any attribute of that name is read.  Imports and
@@ -16,16 +17,26 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "leveltree"
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
     """(qualified name, bare name, first line, last line) of each module-level
-    function, class and non-dunder method."""
+    function, class, non-dunder method and non-dunder assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield name.id, name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        and not _dunder(item.name)):
                     yield (f"{node.name}.{item.name}", item.name,
                            item.lineno, item.end_lineno)
 
@@ -69,6 +80,8 @@ def test_every_definition_is_referenced():
 # src/.  The list may only shrink: a definition that gains a caller in src/
 # or bench/ leaves it, and a new test-only definition belongs in the tests.
 TEST_ONLY = {
+    "checks.py: CHECKS": "the registry by name: the acceptance rows name "
+                         "their checks, and the sweeps look them up in it",
     "levels.py: ascent_sequence": "criterion 2 checks the ascent sequences",
     "levels.py: level_successor": "criterion 2 checks the level successors",
     "levels.py: edge_span": "a layer of bench/tracing.LAYERS, which names it "
