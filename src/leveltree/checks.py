@@ -235,15 +235,17 @@ SUITES = {
 CHECKS = {check.name: check for suite in SUITES.values() for check in suite}
 
 
-def _run(report: RunReport, check: Check, cases: Iterable, label: str,
+def _run(report: RunReport, check: Check, cases: Iterable, name: str,
          c: LevelClass, *args) -> bool:
-    """Run ``check`` on each of its ``cases``; False if one raised."""
+    """Run ``check`` on each of its ``cases``; False if one raised.  A
+    failure of a subset's case is named by the subset's labels too."""
     clean = True
     for case in cases:
         try:
             ok, detail = check.fn(c, *args, case)
         except LevelTreeError as exc:
             ok, detail, clean = False, str(exc), False
+        label = f"{name} I={sorted(map(str, args[0]))}" if args and not ok else name
         report.check(check.name, ok, label, detail)
     return clean
 
@@ -265,9 +267,8 @@ def run_checks(t: levels_mod.WeightedLevelTree, checks: Iterable[Check],
     subsets = c.part.subsets() if per_subset else ()
     per_class = [(check, list(check.cases(c))) for check in checks if check.scope == CLASS]
     for subset in subsets:
-        label = f"{name} I={sorted(map(str, subset))}"
         for check in per_subset:
-            if not _run(report, check, check.cases(c), label, c, subset):
+            if not _run(report, check, check.cases(c), name, c, subset):
                 break
     for check, cases in per_class:
         _run(report, check, cases, name, c)

@@ -35,18 +35,15 @@ by construction as they are: contractions and the class representatives of
 ``enumerate.gen_level_trees``.  A proven equivalence ``t ~ t2`` is kept in
 ``t``'s memo, so ``phi_bijection`` proves it once per partner tree.
 
-Labels become ranks only here.  ``IndexPartition.read`` reads an index subset
-into an ``IndexSubset``: the same frozenset of labels, carrying its partition
-and its bitmask over the partition's label order (levels at the bits of their
-ranks, then the edges).  ``subsets()`` and ``level_parts()`` yield
-``IndexSubset``s, and ``read`` returns one of its own partition as it is, so a
-subset is read by its labels once, where it enters, and the engine's memos and
-level probes go by its masks and ranks from there on.  A subset of another
-tree -- a releveling, a contraction -- is read again by its labels.
-``special_by_rank`` reads a special map (level -> edge) into one special edge
-per rank; ``level_successor``, ``cross_section`` and ``ascent_sequence`` look
-their one level up by rank.  The other modules work on ranks and read an
-``IndexSubset``'s fields, never the mask layout.
+Labels become ranks only here.  An index subset is an ``IndexSubset``, a
+bitmask over its partition's label order (levels at the bits of their ranks,
+then the edges) that stores no labels; iterating it reads them off the mask.
+``IndexPartition.read`` turns labels into one where a subset enters, and
+returns one of its own partition as it is; the enumerations, ``joined`` and
+``phi_bijection`` work on masks alone.  ``special_by_rank`` reads a special
+map (level -> edge) into one special edge per rank; ``level_successor``,
+``cross_section`` and ``ascent_sequence`` look their one level up by rank.
+The other modules read an ``IndexSubset``'s fields, never the mask layout.
 """
 
 from __future__ import annotations
@@ -298,25 +295,30 @@ def cross_section(t: WeightedLevelTree, i) -> frozenset[Edge]:
     return level_data(t).sections[k]
 
 
-class IndexSubset(frozenset):
-    """An index subset as its partition reads it: the frozenset of its labels
-    that also carries the partition (``part``), the bitmask of its labels
-    over the partition's label order (``mask``) and its level part as the
-    bitmask of its ranks (``plus_mask``).
-
-    The engine keys its memos on the masks and reads the parts off them, so
-    a subset is read once, where it enters.  Only ``IndexPartition.read``
-    and the partition's own enumerations make one."""
+class IndexSubset:
+    """An index subset as its partition reads it: the partition (``part``),
+    the bitmask of its labels over the partition's label order (``mask``)
+    and its level part as the bitmask of its ranks (``plus_mask``).  It
+    stores no labels: iterating it reads them off the mask, in label order.
+    ``IndexPartition.read``, the partition's enumerations, ``joined`` and
+    ``phi_bijection`` make one."""
 
     __slots__ = ("part", "mask", "plus_mask")
 
+    def __init__(self, part: "IndexPartition", mask: int):
+        self.part, self.mask = part, mask
+        self.plus_mask = mask & ((2 << len(part.plus_rank)) - 2)
+
+    def __iter__(self):
+        return self.part._decode(self.mask)
+
     @property
     def i_m(self) -> frozenset:
-        return self & self.part.i_m
+        return self.part.i_m.intersection(self.part._decode(self.mask ^ self.plus_mask))
 
     @property
     def i_minus(self) -> frozenset:
-        return self & self.part.i_minus
+        return self.part.i_minus.intersection(self.part._decode(self.mask ^ self.plus_mask))
 
     def joined(self, levels: "IndexSubset", lift) -> "IndexSubset":
         """This subset with ``levels`` added: a level part read on a tree
@@ -324,11 +326,10 @@ class IndexSubset(frozenset):
         are levels of this tree too -- a contraction, with ``lift`` its
         ``ContractionResult.used``."""
         mask, plus = self.mask, levels.plus_mask
-        while plus:
-            low = plus & -plus
-            mask |= 1 << lift[low.bit_length() - 1]
-            plus ^= low
-        return self.part._subset(self | levels, mask)
+        for j in range(1, plus.bit_length()):
+            if plus >> j & 1:
+                mask |= 1 << lift[j]
+        return IndexSubset(self.part, mask)
 
 
 @dataclass(frozen=True)
@@ -337,12 +338,12 @@ class IndexPartition:
     occupied levels in ``[m, 0)``, hat edges dropping below ``m``, and the
     remaining (non-hat) edges.
 
-    It fixes one order of the labels, the bits of an ``IndexSubset``'s
-    mask: the level of rank ``k`` at bit ``k`` (``plus_rank``, ranks
-    ``1..m_rank``), then the ``I_m`` edges and the ``I_minus`` edges, each
-    sorted (``edge_bit``).  Equivalent trees share the order (their ranks
-    agree up to ``m`` and their edge parts are equal), so a mask moves
-    between them as it is."""
+    It fixes one order of the labels (``order``), the bits of an
+    ``IndexSubset``'s mask: the level of rank ``k`` at bit ``k``
+    (``plus_rank``, ranks ``1..m_rank``), then the ``I_m`` edges and the
+    ``I_minus`` edges, each sorted (``edge_bit``).  Equivalent trees share
+    the order (their ranks agree up to ``m`` and their edge parts are
+    equal), so a mask moves between them as it is."""
 
     i_plus: frozenset[Level]
     i_m: frozenset[Edge]
@@ -361,53 +362,55 @@ class IndexPartition:
     def __len__(self) -> int:
         return len(self.i_plus) + len(self.i_m) + len(self.i_minus)
 
+    @cached_property
+    def order(self) -> tuple:
+        return (None, *self.plus_rank, *self.edge_bit)  # the labels by bit: each dict in bit order
+
+    def _decode(self, mask: int):
+        while mask:
+            low = mask & -mask
+            yield self.order[low.bit_length() - 1]
+            mask ^= low
+
     def read(self, subset: Iterable) -> IndexSubset:
         """The index subset with these labels, read by this partition: the
         place where labels become ranks.  An ``IndexSubset`` this partition
-        made comes back as it is; any other set, an ``IndexSubset`` of
+        made comes back as it is; any other iterable, an ``IndexSubset`` of
         another partition too, is read by its labels, rejecting labels
         outside the index set."""
         if type(subset) is IndexSubset and subset.part is self:
             return subset
-        sub = frozenset(subset)
-        mask, bad = 0, []
-        for lab in sub:
+        mask, bad = 0, set()
+        for lab in subset:
             k = self.plus_rank.get(lab)
             if k is None:
                 k = self.edge_bit.get(lab)
                 if k is None:
-                    bad.append(lab)
+                    bad.add(lab)
                     continue
             mask |= 1 << k
         if bad:
             raise DomainError(f"labels outside the index set: {sorted(map(str, bad))}")
-        return self._subset(sub, mask)
-
-    def _subset(self, labels: frozenset, mask: int) -> IndexSubset:
-        out = IndexSubset(labels)
-        out.part, out.mask = self, mask
-        out.plus_mask = mask & ((2 << len(self.plus_rank)) - 2)
-        return out
+        return IndexSubset(self, mask)
 
     def subsets(self) -> list[IndexSubset]:
         """Every index subset, built up label by label with the labels sorted
         by ``str``; refused up front above ``MAX_SUBSET_LABELS`` labels."""
-        return self._power_set({**self.plus_rank, **self.edge_bit})
+        return self._power_set([*self.plus_rank.items(), *self.edge_bit.items()])
 
     def level_parts(self) -> list[IndexSubset]:
         """Every subset of ``I_plus``, the level parts of the index subsets,
         in the order and under the bound of ``subsets``."""
-        return self._power_set(self.plus_rank)
+        return self._power_set(self.plus_rank.items())
 
-    def _power_set(self, bits: Mapping) -> list[IndexSubset]:
+    def _power_set(self, bits: Iterable) -> list[IndexSubset]:
         if len(self) > MAX_SUBSET_LABELS:
             raise DomainError(f"the index set has {len(self)} labels; subsets are "
                               f"enumerated only up to {MAX_SUBSET_LABELS} labels")
-        out = [self._subset(frozenset(), 0)]
-        for lab in sorted(bits, key=str):
-            one, bit = frozenset((lab,)), 1 << bits[lab]
-            out += [self._subset(s | one, s.mask | bit) for s in out]
-        return out
+        masks = [0]
+        for _, k in sorted(bits, key=lambda item: str(item[0])):
+            masks += [mask | 1 << k for mask in masks]
+        return [IndexSubset(self, mask) for mask in masks]
 
 
 def index_partition(t: WeightedLevelTree) -> IndexPartition:
@@ -543,8 +546,4 @@ def phi_bijection(t: WeightedLevelTree, t2: WeightedLevelTree, subset: Iterable)
         entry = proven[id(t2)] = (t2, is_equivalent(t, t2))
     if not entry[1]:
         raise DomainError("phi is only defined between equivalent trees")
-    sub = index_partition(t).read(subset)
-    plus_mask = sub.plus_mask
-    levels2 = t2.ranks().levels
-    moved = frozenset(levels2[k] for k in range(1, plus_mask.bit_length()) if plus_mask >> k & 1)
-    return index_partition(t2)._subset(moved | sub.i_m | sub.i_minus, sub.mask)
+    return IndexSubset(index_partition(t2), index_partition(t).read(subset).mask)

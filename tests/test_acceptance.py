@@ -161,8 +161,9 @@ def test_criterion_3_contraction_suite(capsys):
 
 
 def test_criterion_4_chart_suite(capsys):
-    _check_row(capsys, 4, lambda r, groups, _: (
-        f"{r.counts['round-trip']} (tree, subset) pairs over {groups} distinct charts"))
+    _check_row(capsys, 4, lambda r, groups, covered: (
+        f"{r.counts['round-trip']} (class, subset) pairs checked, covering "
+        f"{covered} (tree, subset) pairs, over {groups} distinct charts"))
 
 
 def test_criterion_5_transition_suite(capsys):

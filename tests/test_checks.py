@@ -12,8 +12,8 @@ from leveltree.cli import run
 from leveltree.contraction import index_identity_report
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
-from leveltree.levels import (MAX_SUBSET_LABELS, WeightedLevelTree, index_partition,
-                              level_data, make_level_tree)
+from leveltree.levels import (MAX_SUBSET_LABELS, IndexSubset, WeightedLevelTree,
+                              index_partition, level_data, make_level_tree)
 from leveltree.tree import tree_json
 
 F = Fraction
@@ -48,7 +48,7 @@ def test_verify_json_matches_golden(tmp_path, nested_tree, capsys):
 def test_failing_checks_exit_1_and_name_check_and_instance(tmp_path, boundary_tree,
                                                             capsys, monkeypatch):
     def fails_on_first_level(c, subset, _):
-        return subset != {F(-1)}, "forced"
+        return frozenset(subset) != {F(-1)}, "forced"
 
     def raises_on_edge_q(c, subset, _):
         if "q" in subset:
@@ -77,6 +77,25 @@ def test_failing_checks_exit_1_and_name_check_and_instance(tmp_path, boundary_tr
 
 
 # -- the registry --------------------------------------------------------------
+
+def test_a_passing_run_reads_no_subset_by_its_labels(nested_tree, deep_fan, monkeypatch):
+    """A subset is its mask: every suite passes on both trees without once
+    iterating a subset, the only way its labels come back."""
+    real, calls = IndexSubset.__iter__, []
+
+    def counted(self):
+        calls.append(self.mask)
+        return real(self)
+
+    monkeypatch.setattr(IndexSubset, "__iter__", counted)
+    for t in (nested_tree, deep_fan):
+        report = RunReport(suite="all")
+        run_checks(t, CHECKS.values(), report, "t")
+        assert report.ok() and report.instances > 0
+    assert calls == []
+    list(index_partition(nested_tree).subsets()[1])  # the count does see an iteration
+    assert calls == [1 << 1]
+
 
 def test_check_names_are_unique_and_cover_the_acceptance_rows():
     from test_acceptance import ROWS
@@ -189,7 +208,7 @@ def test_blowup_suite_agrees_under_relevelings_up_to_four_edges(releveling):
 # -- the subset expansion and its bound ------------------------------------------
 
 def test_subsets_order_and_bound(boundary_tree):
-    assert index_partition(boundary_tree).subsets() == [
+    assert [frozenset(I) for I in index_partition(boundary_tree).subsets()] == [
         frozenset(), {F(-1)}, {F(-2)}, {F(-1), F(-2)},
         {"q"}, {F(-1), "q"}, {F(-2), "q"}, {F(-1), F(-2), "q"}]
     at_bound = index_partition(_path_tree(MAX_SUBSET_LABELS, MAX_SUBSET_LABELS))

@@ -218,12 +218,12 @@ def test_canonical_form_keeps_chains_below_the_frontier_strict(deep_fan):
 def test_phi_bijection_examples(nested_tree):
     doubled = WeightedLevelTree(base=nested_tree.base,
                                 level={v: 2 * x for v, x in nested_tree.level.items()})
-    assert phi_bijection(nested_tree, nested_tree, {F(-1)}) == {F(-1)}
-    assert phi_bijection(nested_tree, doubled, {F(-1)}) == {F(-2)}
+    assert frozenset(phi_bijection(nested_tree, nested_tree, {F(-1)})) == {F(-1)}
+    assert frozenset(phi_bijection(nested_tree, doubled, {F(-1)})) == {F(-2)}
     part = index_partition(nested_tree)
     for I in part.subsets():
         moved = phi_bijection(nested_tree, doubled, I)
-        assert phi_bijection(doubled, nested_tree, moved) == I
+        assert phi_bijection(doubled, nested_tree, moved).mask == I.mask
 
 
 def test_phi_bijection_requires_equivalence(nested_tree):

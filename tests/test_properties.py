@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from leveltree.blowup import psi2_chart_check
 from leveltree.charts import (build_chart, check_mu_vanishing, remark_identities,
                               verify_round_trip)
+from leveltree.checks import relevelings
 from leveltree.contraction import contract, index_identity_report
 from leveltree.levels import (WeightedLevelTree, index_partition,
                               make_level_tree, phi_bijection)
@@ -70,7 +71,7 @@ def reference_split(t, subset):
 def test_read_matches_the_set_reference(case):
     t, subset = case
     sub = index_partition(t).read(subset)
-    assert sub == subset
+    assert frozenset(sub) == subset
     assert (sub.plus_mask, sub.i_m, sub.i_minus) == reference_split(t, subset)
 
 
@@ -84,8 +85,19 @@ def test_contraction_identities_on_sampled_trees(case):
     scaled = WeightedLevelTree(base=t.base,
                                level={v: F(3, 2) * x for v, x in t.level.items()})
     moved = phi_bijection(t, scaled, subset)
-    assert moved == {F(3, 2) * x if isinstance(x, Fraction) else x for x in subset}
-    assert phi_bijection(scaled, t, moved) == subset
+    assert frozenset(moved) == {F(3, 2) * x if isinstance(x, Fraction) else x for x in subset}
+    assert frozenset(phi_bijection(scaled, t, moved)) == subset
+
+
+@PROPERTY
+@given(trees_and_subsets())
+def test_a_subset_keeps_its_mask_through_its_labels_and_relevelings(case):
+    t, subset = case
+    part = index_partition(t)
+    I = part.read(subset)
+    assert part.read(frozenset(I)).mask == I.mask
+    for t2 in relevelings(t):
+        assert phi_bijection(t2, t, phi_bijection(t, t2, I)).mask == I.mask
 
 
 @PROPERTY

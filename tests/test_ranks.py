@@ -177,8 +177,8 @@ def test_each_equivalence_is_proven_once_per_partner_object(nested_tree, monkeyp
     bad = split_a_class(t)
     subsets = index_partition(t).subsets()
     for subset in (subsets[3], subsets[-1]):
-        assert phi_bijection(t, good, subset) == phi_bijection(
-            t, relevel(t, lambda x: 2 * x), subset)
+        assert phi_bijection(t, good, subset).mask == phi_bijection(
+            t, relevel(t, lambda x: 2 * x), subset).mask
         assert verify_equivalence_compat(t, good, subset)
         for _ in range(2):
             with pytest.raises(DomainError):
@@ -214,7 +214,7 @@ def read_on(t, labels):
         sub = index_partition(t).read(labels)
     except DomainError as exc:
         return str(exc)
-    assert type(sub) is IndexSubset and sub == labels
+    assert type(sub) is IndexSubset and frozenset(sub) == frozenset(labels)
     return sub.plus_mask, sub.i_m, sub.i_minus
 
 
@@ -227,13 +227,13 @@ def test_a_subset_and_its_labels_read_alike(instances):
             assert type(plain) is frozenset
             sub = part.read(plain)
             assert part.read(I) is I
-            assert (sub.mask, sub) == (I.mask, I)
+            assert (sub.mask, frozenset(sub)) == (I.mask, plain)
             assert read_on(t, plain) == read_on(t, I) == reference_read(t, plain)
             masks.add(I.mask)
         # bit 0 stands for level 0, which is no label
         assert masks == set(range(0, 2 << len(part), 2))
         assert [I.mask for I in part.level_parts()] == \
-            [I.mask for I in part.subsets() if I <= part.i_plus]
+            [I.mask for I in part.subsets() if frozenset(I) <= part.i_plus]
 
 
 def test_subsets_from_a_second_copy_read_as_the_enumerated_ones(instances):
@@ -270,7 +270,7 @@ def test_a_subset_of_another_tree_is_read_by_its_labels(instances):
         for I in subsets:
             for tree in trees:
                 got = read_on(tree, I)
-                assert got == read_on(tree, frozenset(I)) == reference_read(tree, I)
+                assert got == read_on(tree, frozenset(I)) == reference_read(tree, frozenset(I))
                 if isinstance(got, str):
                     foreign["refused"] += 1
                 elif got[0] != I.plus_mask:
@@ -297,9 +297,10 @@ def test_phi_bijection_moves_a_subset_with_its_mask(instances):
 def test_a_suite_pass_compares_few_fractions(monkeypatch):
     """The contraction and charts suites read each index subset by its labels
     once and go by ranks from there: one pass on the nested README tree
-    makes about 770 ``Fraction`` comparisons and 154 hashes (about 3,350 and
-    883 before subsets carried their masks; the comparisons vary by a few
-    with the string hash seed); the bounds are about twice that."""
+    makes 421 ``Fraction`` comparisons and 90 hashes under every string hash
+    seed tried (772 and 154 while a subset also stored its labels as a
+    frozenset, about 3,350 and 883 before subsets carried their masks); the
+    bounds are about 1.2 times that."""
     t = make_level_tree(root="o", parent={"a": "o", "b": "o", "c": "b", "d": "b"},
                         weight={"o": 0, "a": 1, "b": 0, "c": 1, "d": 1},
                         level={"o": 0, "a": -2, "b": -1, "c": -2, "d": -2})
@@ -320,4 +321,4 @@ def test_a_suite_pass_compares_few_fractions(monkeypatch):
         patch.setattr(Fraction, "__hash__", hash_)
         run_checks(t, SUITES["contraction"] + SUITES["charts"], report, "nested")
     assert report.ok() and report.instances == 47
-    assert calls["eq"] <= 1550 and calls["hash"] <= 310, calls
+    assert calls["eq"] <= 510 and calls["hash"] <= 110, calls
