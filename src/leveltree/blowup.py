@@ -28,13 +28,14 @@ Levels are read only through the rank tables of ``levels`` (see
 ranks.  Line-bundle classes are ``Monomial``s over one symbol ``L_e`` per
 edge, so their bookkeeping is monomial arithmetic.
 
-The centers and divisors are cumulative in ``k`` and in the stage, so the
-tables they read are built once per class.  The cross-sections are read by
-rank from ``LevelData.sections``.  The tree's memo keeps the listed
-sections touching the non-dropping hat edges sorted by size, with the least
-``k`` at which each has a witness edge (``"zk_components"``, kept for one
-section listing), the ranks sorted by cross-section size
-(``"ranks_by_size"``), the ``Y_k`` pullback of the last ``k`` asked for
+The centers and divisors read the level tree alone, the same on every chart
+of its class; they are cumulative in ``k`` and in the stage, so the tables
+they read are built once per class.  The cross-sections are read by rank
+from ``LevelData.sections``.  The tree's memo keeps the traverse sections
+of its weight-contracted tree (``"sections"``), those touching the
+non-dropping hat edges sorted by size, with the least ``k`` at which each
+has a witness edge (``"zk_components"``), the ranks sorted by cross-section
+size (``"ranks_by_size"``), the ``Y_k`` pullback of the last ``k`` asked for
 (``"yk"``), the ``t:eps`` gap symbol of each rank (``"t:eps"``), and the
 scaling monomial of the last stage asked for (``"stage_factor"``).  The next
 ``k`` extends that ``Y_k``, and the next stage that scaling monomial.  The
@@ -47,10 +48,9 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .charts import (CHECK_TAGS, ONE, ChartFrame, TwistedChart, build_chart,
-                     sigma, zeta)
+from .charts import CHECK_TAGS, ONE, TwistedChart, build_chart, eps, sigma, zeta
 from .errors import DomainError, InfeasibleError, VerificationError
 from .levels import (WeightedLevelTree, default_special_by_rank,
                      index_partition, level_data)
@@ -75,12 +75,28 @@ def traverse_sections(tree: RootedTree) -> frozenset[TraverseSection]:
     if count[tree.root] > MAX_SECTIONS:
         raise DomainError(f"the tree has {count[tree.root]} traverse sections; "
                           f"they are listed only up to {MAX_SECTIONS}")
+    # each vertex's options: the sections below it, then its own parent edge
     below: dict[Vertex, list[frozenset]] = {}
     for v in order:
-        options = [[frozenset([c])] + below.pop(c) for c in tree.children(v)]
-        below[v] = ([frozenset().union(*pick) for pick in itertools.product(*options)]
-                    if options else [])
+        options = [below.pop(c) for c in tree.children(v)]
+        if len(options) == 1:  # one child: its options, not copied, are v's sections
+            sections = options[0]
+        else:
+            sections = ([frozenset().union(*pick) for pick in itertools.product(*options)]
+                        if options else [])
+        if v != tree.root:
+            sections.append(frozenset([v]))
+        below[v] = sections
     return frozenset(below[tree.root])
+
+
+def sections_of(t: WeightedLevelTree) -> frozenset[TraverseSection]:
+    """The traverse sections of the weight-contracted tree of ``t``, listed
+    once per class and kept in its memo."""
+    memo = t._memo
+    if "sections" not in memo:
+        memo["sections"] = traverse_sections(weight_contracted_tree(t.base))
+    return memo["sections"]
 
 
 def weight_contracted_tree(wt: WeightedTree) -> RootedTree:
@@ -102,40 +118,38 @@ def order_compatible(bar: RootedTree) -> bool:
     return all(len(bar.children(v)) != 1 for v in bar.edges)
 
 
-def _zk_table(frame: ChartFrame, sections: frozenset) -> tuple[list, list, list, list]:
-    """The ``sections`` touching the non-dropping hat edges, sorted by size:
-    their sizes, the sections, the least ``k`` at which each has a witness
-    edge, and the running maximum of those.  An edge is a witness once each
-    rank it crosses qualifies, so from the largest size among them on.
-    Kept in the tree's memo for the last ``sections`` object asked about."""
-    t, data = frame.t, frame.data
-    last = t._memo.get("zk_components")
-    if last is not None and last[0] is sections:
-        return last[1]
-    keep = data.hat_edges - frame.part.i_m
-    sizes = [len(s) for s in data.sections]
-    rank = t.ranks().of_vertex
-    edge_ready = {e: max(sizes[rank[t.tree.parent[e]] + 1:data.edge_rank[e] + 1])
-                  for e in keep}
-    rows = sorted(((len(s), min(edge_ready[e] for e in s & keep), s)
-                   for s in sections if s & keep), key=lambda row: row[0])
-    ready = [w for _, w, _ in rows]
-    table = ([n for n, _, _ in rows], [s for _, _, s in rows], ready,
-             list(itertools.accumulate(ready, max)))
-    t._memo["zk_components"] = (sections, table)
-    return table
+def _zk_table(t: WeightedLevelTree) -> tuple[list, list, list, list]:
+    """The traverse sections touching the non-dropping hat edges, sorted by
+    size: their sizes, the sections, the least ``k`` at which each has a
+    witness edge, and the running maximum of those.  An edge is a witness
+    once each rank it crosses qualifies, so from the largest size among them
+    on.  Built once per class and kept in the tree's memo."""
+    memo = t._memo
+    if "zk_components" not in memo:
+        data = level_data(t)
+        keep = data.hat_edges - index_partition(t).i_m
+        sizes = [len(s) for s in data.sections]
+        rank = t.ranks().of_vertex
+        edge_ready = {e: max(sizes[rank[t.tree.parent[e]] + 1:data.edge_rank[e] + 1])
+                      for e in keep}
+        rows = sorted(((len(s), min(edge_ready[e] for e in s & keep), s)
+                       for s in sections_of(t) if s & keep), key=lambda row: row[0])
+        ready = [w for _, w, _ in rows]
+        memo["zk_components"] = ([n for n, _, _ in rows], [s for _, _, s in rows], ready,
+                                 list(itertools.accumulate(ready, max)))
+    return memo["zk_components"]
 
 
-def zk_components(chart: TwistedChart, sections: Iterable[TraverseSection],
-                  k: int) -> frozenset[TraverseSection]:
-    """Chart components of the ``k``-th cumulative center: the ``sections``
-    of the weight-contracted tree of size at most ``k`` that touch the
-    non-dropping hat edges.  Each is checked to pull back into the ``Y_k``
-    divisor via a witness edge all of whose crossed gaps qualify.  The
-    sections are sorted by size once per class, so ``k`` reads a prefix."""
+def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
+    """Chart components of the ``k``-th cumulative center: the traverse
+    sections of the weight-contracted tree of size at most ``k`` that touch
+    the non-dropping hat edges.  Each is checked to pull back into the
+    ``Y_k`` divisor via a witness edge all of whose crossed gaps qualify.
+    The sections are sorted by size once per class, so ``k`` reads a
+    prefix."""
     if k < 1:
         raise DomainError("divisor index must be positive")
-    sizes, listed, ready, worst = _zk_table(chart.frame, sections)
+    sizes, listed, ready, worst = _zk_table(t)
     n = bisect.bisect_right(sizes, k)
     if n and worst[n - 1] > k:
         s = next(s for s, w in zip(listed, ready) if w > k)
@@ -155,23 +169,22 @@ def _ranks_by_size(t: WeightedLevelTree) -> tuple[list[int], list[int]]:
     return memo["ranks_by_size"]
 
 
-def yk_pullback(chart: TwistedChart, k: int) -> Monomial:
+def yk_pullback(t: WeightedLevelTree, k: int) -> Monomial:
     """The divisor monomial of the ``k``-th cumulative center: the product of
-    the gap coordinates of every level whose cross-section has at most ``k``
-    edges.  The ranks are sorted by size once per class, so ``k`` reads a
+    the gap coordinates ``charts.eps`` of every level whose cross-section
+    has at most ``k`` edges.  The ranks are sorted by size once per class, so ``k`` reads a
     prefix, and the last ``Y_k`` asked for is kept in the tree's memo and
     extended, since the report goes through ``k`` in order; it starts again
     when fewer ranks qualify."""
     if k < 1:
         raise DomainError("divisor index must be positive")
-    frame = chart.frame
-    memo = frame.t._memo
-    sizes, ranks = _ranks_by_size(frame.t)
+    memo, levels = t._memo, t.ranks().levels
+    sizes, ranks = _ranks_by_size(t)
     n = bisect.bisect_right(sizes, k)
     done, factor = memo.get("yk", (0, ONE))
     if done > n:
         done, factor = 0, ONE
-    factor = factor * Monomial.product(Monomial.sym(frame.eps_at[r]) for r in ranks[done:n])
+    factor = factor * Monomial.product(Monomial.sym(eps(levels[r])) for r in ranks[done:n])
     memo["yk"] = n, factor
     return factor
 

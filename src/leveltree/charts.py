@@ -23,10 +23,12 @@ normalized cross-section coefficients used by the stratum maps; and
 by downward induction over the levels.  The ``verify_*`` functions check the
 resulting identities exactly, as integer-exponent monomial equations.
 
-``build_chart`` is the only way to a chart.  It keeps one chart per
-(special edges by rank, tags) in the tree's memo, so every check of a class,
-in the chart suite and in the blowup suite, reads the one chart of ``t`` with
-the default special edges and the tags ``CHECK_TAGS``.
+``build_chart`` keeps one chart per (special edges by rank, tags) in the
+tree's memo, so every check of a class, in the chart suite and in the blowup
+suite, reads the one chart of ``t`` with the default special edges and the
+tags ``CHECK_TAGS``.  The stratum transition's chart of a contracted tree,
+whose special edges are its parent chart's, is built outside that memo: it
+refers back to its tree, and goes with its last reference.
 
 Each public function reads its index subset once, through the frame's
 partition (``levels.IndexPartition.read``), and hands the ``IndexSubset`` on;
@@ -36,7 +38,7 @@ label.  A chart keeps one ``mu`` table per level part of the subset (all
 ``(level, edge)`` for its callers and holds the same entries by rank
 (``Readouts.rows``), which the checks and transitions read.  The frame keeps
 the record of the last subset, keyed by its mask (``StratumTarget``): its
-contraction, the contraction's special edges, its stratum and its
+contraction, the contraction's special edges and ``I_m``, its stratum and its
 stratum-map target, which the checks of that subset share.  The
 contraction's levels are levels of ``t``, so its readouts and the union
 subsets of the stratum transition are read off ``t``'s ranks
@@ -70,6 +72,11 @@ ZERO = Monomial.zero()
 # the extra tags of the checks' charts, so every identity also checks that
 # extra parameters pass through
 CHECK_TAGS = ("j1", "j2")
+
+
+def eps(i: Level) -> Symbol:
+    """The gap coordinate of level ``i``, on every chart and divisor."""
+    return Symbol("eps", i)
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ class ChartFrame:
         put("_specials", frozenset(self.special_at[1:]))
         put("jump", (0,) + tuple(ranks.of_vertex[t.tree.parent[self.special_at[k]]]
                                  for k in top))
-        put("eps_at", (None,) + tuple(self.eps(ranks.levels[k]) for k in top))
+        put("eps_at", (None,) + tuple(eps(ranks.levels[k]) for k in top))
         put("chains", tuple(self.climb(self.u_mon, parents=True)))
         coords = {self.eps_at[k] for k in top}
         coords |= {self.usym(e) for e in self.data.hat_edges - self._specials}
@@ -131,9 +138,6 @@ class ChartFrame:
         return {levels[k]: self.special_at[k] for k in range(1, self.data.m_rank + 1)}
 
     # symbol families ------------------------------------------------------
-
-    def eps(self, i: Level) -> Symbol:
-        return Symbol("eps", i)
 
     # ``usym(e)``, ``zsym(e)`` and ``wsym(j)``, each one dict lookup
     usym = SymbolFamily("u").__getitem__
@@ -273,25 +277,25 @@ class TwistedChart:
 
 
 def build_chart(t: WeightedLevelTree, special: SpecialMap | None = None,
-                tags: Sequence[Hashable] = CHECK_TAGS, *,
-                special_at: tuple | None = None) -> TwistedChart:
+                tags: Sequence[Hashable] = CHECK_TAGS) -> TwistedChart:
     """The chart of ``t`` with the given special edges (by default the
     smallest vertex at each level) and extra tags.  A special map is checked
-    and read by rank; ``special_at`` gives the special edges by rank
-    instead, as ``ChartFrame.special_at`` holds them, taken as they are: the
-    engine hands a contraction the special edges of its parent's chart so.
-    The charts are kept in ``t``'s memo, keyed by the special edges by rank
-    and the tags, so equal arguments on one tree object return one chart,
-    and every check on the tree shares its ``mu`` tables."""
-    at = special_at
-    if at is None:
-        at = default_special_by_rank(t) if special is None else special_by_rank(t, special)
+    and read by rank.  The charts are kept in ``t``'s memo, keyed by the
+    special edges by rank and the tags, so equal arguments on one tree
+    object return one chart, and every check on the tree shares its ``mu``
+    tables."""
+    at = default_special_by_rank(t) if special is None else special_by_rank(t, special)
     key = at, tuple(tags)
     charts = t._memo.setdefault("charts", {})
     if key not in charts:
-        frame = ChartFrame(t=t, special_at=at, extra_tags=key[1])
-        charts[key] = TwistedChart(frame=frame, theta=build_theta(frame))
+        charts[key] = _new_chart(t, *key)
     return charts[key]
+
+
+def _new_chart(t: WeightedLevelTree, special_at: tuple, tags: tuple) -> TwistedChart:
+    """A chart of ``t`` with the special edges by rank taken as they are."""
+    frame = ChartFrame(t=t, special_at=special_at, extra_tags=tags)
+    return TwistedChart(frame=frame, theta=build_theta(frame))
 
 
 def drop_charts(t: WeightedLevelTree) -> None:
@@ -367,15 +371,17 @@ class StratumTarget:
     """What the checks of one index subset share on a frame, each derived
     once: the contraction along it (``result``); its special edges
     (``special``), the frame's special edges of the surviving levels, each
-    still at its level; the chart stratum, where surviving labels pin their
-    coordinates to zero and collapsed labels make them units (``u`` over
-    hat-but-not-dropping edges is a unit everywhere); and the coordinates of
-    the product chart the stratum maps onto -- the collapsed modular
-    parameters (units there), the extra parameters, and one readout
-    coordinate per non-special surviving cross-section edge (``free_mu``)."""
+    still at its level; its dropping edges (``i_m``); the chart stratum,
+    where surviving labels pin their coordinates to zero and collapsed
+    labels make them units (``u`` over hat-but-not-dropping edges is a unit
+    everywhere); and the coordinates of the product chart the stratum maps
+    onto -- the collapsed modular parameters (units there), the extra
+    parameters, and one readout coordinate per non-special surviving
+    cross-section edge (``free_mu``)."""
 
     result: ContractionResult
     special: frozenset[Edge]
+    i_m: frozenset[Edge]
     stratum: Stratum
     free_mu: frozenset[Edge]
     coords: frozenset[Symbol]
@@ -415,15 +421,17 @@ def _build_target(frame: ChartFrame, subset: IndexSubset) -> StratumTarget:
     special = frozenset(frame.special_at[k] for k in res.used[1:new_data.m_rank + 1])
     free_mu = frozenset(e for e, j in tpr.ranks().of_vertex.items()
                         if 0 < j <= new_data.m_rank and e not in special)
+    i_m = index_partition(tpr).i_m
     # the two descriptions of the readout coordinates must agree
-    if free_mu != new_data.hat_edges - special - index_partition(tpr).i_m:
+    if free_mu != new_data.hat_edges - special - i_m:
         raise VerificationError("readout coordinates disagree with the contraction's "
                                 "hat edges", witness=(frame.t, subset))
     coords = frozenset([*map(zeta, res.contracted), *map(sigma, frame.extra_tags),
                         *map(musym, free_mu)])
     stratum = Stratum(zeros=frozenset(zeros), units=frozenset(units))
-    return StratumTarget(result=res, special=special, stratum=stratum, free_mu=free_mu,
-                         coords=coords, identity=MonomialMap.identity(coords))
+    return StratumTarget(result=res, special=special, i_m=i_m, stratum=stratum,
+                         free_mu=free_mu, coords=coords,
+                         identity=MonomialMap.identity(coords))
 
 
 def forward_map(chart: TwistedChart, subset: Iterable) -> MonomialMap:
@@ -461,7 +469,6 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     rank = t.ranks().of_vertex
     target = stratum_target(frame, subset)
     res = target.result
-    new_i_m = index_partition(res.tree).i_m
 
     def zeta_val(e: Edge) -> Monomial:
         return Monomial.sym(zeta(e)) if e in res.contracted else ZERO
@@ -469,7 +476,7 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     def mu_val(e: Edge) -> Monomial:
         if e in target.free_mu:
             return Monomial.sym(musym(e))
-        if e in new_i_m:
+        if e in target.i_m:
             return ZERO
         if e in target.special:
             return ONE
@@ -657,11 +664,7 @@ def _recentering(t: WeightedLevelTree, subset: Iterable
         raise VerificationError("the contraction's levels in [m, 0) are not the "
                                 "surviving ones", witness=(subset, level_data(tpr).m))
     new_tags = CHECK_TAGS + tuple(("ctr", e) for e in sorted(res.contracted))
-    prime = build_chart(tpr, tags=new_tags,
-                        special_at=tuple(frame.special_at[k] for k in tops))
-    # the chart refers back to tpr, which t's contract memo keeps, so it
-    # leaves tpr's memo here and goes with the last reference to it
-    drop_charts(tpr)
+    prime = _new_chart(tpr, tuple(frame.special_at[k] for k in tops), new_tags)
     fp = prime.frame
     rows = chart.mu(subset).rows
     theta = chart.theta.assignment

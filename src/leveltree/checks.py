@@ -2,10 +2,11 @@
 them for ``leveltree verify`` and for the acceptance sweeps.
 
 A ``Check`` is a named identity; its name is the operation string reports
-count it under.  It runs on one level class, on every index subset
-(``SUBSET``) or once (``CLASS``), once per case its ``cases`` yields -- a
-releveling, a divisor index, a pair of special-edge choices -- and on none
-where its identity is void.  Its function returns ``(ok, detail)``: the
+count it under.  It runs on the tree ``t`` of one level class, on every
+index subset (``SUBSET``) or once (``CLASS``), once per case its ``cases``
+yields for ``t`` -- a releveling, a divisor index, a pair of special-edge
+choices -- and on none where its identity is void; what the checks share is
+kept in ``t``'s memo.  Its function returns ``(ok, detail)``: the
 detail says why it failed or, on a pass, is a remark the report counts.
 """
 
@@ -15,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable
 
 from . import blowup as blowup_mod
@@ -82,48 +82,29 @@ def relevelings(t: levels_mod.WeightedLevelTree):
     yield cls(base=t.base, level={v: (x if x >= m else x - 1) for v, x in t.level.items()})
 
 
-class LevelClass:
-    """One level class under check: its representative ``t`` and what its
-    checks share, each built once.  Its one chart is
-    ``charts.build_chart(t)``, kept in ``t``'s memo."""
-
-    def __init__(self, t: levels_mod.WeightedLevelTree):
-        self.t = t
-        self.part = levels_mod.index_partition(t)
-
-    @cached_property
-    def relevelings(self) -> tuple:
-        return tuple(relevelings(self.t))
-
-    @cached_property
-    def sections(self) -> frozenset:
-        return blowup_mod.traverse_sections(
-            blowup_mod.weight_contracted_tree(self.t.base))
-
-
 @dataclass(frozen=True)
 class Check:
     name: str
     scope: str
-    fn: Callable[..., tuple[bool, str]]  # (class, subset, case) or (class, case)
-    cases: Callable[[LevelClass], Iterable] = lambda c: (None,)
+    fn: Callable[..., tuple[bool, str]]  # (t, subset, case) or (t, case)
+    cases: Callable[[levels_mod.WeightedLevelTree], Iterable] = lambda t: (None,)
 
 
-def _contract_validity(c, subset, _):
+def _contract_validity(t, subset, _):
     """``contract`` takes the maps it derives as they are; rebuilding them
     through the public constructors raises unless ``t_(I)`` is valid."""
-    nt = contraction_mod.contract(c.t, subset).tree
+    nt = contraction_mod.contract(t, subset).tree
     levels_mod.make_level_tree(nt.root, nt.tree.parent, nt.weight, nt.level)
     return True, ""
 
 
-def _weight_conservation(c, subset, _):
+def _weight_conservation(t, subset, _):
     """The weights of ``t``, pushed through the projection, are those of
     ``t_(I)`` vertex by vertex, not only in total; the first vertex that
     differs is named."""
-    res = contraction_mod.contract(c.t, subset)
+    res = contraction_mod.contract(t, subset)
     pushed = dict.fromkeys(res.tree.weight, 0)
-    for v, w in c.t.weight.items():
+    for v, w in t.weight.items():
         u = res.projection[v]
         pushed[u] = pushed.get(u, 0) + w
     for u, w in pushed.items():
@@ -133,9 +114,9 @@ def _weight_conservation(c, subset, _):
     return True, ""
 
 
-def _index_identities(c, subset, _):
+def _index_identities(t, subset, _):
     rep = contraction_mod.index_identity_report(
-        c.t, subset, result=contraction_mod.contract(c.t, subset))
+        t, subset, result=contraction_mod.contract(t, subset))
     if not rep.all_corrected():
         return False, "corrected identity fails"
     if rep.all_strict():
@@ -145,8 +126,8 @@ def _index_identities(c, subset, _):
     return True, DROPOUT_REMARK
 
 
-def _special_pairs(c):
-    choices = levels_mod.special_choices(c.t)
+def _special_pairs(t):
+    choices = levels_mod.special_choices(t)
     count = math.prod(map(len, choices.values()))
     if count > MAX_SPECIAL_MAPS:
         raise DomainError(f"the tree has {count} special-edge maps; their pairs are "
@@ -157,37 +138,37 @@ def _special_pairs(c):
     return [(a, b) for a in maps for b in maps]
 
 
-def _special_vertex_transition(c, pair):
-    ok = charts_mod.verify_special_vertex_transition(c.t, *pair)
+def _special_vertex_transition(t, pair):
+    ok = charts_mod.verify_special_vertex_transition(t, *pair)
     return ok, "" if ok else "{}->{}".format(*pair)
 
 
-def _divisor_indices(c):
-    c.sections  # listed outside the check: a refusal exits 2 instead of 1
-    return range(1, len(c.t.edges()) + 1)
+def _divisor_indices(t):
+    blowup_mod.sections_of(t)  # listed outside the check: a refusal exits 2, not 1
+    return range(1, len(t.edges()) + 1)
 
 
-def _divisor_containment(c, k):
+def _divisor_containment(t, k):
     try:
-        blowup_mod.zk_components(charts_mod.build_chart(c.t), c.sections, k)
+        blowup_mod.zk_components(t, k)
     except VerificationError as exc:
         return False, f"k={k}: {exc.witness}"
     return True, ""
 
 
-def _ideal_transform(c, step):
-    ok = blowup_mod.ideal_transform_check(c.t, step)
+def _ideal_transform(t, step):
+    ok = blowup_mod.ideal_transform_check(t, step)
     return ok, "" if ok else f"step={step}"
 
 
-def _level_reconstruction(c, _):
-    rebuilt = blowup_mod.psi2_level_tree(c.t.base, blowup_mod.divisor_slots(c.t))
-    ok = levels_mod.is_equivalent(c.t, rebuilt)
+def _level_reconstruction(t, _):
+    rebuilt = blowup_mod.psi2_level_tree(t.base, blowup_mod.divisor_slots(t))
+    ok = levels_mod.is_equivalent(t, rebuilt)
     return ok, "" if ok else "wrong class"
 
 
-def _if_levels(c):
-    return (None,) if c.part.i_plus else ()
+def _if_levels(t):
+    return (None,) if levels_mod.index_partition(t).i_plus else ()
 
 
 # Library functions are looked up on their modules at call time, so a
@@ -198,51 +179,52 @@ SUITES = {
         Check("weight-conservation", SUBSET, _weight_conservation),
         Check("index-identities", SUBSET, _index_identities),
         Check("equivalence-compat", SUBSET,
-              lambda c, subset, t2: (
-                  contraction_mod.verify_equivalence_compat(c.t, t2, subset), ""),
-              lambda c: c.relevelings),
+              lambda t, subset, t2: (
+                  contraction_mod.verify_equivalence_compat(t, t2, subset), ""),
+              relevelings),
     ),
     "charts": (
         Check("round-trip", SUBSET,
-              lambda c, subset, _: (
-                  charts_mod.verify_round_trip(charts_mod.build_chart(c.t), subset), "")),
+              lambda t, subset, _: (
+                  charts_mod.verify_round_trip(charts_mod.build_chart(t), subset), "")),
         Check("mu-vanishing", SUBSET,
-              lambda c, subset, _: (
-                  charts_mod.check_mu_vanishing(charts_mod.build_chart(c.t), subset), "")),
+              lambda t, subset, _: (
+                  charts_mod.check_mu_vanishing(charts_mod.build_chart(t), subset), "")),
         Check("stratum-transition", SUBSET,
-              lambda c, subset, _: (charts_mod.verify_stratum_transition(c.t, subset), "")),
+              lambda t, subset, _: (charts_mod.verify_stratum_transition(t, subset), "")),
         Check("ancestor-product-identities", CLASS,
-              lambda c, _: (charts_mod.remark_identities(charts_mod.build_chart(c.t)), ""),
+              lambda t, _: (charts_mod.remark_identities(charts_mod.build_chart(t)), ""),
               _if_levels),
         Check("parameter-transition", CLASS,
-              lambda c, _: (charts_mod.verify_parameter_transition(c.t), "")),
+              lambda t, _: (charts_mod.verify_parameter_transition(t), "")),
         Check("special-vertex-transition", CLASS, _special_vertex_transition,
               _special_pairs),
     ),
     "blowup": (
         Check("divisor-containment", CLASS, _divisor_containment, _divisor_indices),
         Check("bundle-identity", CLASS,
-              lambda c, _: (blowup_mod.bundle_identity(c.t), ""), _if_levels),
+              lambda t, _: (blowup_mod.bundle_identity(t), ""), _if_levels),
         Check("blowup-chart-comparison", CLASS,
-              lambda c, _: (blowup_mod.psi2_chart_check(c.t), "")),
+              lambda t, _: (blowup_mod.psi2_chart_check(t), "")),
         Check("ideal-transform", CLASS, _ideal_transform,
-              lambda c: range(1, len(c.part.i_plus) + 2)),
+              lambda t: range(1, len(levels_mod.index_partition(t).i_plus) + 2)),
         # slots determine the classes of stable trees without dropping edges
         Check("level-reconstruction", CLASS, _level_reconstruction,
-              lambda c: (None,) if c.t.base.is_stable() and not c.part.i_m else ()),
+              lambda t: ((None,) if t.base.is_stable()
+                         and not levels_mod.index_partition(t).i_m else ())),
     ),
 }
 CHECKS = {check.name: check for suite in SUITES.values() for check in suite}
 
 
 def _run(report: RunReport, check: Check, cases: Iterable, name: str,
-         c: LevelClass, *args) -> bool:
+         t: levels_mod.WeightedLevelTree, *args) -> bool:
     """Run ``check`` on each of its ``cases``; False if one raised.  A
     failure of a subset's case is named by the subset's labels too."""
     clean = True
     for case in cases:
         try:
-            ok, detail = check.fn(c, *args, case)
+            ok, detail = check.fn(t, *args, case)
         except LevelTreeError as exc:
             ok, detail, clean = False, str(exc), False
         label = f"{name} I={sorted(map(str, args[0]))}" if args and not ok else name
@@ -255,23 +237,25 @@ def run_checks(t: levels_mod.WeightedLevelTree, checks: Iterable[Check],
     """Run ``checks`` on the class of ``t``, named ``name``.
 
     The subsets are enumerated once, and refused up front above the label
-    bound of ``IndexPartition.subsets``.  The cases of the class checks are
-    listed next, before any subset is checked, so the traverse sections
-    above ``blowup.MAX_SECTIONS`` and the special-edge maps above
-    ``MAX_SPECIAL_MAPS`` are refused up front too.  A check that raises a
+    bound of ``IndexPartition.subsets``.  Every check's cases are listed
+    next, once, before any check runs: the traverse sections above
+    ``blowup.MAX_SECTIONS`` and the special-edge maps above
+    ``MAX_SPECIAL_MAPS`` are refused up front too, and every subset is
+    checked against the same relevelings.  A check that raises a
     ``LevelTreeError`` fails with the error as its detail, and the later
     checks of that subset are skipped, since they would meet the same error.
     """
-    c = LevelClass(t)
-    per_subset = [check for check in checks if check.scope == SUBSET]
-    subsets = c.part.subsets() if per_subset else ()
-    per_class = [(check, list(check.cases(c))) for check in checks if check.scope == CLASS]
+    checks = list(checks)
+    per_subset = any(check.scope == SUBSET for check in checks)
+    subsets = levels_mod.index_partition(t).subsets() if per_subset else ()
+    listed = [(check, list(check.cases(t))) for check in checks]
     for subset in subsets:
-        for check in per_subset:
-            if not _run(report, check, check.cases(c), name, c, subset):
+        for check, cases in listed:
+            if check.scope == SUBSET and not _run(report, check, cases, name, t, subset):
                 break
-    for check, cases in per_class:
-        _run(report, check, cases, name, c)
+    for check, cases in listed:
+        if check.scope == CLASS:
+            _run(report, check, cases, name, t)
     # the checks shared the charts through t's memo; a sweep keeps its trees
     # to the end, and would keep every class's charts with them
     charts_mod.drop_charts(t)

@@ -190,14 +190,12 @@ def cmd_blowup_report(args) -> int:
     t = _load_level_tree(args.file)
     bar = blowup_mod.weight_contracted_tree(t.base)
     sections = blowup_mod.traverse_sections(bar)
-    chart = charts_mod.build_chart(t)
     lines = [f"weight-contracted tree edges: {sorted(bar.edges)}"]
     lines += [f"stage {len(s)}: section {sorted(s)}"
               for s in sorted(sections, key=lambda s: (len(s), sorted(s)))]
     lines.append(f"schedule order-compatible: {blowup_mod.order_compatible(bar)}")
     for k in range(1, len(t.edges()) + 1):
-        lines.append(f"divisor pullback k={k}: {blowup_mod.yk_pullback(chart, k)}")
-    charts_mod.drop_charts(t)
+        lines.append(f"divisor pullback k={k}: {blowup_mod.yk_pullback(t, k)}")
     idx = blowup_mod.divisor_slots(t)
     try:
         rebuilt = blowup_mod.psi2_level_tree(t.base, idx)

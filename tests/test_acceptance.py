@@ -172,11 +172,9 @@ def test_criterion_5_transition_suite(capsys):
 
 
 def test_criterion_6_blowup_suite(nested_tree, capsys):
-    chart = charts_mod.build_chart(nested_tree, special={F(-1): "b", F(-2): "a"},
-                                   tags=())
     expected = {1: "1", 2: "eps(-1)", 3: "eps(-1) * eps(-2)"}
     failures = [f"nested divisor k={k}" for k, text in expected.items()
-                if blowup_mod.yk_pullback(chart, k) != parse_monomial(text)]
+                if blowup_mod.yk_pullback(nested_tree, k) != parse_monomial(text)]
     _check_row(capsys, 6, lambda r, groups, _: (
         f"{len(expected) + r.instances} checks over {groups} distinct charts "
         "(reconstruction on stable classes without dropping edges)"), failures)

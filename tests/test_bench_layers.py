@@ -1,9 +1,11 @@
 """Every function the benchmark's tracer wraps and every library name its
-workloads call exists, so deleting or renaming one fails here and not only
-under ``python3 bench/run.py``."""
+workloads call exists, and every library call of the workloads binds to its
+callee's signature, so deleting, renaming or re-signing one fails here and
+not only under ``python3 bench/run.py``."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -44,30 +46,58 @@ def _chain(node) -> list | None:
     return [node.id, *reversed(names)] if isinstance(node, ast.Name) else None
 
 
-def _workload_calls() -> set:
-    """Every ``lt.<module>.<name>...`` chain of the workloads, ``lt`` being
-    the ``leveltree`` package, and every ``<alias>.<name>...`` whose alias
-    is bound to ``lt.<module>``, as ``(module, names)``."""
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    prefix = {"lt": []}  # what each name stands for after ``lt``
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            value = _chain(node.value)
-            if value is not None and len(value) == 2 and value[0] == "lt":
-                prefix[node.targets[0].id] = value[1:]
-    out = set()
-    for node in ast.walk(tree):
-        chain = _chain(node)
-        if chain and chain[0] in prefix and len(chain) > 1:
-            module, *names = prefix[chain[0]] + chain[1:]
-            out.add((module, tuple(names)))
+def _workload_chains() -> list:
+    """Every chain of the workloads that names a ``leveltree`` object, as
+    ``(module, names, call)``, ``call`` being the ``ast.Call`` that calls it
+    or None.  A chain is read through the names each function binds to
+    ``lt`` chains, ``lt`` being the package: a module alias (``ch =
+    lt.charts``) or a library object (``report =
+    lt.contraction.index_identity_report``)."""
+    out = []
+    for func in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {"lt": []}  # what each name stands for after ``lt``
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                value = _chain(node.value)
+                if value is not None and len(value) > 1 and value[0] == "lt":
+                    bound[node.targets[0].id] = value[1:]
+        calls = {id(node.func): node for node in ast.walk(func) if isinstance(node, ast.Call)}
+        for node in ast.walk(func):
+            chain = _chain(node)
+            if chain and chain[0] in bound and len(bound[chain[0]]) + len(chain) > 2:
+                module, *names = bound[chain[0]] + chain[1:]
+                out.append((module, tuple(names), calls.get(id(node))))
     return out
 
 
 def test_every_library_name_the_workloads_call_resolves():
-    calls = _workload_calls()
-    # both forms are read: a chain from the package and one from an alias
-    assert {("contraction", ("contract",)), ("charts", ("build_chart",))} <= calls
-    for module, names in sorted(calls):
+    chains = {(module, names) for module, names, _ in _workload_chains()}
+    # every form is read: a chain from the package, from an alias and a bound name
+    assert {("contraction", ("contract",)), ("charts", ("build_chart",)),
+            ("contraction", ("index_identity_report",))} <= chains
+    for module, names in sorted(chains):
         _resolve(module, list(names))
+
+
+def test_every_library_call_of_the_workloads_binds():
+    """Each call's positional count and keyword names bind to its callee's
+    signature; calls that spread ``*`` or ``**`` arguments are skipped."""
+    checked = set()
+    for module, names, call in _workload_chains():
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords):
+            continue
+        callee = _resolve(module, list(names))
+        keywords = [k.arg for k in call.keywords]
+        try:
+            inspect.signature(callee).bind(*call.args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"leveltree.{module}.{'.'.join(names)} takes no call "
+                                 f"with {len(call.args)} positional arguments and the "
+                                 f"keywords {keywords}: {exc}") from None
+        checked.add((module, names))
+    assert {("charts", ("build_chart",)), ("contraction", ("index_identity_report",)),
+            ("enumerate", ("EnumSpec",))} <= checked

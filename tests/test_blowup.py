@@ -10,13 +10,12 @@ from leveltree.blowup import (MAX_SECTIONS, bundle_identity, divisor_slots,
                               psi2_chart_check, psi2_level_tree, stage_ideals,
                               traverse_sections, twisted_bundles,
                               weight_contracted_tree, yk_pullback, zk_components)
-from leveltree.charts import build_chart
 from leveltree.checks import SUITES, RunReport, run_checks
 from leveltree.enumerate import EnumSpec, gen_instances, gen_weighted_trees
 from leveltree.errors import DomainError, InfeasibleError, VerificationError
 from leveltree.levels import (WeightedLevelTree, cross_section, index_partition,
                               is_equivalent, level_data, make_level_tree)
-from leveltree.monomial import Monomial, Symbol, parse_monomial
+from leveltree.monomial import Monomial, MonomialMap, Symbol, parse_monomial
 from leveltree.tree import RootedTree, WeightedTree
 
 F = Fraction
@@ -158,32 +157,27 @@ def test_blowup_schedule_is_order_compatible_on_stable_trees():
 
 
 def test_zk_components(nested_tree):
-    chart = build_chart(nested_tree, tags=())
-    sections = traverse_sections(weight_contracted_tree(nested_tree.base))
-    assert zk_components(chart, sections, 1) == frozenset()
-    assert zk_components(chart, sections, 2) == {frozenset({"a", "b"})}
-    assert zk_components(chart, sections, 3) == {frozenset({"a", "b"}),
-                                                  frozenset({"a", "c", "d"})}
+    assert zk_components(nested_tree, 1) == frozenset()
+    assert zk_components(nested_tree, 2) == {frozenset({"a", "b"})}
+    assert zk_components(nested_tree, 3) == {frozenset({"a", "b"}),
+                                             frozenset({"a", "c", "d"})}
     with pytest.raises(DomainError):
-        zk_components(chart, sections, 0)
+        zk_components(nested_tree, 0)
 
 
 def test_yk_pullback_values(nested_tree):
-    chart = build_chart(nested_tree, special={F(-1): "b", F(-2): "a"}, tags=())
-    assert yk_pullback(chart, 1) == parse_monomial("1")
-    assert yk_pullback(chart, 2) == parse_monomial("eps(-1)")
-    assert yk_pullback(chart, 3) == parse_monomial("eps(-1) * eps(-2)")
-    assert yk_pullback(chart, 4) == parse_monomial("eps(-1) * eps(-2)")
+    assert yk_pullback(nested_tree, 1) == parse_monomial("1")
+    assert yk_pullback(nested_tree, 2) == parse_monomial("eps(-1)")
+    assert yk_pullback(nested_tree, 3) == parse_monomial("eps(-1) * eps(-2)")
+    assert yk_pullback(nested_tree, 4) == parse_monomial("eps(-1) * eps(-2)")
 
 
 def test_yk_pullback_is_monotone_in_k():
     for t in gen_instances(EnumSpec(max_edges=4, max_weight=1), stable_only=True):
-        chart = build_chart(t, tags=())
-        sections = traverse_sections(weight_contracted_tree(t.base))
         prev = parse_monomial("1")
         for k in range(1, len(t.edges()) + 1):
-            zk_components(chart, sections, k)  # raises without a witness edge
-            cur = yk_pullback(chart, k)
+            zk_components(t, k)  # raises without a witness edge
+            cur = yk_pullback(t, k)
             assert not (cur / prev).is_zero  # divisibility: prev divides cur
             assert all(e >= 0 for _, e in (cur / prev).exps)
             prev = cur
@@ -279,29 +273,29 @@ def test_ideal_transform_check_all_steps(nested_tree, deep_fan):
 
 # -- the per-k, per-stage and per-edge definitions the blowup tables replace --
 
-def reference_qualifying_ranks(chart, k):
+def reference_qualifying_ranks(t, k):
     """The cross-sections counted from their definition, on ``Fraction``
     levels: ``edge_level(e) <= i < level(v_e^+)``."""
-    t, data = chart.frame.t, chart.frame.data
+    data = level_data(t)
     levels = t.ranks().levels
     return [r for r in range(1, data.m_rank + 1)
             if sum(data.edge_level[e] <= levels[r] < t.level[t.tree.parent[e]]
                    for e in data.hat_edges) <= k]
 
 
-def reference_yk_pullback(chart, k):
+def reference_yk_pullback(t, k):
     """The gap coordinates of the qualifying ranks of ``k``, multiplied afresh."""
-    levels = chart.frame.t.ranks().levels
+    levels = t.ranks().levels
     return Monomial.product(Monomial.sym(Symbol("eps", levels[r]))
-                            for r in reference_qualifying_ranks(chart, k))
+                            for r in reference_qualifying_ranks(t, k))
 
 
-def reference_zk_components(chart, sections, k):
+def reference_zk_components(t, sections, k):
     """Every section filtered for each ``k``, each component checked for a
     witness edge against the qualifying ranks of ``k``."""
-    data = chart.frame.data
-    keep = data.hat_edges - chart.frame.part.i_m
-    closed = sum(1 << r for r in reference_qualifying_ranks(chart, k))
+    data = level_data(t)
+    keep = data.hat_edges - index_partition(t).i_m
+    closed = sum(1 << r for r in reference_qualifying_ranks(t, k))
     components = frozenset(s for s in sections if len(s) <= k and s & keep)
     for s in components:
         if not any(not data.span[e] & ~closed for e in s & keep):
@@ -367,15 +361,14 @@ def _agrees_with_the_references(t, seen: set):
     definitions; ``t`` needs a positive weight.  The reconstruction reads
     only the weighted tree and the indices, so pairs in ``seen`` are
     skipped."""
-    chart = build_chart(t, tags=())
     sections = traverse_sections(weight_contracted_tree(t.base))
     n = len(t.edges())
     for k in range(1, n + 1):
-        assert _outcome(zk_components, chart, sections, k) \
-            == _outcome(reference_zk_components, chart, sections, k)
+        assert _outcome(zk_components, t, k) \
+            == _outcome(reference_zk_components, t, sections, k)
     # in order, as the report asks, then from the top down
     for k in [*range(1, n + 1), *range(n, 0, -1)]:
-        assert yk_pullback(chart, k) == reference_yk_pullback(chart, k)
+        assert yk_pullback(t, k) == reference_yk_pullback(t, k)
     m_rank = level_data(t).m_rank
     # in order, as the checks ask, then from the bottom up
     for step in [*range(1, m_rank + 1), *range(m_rank, 0, -1)]:
@@ -457,3 +450,76 @@ def test_a_wrong_cached_section_size_fails_divisor_containment(nested_tree):
     run_checks(t, SUITES["blowup"], report, "planted")
     assert [(f["operation"], f["detail"].split(":")[0]) for f in report.failures] \
         == [("divisor-containment", "k=3")]
+
+
+# -- one planted fault per blowup check ------------------------------------------
+
+def _bundles_one_level_short(monkeypatch):
+    """Each edge's twisted class divided by the level classes of its ascent
+    gap but the first."""
+    real = blowup.twisted_bundles
+
+    def short(t):
+        by_rank, _ = real(t)
+        rank = t.ranks().of_vertex
+        return by_rank, {e: blowup._bundle(e)
+                         / Monomial.product(by_rank[rank[t.tree.parent[e]] + 2:k])
+                         for e, k in level_data(t).edge_rank.items()}
+
+    monkeypatch.setattr(blowup, "twisted_bundles", short)
+
+
+def _comparison_one_gap_up(monkeypatch):
+    """The comparison map sends each gap coordinate below the top level to
+    the blowup gap of the level above it."""
+    real = blowup.blowup_side_maps
+
+    def shifted(t):
+        projection, comparison, chart = real(t)
+        at, wrong = blowup._gap_symbols(t)[0], dict(comparison.assignment)
+        for k in range(2, len(at)):
+            wrong[chart.frame.eps_at[k]] = Monomial.sym(at[k - 1])
+        return projection, MonomialMap(comparison.source_coords,
+                                       comparison.target_coords, wrong), chart
+
+    monkeypatch.setattr(blowup, "blowup_side_maps", shifted)
+
+
+def _slots_without_the_deepest(monkeypatch):
+    """The deepest divisor slot is lost.  (Shifting every slot alike is no
+    fault: ``is_equivalent`` compares the order of the levels only.)"""
+    real = blowup.divisor_slots
+    monkeypatch.setattr(blowup, "divisor_slots", lambda t: real(t)[:-1])
+
+
+# a plausible fault of the blowup bookkeeping, and the blowup checks that
+# must fail under it; ``divisor-containment`` fails under a wrong cached
+# cross-section (``test_a_wrong_cached_section_size_fails_divisor_containment``)
+PLANTED = {
+    "bundles-one-level-short": (_bundles_one_level_short, ("bundle-identity",)),
+    "comparison-one-gap-up": (_comparison_one_gap_up, ("blowup-chart-comparison",)),
+    "slots-without-the-deepest": (_slots_without_the_deepest, ("level-reconstruction",)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_a_planted_fault_fails_its_check(monkeypatch, fault):
+    """Each planted fault makes the checks named for it fail somewhere on the
+    <=3-edge representatives."""
+    from test_checks import _failures
+    plant, caught = PLANTED[fault]
+    plant(monkeypatch)
+    failed = _failures("blowup")
+    assert all(failed[name] for name in caught), failed
+
+
+def test_no_planted_fault_fails_ideal_transform(monkeypatch):
+    """The declared exception (ROADMAP item 3): ``ideal-transform`` divides
+    the generators it built as ``g * factor`` by ``factor`` again, so even a
+    scaling monomial one stage short passes it.  Once the check is built
+    from its definition, this fault belongs in ``PLANTED``."""
+    real = blowup._stage_factor
+    monkeypatch.setattr(blowup, "_stage_factor",
+                        lambda t, step: real(t, max(step - 1, 1)))
+    from test_checks import _failures
+    assert not _failures("blowup")["ideal-transform"]

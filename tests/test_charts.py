@@ -98,8 +98,8 @@ def test_base_point_readout(nested_tree):
 def test_inverse_on_the_open_stratum(nested_chart, nested_tree):
     inv = build_inverse(nested_chart, {F(-1), F(-2)})
     frame = nested_chart.frame
-    assert inv.assignment[frame.eps(F(-1))] == parse_monomial("zeta_b")
-    assert inv.assignment[frame.eps(F(-2))] == parse_monomial("zeta_a * zeta_b^-1")
+    assert inv.assignment[charts.eps(F(-1))] == parse_monomial("zeta_b")
+    assert inv.assignment[charts.eps(F(-2))] == parse_monomial("zeta_a * zeta_b^-1")
     assert inv.assignment[frame.usym("c")] == \
         parse_monomial("zeta_c * zeta_b * zeta_a^-1")
     assert inv.assignment[frame.usym("d")] == \
@@ -109,8 +109,8 @@ def test_inverse_on_the_open_stratum(nested_chart, nested_tree):
 def test_inverse_with_empty_subset_reads_pure_twists(nested_chart):
     frame = nested_chart.frame
     inv = build_inverse(nested_chart, frozenset())
-    assert inv.assignment[frame.eps(F(-1))].is_zero
-    assert inv.assignment[frame.eps(F(-2))].is_zero
+    assert inv.assignment[charts.eps(F(-1))].is_zero
+    assert inv.assignment[charts.eps(F(-2))].is_zero
     assert inv.assignment[frame.usym("c")] == parse_monomial("mu_c")
     assert inv.assignment[frame.usym("d")] == parse_monomial("mu_d")
 
@@ -120,8 +120,8 @@ def test_inverse_mixed_subset(nested_chart):
     # surviving non-special edge, not off its (vanishing) modular parameter
     frame = nested_chart.frame
     inv = build_inverse(nested_chart, {F(-2)})
-    assert inv.assignment[frame.eps(F(-1))].is_zero
-    assert inv.assignment[frame.eps(F(-2))] == parse_monomial("mu_a")
+    assert inv.assignment[charts.eps(F(-1))].is_zero
+    assert inv.assignment[charts.eps(F(-2))] == parse_monomial("mu_a")
     assert inv.assignment[frame.usym("c")] == parse_monomial("zeta_c * mu_a^-1")
     fwd = forward_map(nested_chart, {F(-2)})
     assert fwd.assignment[parse_monomial("mu_a").symbols()[0]] == \
@@ -304,14 +304,22 @@ def test_a_given_special_map_is_read_once(nested_tree, monkeypatch):
 def test_the_suites_share_one_chart_of_the_class(monkeypatch):
     """The chart and blowup suites keep one chart of the class's
     representative per special-edge map, all with the tags of the checks;
-    the memo is read as the executor drops it."""
+    the memo is read as the executor drops it.  No contracted tree ever
+    holds a chart: the stratum transition's chart of it is kept nowhere."""
     real, kept = charts.drop_charts, []
+    real_contract, contracted = charts.contract, []
 
     def spy(t):
         kept.append((t, list(t._memo.get("charts", {}))))
         real(t)
 
+    def contract_spy(t, subset):
+        res = real_contract(t, subset)
+        contracted.append(res.tree)
+        return res
+
     monkeypatch.setattr(charts, "drop_charts", spy)
+    monkeypatch.setattr(charts, "contract", contract_spy)
     groups = {}  # instances sharing the tree, the positive vertices and levels
     for t in gen_instances(EnumSpec(max_edges=3)):
         groups.setdefault((tuple(sorted(t.tree.parent.items())),
@@ -321,15 +329,7 @@ def test_the_suites_share_one_chart_of_the_class(monkeypatch):
         report = RunReport(suite="charts and blowup")
         run_checks(t, SUITES["charts"] + SUITES["blowup"], report, f"#{k}")
         assert report.ok(), report.failures[:5]
-    # the stratum transition drops each contracted tree's one recentered chart,
-    # whose tags are those of the checks and one per contracted edge
-    reps = {id(t) for t in groups.values()}
-    contracted = [keys for t, keys in kept if id(t) not in reps]
-    n = len(charts.CHECK_TAGS)
-    assert contracted and all(
-        len(keys) == 1 and keys[0][1][:n] == charts.CHECK_TAGS
-        and all(tag[0] == "ctr" for tag in keys[0][1][n:]) for keys in contracted)
-    kept = [(t, keys) for t, keys in kept if id(t) in reps]
+    assert contracted and not [nt for nt in contracted if "charts" in nt._memo]
     assert [t for t, _ in kept] == list(groups.values())
     for t, keys in kept:
         choices = special_choices(t)
@@ -751,3 +751,50 @@ def test_inverse_matches_the_two_branch_reference():
                 cases += 1
         charts.drop_charts(t)
     assert cases > 10000
+
+
+# -- one planted fault per chart check ------------------------------------------
+
+def _gaps_one_rank_past(monkeypatch):
+    """``gaps(lo, hi)`` multiplies in the gap of rank ``hi`` too, while
+    there is one: an off-by-one at the end of every span."""
+    real = charts.ChartFrame.gaps
+    monkeypatch.setattr(charts.ChartFrame, "gaps", lambda frame, lo, hi: real(
+        frame, lo, hi + 1 if hi <= frame.data.m_rank else hi))
+
+
+def _no_collapsed_product(monkeypatch):
+    """The collapsed modular parameters above an edge are dropped."""
+    monkeypatch.setattr(charts, "_collapsed_product", lambda *_: charts.ONE)
+
+
+def _climb_ignoring_parents(monkeypatch):
+    """An ascent product read at the special edges where their parent
+    edges were asked for."""
+    real = charts.ChartFrame.climb
+    monkeypatch.setattr(charts.ChartFrame, "climb",
+                        lambda frame, value, parents=False: real(frame, value))
+
+
+# a plausible fault of the chart engine, and the chart checks that must
+# fail under it
+PLANTED = {
+    "gaps-one-rank-past": (_gaps_one_rank_past,
+                           ("round-trip", "mu-vanishing", "stratum-transition",
+                            "parameter-transition", "special-vertex-transition",
+                            "ancestor-product-identities")),
+    "no-collapsed-product": (_no_collapsed_product,
+                             ("stratum-transition", "parameter-transition")),
+    "climb-ignores-parents": (_climb_ignoring_parents, ("special-vertex-transition",)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_a_planted_fault_fails_its_check(monkeypatch, fault):
+    """Each planted fault makes the checks named for it fail somewhere on the
+    <=3-edge representatives."""
+    from test_checks import _failures
+    plant, caught = PLANTED[fault]
+    plant(monkeypatch)
+    failed = _failures("charts")
+    assert all(failed[name] for name in caught), failed

@@ -1,6 +1,7 @@
 import functools
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +98,30 @@ def test_a_passing_run_reads_no_subset_by_its_labels(nested_tree, deep_fan, monk
     assert calls == [1 << 1]
 
 
+def test_a_run_lists_the_relevelings_once(nested_tree):
+    """``equivalence-compat`` reads the same three relevelings on every
+    subset, so ``phi_bijection`` proves each equivalence once per run (one
+    listing per subset would prove 12 on the four subsets)."""
+    report = RunReport(suite="contraction")
+    run_checks(nested_tree, SUITES["contraction"], report, "nested")
+    assert report.ok() and len(index_partition(nested_tree).subsets()) == 4
+    assert len(nested_tree._memo["equivalent"]) == 3
+
+
+def test_every_check_has_a_planted_fault():
+    """Every registry check fails under a planted fault of the library (the
+    ``PLANTED`` table of its suite's tests), but two: ``divisor-containment``
+    fails under a wrong cached cross-section in its own test, and
+    ``ideal-transform`` is the declared exception of ROADMAP item 3."""
+    from test_blowup import PLANTED as BLOWUP
+    from test_charts import PLANTED as CHARTS
+    from test_contraction import PLANTED as CONTRACTION
+    caught = {name for planted in (CONTRACTION, CHARTS, BLOWUP)
+              for _, names in planted.values() for name in names}
+    assert caught | {"divisor-containment", "ideal-transform"} == set(CHECKS)
+    assert not caught & {"divisor-containment", "ideal-transform"}
+
+
 def test_check_names_are_unique_and_cover_the_acceptance_rows():
     from test_acceptance import ROWS
     names = [k.name for suite in SUITES.values() for k in suite]
@@ -129,6 +154,15 @@ def _groups(max_edges):
     for t in gen_instances(EnumSpec(max_edges=max_edges)):
         groups.setdefault(_positivity_key(t), []).append(t)
     return list(groups.values())
+
+
+def _failures(suite) -> Counter:
+    """A suite on each of the 124 <=3-edge representatives: its failures by
+    check, as a planted fault must show them."""
+    report = RunReport(suite=suite)
+    for k, (t, *_) in enumerate(_groups(3)):
+        run_checks(t, SUITES[suite], report, f"#{k}")
+    return Counter(f["operation"] for f in report.failures)
 
 
 @functools.cache

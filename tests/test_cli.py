@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltree import cli
+from leveltree import charts, cli
 from leveltree.blowup import MAX_SECTIONS
 from leveltree.charts import TwistedChart
 from leveltree.checks import MAX_SPECIAL_MAPS
@@ -142,6 +142,24 @@ def test_commands_leave_no_chart_to_the_cyclic_collector(tree_file, capsys, argv
     finally:
         gc.enable()
     assert left == []
+
+
+@pytest.mark.parametrize("argv, frames", [(["blowup-report"], 0),
+                                          (["verify", "--suite", "blowup"], 1)])
+def test_the_blowup_commands_read_the_tree_not_a_chart(tree_file, capsys, monkeypatch,
+                                                       argv, frames):
+    """The centers and divisors read the level tree alone: ``blowup-report``
+    builds no chart frame, and the blowup suite only the one its chart
+    comparison reads."""
+    real, built = charts.ChartFrame.__post_init__, []
+
+    def counting(frame):
+        built.append(frame)
+        real(frame)
+
+    monkeypatch.setattr(charts.ChartFrame, "__post_init__", counting)
+    assert run([argv[0], tree_file, *argv[1:]]) == 0
+    assert len(built) == frames
 
 
 def _spoke_file(tmp_path, n: int) -> str:

@@ -276,13 +276,10 @@ PLANTED = {
 def test_a_planted_fault_fails_its_check(monkeypatch, fault):
     """Each planted fault makes the checks named for it fail somewhere on the
     <=3-edge representatives, so those checks are no copy of the kernel."""
-    from test_checks import _groups
+    from test_checks import _failures
     plant, caught = PLANTED[fault]
     plant(monkeypatch)
-    report = RunReport(suite="contraction")
-    for k, (t, *_) in enumerate(_groups(3)):
-        run_checks(t, SUITES["contraction"], report, f"#{k}")
-    failed = Counter(f["operation"] for f in report.failures)
+    failed = _failures("contraction")
     assert all(failed[name] for name in caught), failed
 
 
