@@ -120,10 +120,12 @@ def order_compatible(bar: RootedTree) -> bool:
 
 def _zk_table(t: WeightedLevelTree) -> tuple[list, list, list, list]:
     """The traverse sections touching the non-dropping hat edges, sorted by
-    size: their sizes, the sections, the least ``k`` at which each has a
-    witness edge, and the running maximum of those.  An edge is a witness
-    once each rank it crosses qualifies, so from the largest size among them
-    on.  Built once per class and kept in the tree's memo."""
+    size and then by their sorted edges, so that a failure names the same
+    witness under every hash seed: their sizes, the sections, the least
+    ``k`` at which each has a witness edge, and the running maximum of
+    those.  An edge is a witness once each rank it crosses qualifies, so
+    from the largest size among them on.  Built once per class and kept in
+    the tree's memo."""
     memo = t._memo
     if "zk_components" not in memo:
         data = level_data(t)
@@ -133,7 +135,8 @@ def _zk_table(t: WeightedLevelTree) -> tuple[list, list, list, list]:
         edge_ready = {e: max(sizes[rank[t.tree.parent[e]] + 1:data.edge_rank[e] + 1])
                       for e in keep}
         rows = sorted(((len(s), min(edge_ready[e] for e in s & keep), s)
-                       for s in sections_of(t) if s & keep), key=lambda row: row[0])
+                       for s in sections_of(t) if s & keep),
+                      key=lambda row: (row[0], sorted(row[2])))
         ready = [w for _, w, _ in rows]
         memo["zk_components"] = ([n for n, _, _ in rows], [s for _, _, s in rows], ready,
                                  list(itertools.accumulate(ready, max)))
@@ -154,7 +157,7 @@ def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
     if n and worst[n - 1] > k:
         s = next(s for s, w in zip(listed, ready) if w > k)
         raise VerificationError(
-            "no witness edge places the component inside the divisor", witness=s)
+            "no witness edge places the component inside the divisor", witness=sorted(s))
     return frozenset(listed[:n])
 
 
@@ -418,8 +421,9 @@ def stage_ideals(t: WeightedLevelTree, step: int
     if step > level_data(t).m_rank:
         raise DomainError(f"this chart sees no center at stage {step}")
     sections = level_data(t).sections  # entry 0, above level 0, is empty
+    previous = frozenset(sections[step - 1])
     generators = frozenset(
-        Monomial.sym(Symbol("zch" if e in sections[step - 1] else "zt", e))
+        Monomial.sym(Symbol("zch" if e in previous else "zt", e))
         for e in sections[step])
     factor = _stage_factor(t, step)
     cumulative = frozenset(g * factor for g in generators)

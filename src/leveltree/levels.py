@@ -234,16 +234,17 @@ class LevelData:
     span: Mapping[Edge, int]
 
     @cached_property
-    def sections(self) -> tuple[frozenset[Edge], ...]:
+    def sections(self) -> tuple[tuple[Edge, ...], ...]:
         """The cross-section of each rank ``0..m_rank``: the hat edges whose
-        span holds the rank (none at rank 0), built on first use."""
+        span holds the rank (none at rank 0), sorted by name so that every
+        walk over one goes in the same order, built on first use."""
         out: list[list[Edge]] = [[] for _ in range(self.m_rank + 1)]
         for e, span in self.span.items():
             while span:
                 low = span & -span
                 out[low.bit_length() - 1].append(e)
                 span ^= low
-        return tuple(map(frozenset, out))
+        return tuple(tuple(sorted(edges)) for edges in out)
 
 
 def level_data(t: WeightedLevelTree) -> LevelData:
@@ -292,7 +293,7 @@ def cross_section(t: WeightedLevelTree, i) -> frozenset[Edge]:
     k = index_partition(t).plus_rank.get(as_level(i))
     if k is None:
         raise DomainError(f"level {i} is not an occupied level in [m, 0)")
-    return level_data(t).sections[k]
+    return frozenset(level_data(t).sections[k])
 
 
 class IndexSubset:

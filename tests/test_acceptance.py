@@ -29,6 +29,7 @@ from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.levels import ascent_sequence, index_partition, level_successor
 from leveltree.monomial import parse_monomial
 from leveltree.tree import tree_json
+from sweeps import group_by_class
 
 F = Fraction
 FULL_SPEC = EnumSpec(max_edges=5, max_weight=2, max_levels=5)
@@ -51,50 +52,40 @@ ROWS = {
         None),
 }
 
-_INSTANCES = None  # the instance set of the running sweep, inherited by fork
-
-
-def _positivity_key(t):
-    return (tuple(sorted(t.tree.parent.items())),
-            frozenset(t.base.positive_vertices()),
-            tuple(sorted(t.level.items())))
+_GROUPS = None  # the groups of the running sweep, inherited by fork
 
 
 def _sweep_groups(args):
-    """Run the checks on the first instance of each group; the report and
-    the (tree, subset) pairs the groups cover."""
-    groups, names = args
+    """Run the checks on the first instance of each numbered group; the
+    report and the (tree, subset) pairs the groups cover."""
+    numbers, names = args
     checks = [CHECKS[name] for name in names]
     report, covered = RunReport(suite="sweep"), 0
-    for group in groups:
-        t = _INSTANCES[group[0]]
-        run_checks(t, checks, report, f"#{group[0]}")
-        covered += len(group) << len(index_partition(t))
+    for k in numbers:
+        first, *_ = group = _GROUPS[k]
+        run_checks(first, checks, report, f"#{k}")
+        covered += len(group) << len(index_partition(first))
     return report, covered
 
 
 @functools.cache
 def _corpus(spec: EnumSpec):
-    """The instance set of ``spec`` and its groups, as lists of indices into
-    it, enumerated once per session and shared by the rows on ``spec``."""
-    instances = list(gen_instances(spec))
-    groups: dict = {}
-    for k, t in enumerate(instances):
-        groups.setdefault(_positivity_key(t), []).append(k)
-    return instances, sorted(groups.values())
+    """The instance set of ``spec`` in its groups, enumerated once per
+    session and shared by the rows on ``spec``."""
+    return group_by_class(gen_instances(spec))
 
 
 def _sweep(spec: EnumSpec, names):
     """Run the named checks on every group of the instance set; the merged
     report, the number of groups and the (tree, subset) pairs they cover."""
-    global _INSTANCES
-    _INSTANCES, ordered = _corpus(spec)
+    global _GROUPS
+    _GROUPS = _corpus(spec)
     with mp.get_context("fork").Pool(WORKERS) as pool:
-        parts = pool.map(_sweep_groups,
-                         [(ordered[w::WORKERS], names) for w in range(WORKERS)])
+        parts = pool.map(_sweep_groups, [(range(w, len(_GROUPS), WORKERS), names)
+                                         for w in range(WORKERS)])
     # the checks ran in the workers: the instances a later row inherits hold
     # nothing that an earlier row's checks left in their memos
-    assert not any(t._memo for t in _INSTANCES)
+    assert not any(t._memo for group in _GROUPS for t in group)
     total = RunReport(suite="sweep")
     for part, _ in parts:
         total.instances += part.instances
@@ -103,7 +94,7 @@ def _sweep(spec: EnumSpec, names):
         for remark, n in part.remarks.items():
             total.remarks[remark] = total.remarks.get(remark, 0) + n
         total.failures += part.failures
-    return total, len(ordered), sum(covered for _, covered in parts)
+    return total, len(_GROUPS), sum(covered for _, covered in parts)
 
 
 def _report(capsys, criterion: str, ok: bool, detail: str, failures=()):
@@ -203,3 +194,4 @@ def test_criterion_8_determinism(tmp_path, nested_tree, capsys):
     ok = outputs[0] == outputs[1] and streams[0] == streams[1]
     _report(capsys, "8 determinism", ok,
             "verify --json and enumerate streams byte-identical across runs")
+

@@ -16,6 +16,10 @@ from leveltree.errors import DomainError
 from leveltree.levels import (MAX_SUBSET_LABELS, IndexSubset, WeightedLevelTree,
                               index_partition, level_data, make_level_tree)
 from leveltree.tree import tree_json
+from sweeps import group_by_class, representative_report
+from test_blowup import PLANTED as BLOWUP
+from test_charts import PLANTED as CHARTS
+from test_contraction import PLANTED as CONTRACTION
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "nested_verify.json"
@@ -108,18 +112,30 @@ def test_a_run_lists_the_relevelings_once(nested_tree):
     assert len(nested_tree._memo["equivalent"]) == 3
 
 
+# each suite's planted faults, kept beside the fault functions in its tests
+PLANTED = {"contraction": CONTRACTION, "charts": CHARTS, "blowup": BLOWUP}
+
+
 def test_every_check_has_a_planted_fault():
-    """Every registry check fails under a planted fault of the library (the
-    ``PLANTED`` table of its suite's tests), but two: ``divisor-containment``
-    fails under a wrong cached cross-section in its own test, and
-    ``ideal-transform`` is the declared exception of ROADMAP item 3."""
-    from test_blowup import PLANTED as BLOWUP
-    from test_charts import PLANTED as CHARTS
-    from test_contraction import PLANTED as CONTRACTION
-    caught = {name for planted in (CONTRACTION, CHARTS, BLOWUP)
+    """Every registry check fails under a planted fault of the library, but
+    two: ``divisor-containment`` fails under a wrong cached cross-section in
+    its own test, and ``ideal-transform`` is the declared exception of
+    ROADMAP item 3."""
+    caught = {name for planted in PLANTED.values()
               for _, names in planted.values() for name in names}
     assert caught | {"divisor-containment", "ideal-transform"} == set(CHECKS)
     assert not caught & {"divisor-containment", "ideal-transform"}
+
+
+@pytest.mark.parametrize("suite, fault", [(suite, fault) for suite, planted in PLANTED.items()
+                                          for fault in sorted(planted)])
+def test_a_planted_fault_fails_its_check(monkeypatch, suite, fault):
+    """Each planted fault makes the checks named for it fail somewhere on the
+    <=3-edge representatives, so no check is a copy of the code it checks."""
+    plant, caught = PLANTED[suite][fault]
+    plant(monkeypatch)
+    failed = Counter(f["operation"] for f in representative_report(suite).failures)
+    assert all(failed[name] for name in caught), failed
 
 
 def test_check_names_are_unique_and_cover_the_acceptance_rows():
@@ -146,30 +162,11 @@ def _relevel(t, releveling):
     return WeightedLevelTree(base=t.base, level=RELEVELINGS[releveling](t))
 
 
-def _groups(max_edges):
-    """The instances with at most ``max_edges`` edges, grouped as the
-    acceptance sweeps group them."""
-    from test_acceptance import _positivity_key
-    groups: dict = {}
-    for t in gen_instances(EnumSpec(max_edges=max_edges)):
-        groups.setdefault(_positivity_key(t), []).append(t)
-    return list(groups.values())
-
-
-def _failures(suite) -> Counter:
-    """A suite on each of the 124 <=3-edge representatives: its failures by
-    check, as a planted fault must show them."""
-    report = RunReport(suite=suite)
-    for k, (t, *_) in enumerate(_groups(3)):
-        run_checks(t, SUITES[suite], report, f"#{k}")
-    return Counter(f["operation"] for f in report.failures)
-
-
 @functools.cache
 def _grouped_sweep(max_edges, suite, releveling=None):
     """A suite (``"all"`` for every check) on the first instance of each
     group, releveled."""
-    groups = _groups(max_edges)
+    groups = group_by_class(gen_instances(EnumSpec(max_edges=max_edges)))
     report = RunReport(suite=suite)
     checks = CHECKS.values() if suite == "all" else SUITES[suite]
     for first, *_ in groups:
@@ -198,7 +195,7 @@ def test_each_instance_checks_as_its_group_does():
     """The group argument: the checks read only the tree, the levels and
     which weights are positive, so every instance run alone gives the
     counts, failures and remarks of its group's first instance."""
-    groups = _groups(3)
+    groups = group_by_class(gen_instances(EnumSpec(max_edges=3)))
     assert (len(groups), sum(map(len, groups))) == (124, 451)
     for first, *rest in groups:
         want = _alone(first)

@@ -435,6 +435,17 @@ def test_validate_rejects_non_string_levels(tmp_path, capsys, level, shown):
         f'error: level of \'a\' must be a string such as "-1/2", not {shown}\n')
 
 
+def _python(*argv, **env):
+    """The interpreter run on ``argv`` in a fresh process, with ``env`` set and
+    the package and the test modules on its import path."""
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k != "LEVELTREE_MAX_EDGES"} | env
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def test_cli_checks_survive_optimize_mode(tmp_path):
     """Under ``python -O`` asserts are stripped, yet bad input (levels that
     climb, a cyclic parent map) still exits 2 and enumeration still counts
@@ -443,13 +454,9 @@ def test_cli_checks_survive_optimize_mode(tmp_path):
     path.write_text(json.dumps({
         "root": "o", "parents": {"a": "o", "b": "a"}, "weights": {"o": 0, "a": 0, "b": 1},
         "levels": {"o": "0", "a": "-2", "b": "-1"}}))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items() if k != "LEVELTREE_MAX_EDGES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def cli(*argv):
-        return subprocess.run([sys.executable, "-O", "-m", "leveltree.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        return _python("-O", "-m", "leveltree.cli", *argv)
 
     upside_down = cli("validate", str(path))
     assert upside_down.returncode == 2
@@ -462,3 +469,38 @@ def test_cli_checks_survive_optimize_mode(tmp_path):
     assert cycle.returncode == 2 and cycle.stderr == "error: cycle through 'a'\n"
     count = cli("enumerate", "--max-edges", "3", "--count-only")
     assert count.returncode == 0 and count.stdout == "451\n"
+
+
+# A failing run's reports as ``verify --json`` prints them: the chart suite
+# on the <=3-edge representatives under the planted ``gaps-one-rank-past``
+# fault, and the blowup suite on the README tree (``argv[1]``) with a wrong
+# cached cross-section.
+FAILING_RUNS = """
+import json, sys
+import pytest
+from leveltree.checks import SUITES, RunReport, run_checks
+from leveltree.levels import WeightedLevelTree
+from sweeps import representative_report
+from test_blowup import with_a_wrong_cached_section
+from test_charts import PLANTED
+
+with pytest.MonkeyPatch.context() as patch:
+    PLANTED["gaps-one-rank-past"][0](patch)
+    print(json.dumps(representative_report("charts").to_json_dict()))
+report = RunReport(suite="blowup")
+t = WeightedLevelTree.from_json_dict(json.loads(sys.argv[1]))
+run_checks(with_a_wrong_cached_section(t), SUITES["blowup"], report, "planted")
+print(json.dumps(report.to_json_dict()))
+"""
+
+
+def test_failing_reports_do_not_depend_on_the_hash_seed(nested_tree):
+    """Criterion 8 for failing runs: two processes under different string
+    hash seeds print the same reports, byte for byte."""
+    tree = tree_json(nested_tree.base, nested_tree.level)
+    first, second = (_python("-c", FAILING_RUNS, tree, PYTHONHASHSEED=seed)
+                     for seed in ("0", "3"))
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    reports = [json.loads(line) for line in first.stdout.splitlines()]
+    assert len(reports) == 2 and all(r["failures"] for r in reports)
+    assert first.stdout == second.stdout

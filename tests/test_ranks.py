@@ -3,9 +3,10 @@ instance with at most four edges and weights at most 2.
 
 The references below are the definitions the rank-based code replaced:
 pairwise level comparisons, scans over the occupied levels and set-based
-readings of index subsets.  The trees ``contract`` derives without
-validation, and the rank tables it hands them, are checked against the same
-maps rebuilt through the public constructors."""
+readings of index subsets.  The level tables are read on the trees
+``contract`` derives without validation too; ``test_contraction`` checks
+those trees, and the rank tables it hands them, against their rebuilds
+through the public constructors."""
 
 import itertools
 from collections import Counter
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import leveltree.levels as levels_mod
-from leveltree.checks import SUITES, RunReport, run_checks
+from leveltree.checks import SUITES, RunReport, relevelings, run_checks
 from leveltree.contraction import contract, verify_equivalence_compat
 from leveltree.enumerate import EnumSpec, gen_instances
 from leveltree.errors import DomainError
@@ -72,9 +73,7 @@ def test_is_equivalent_matches_the_pairwise_definition(instances):
         by_base.setdefault(id(t.base), []).append(t)
     perturbed = 0
     for t in instances:
-        m = level_data(t).m
-        for t2 in (relevel(t, lambda x: 2 * x), relevel(t, lambda x: F(3, 2) * x),
-                   relevel(t, lambda x: x if x >= m else x - 1)):
+        for t2 in relevelings(t):
             assert is_equivalent(t, t2) and reference_equivalent(t, t2)
             assert is_equivalent(t2, t) == reference_equivalent(t2, t)
         other = split_a_class(t)
@@ -90,7 +89,14 @@ def test_is_equivalent_matches_the_pairwise_definition(instances):
 
 
 def test_level_tables_match_fraction_scans(instances):
+    """The level tables of every instance, and of one contraction of each (a
+    tree ``contract`` derives without validation), against scans of its
+    levels."""
+    trees = []
     for t in instances:
+        subsets = index_partition(t).subsets()
+        trees += [t, contract(t, subsets[len(subsets) // 2]).tree]
+    for t in trees:
         occ = sorted(set(t.level.values()), reverse=True)
         assert t.ranks().levels == tuple(occ)
         for i in occ:
@@ -139,29 +145,6 @@ def test_contract_memo_returns_only_its_own_subset(instances):
             assert (res.tree.base, res.tree.level, res.projection, res.contracted) == \
                 (fresh.tree.base, fresh.tree.level, fresh.projection, fresh.contracted)
             previous = res
-
-
-def renamed(t):
-    """``t`` with each name prefixed by the vertex's depth, so that the
-    vertices of one level no longer sort in preorder."""
-    def name(v):
-        return f"{len(t.tree.root_path(v))}{v}"
-    return make_level_tree(name(t.root), {name(c): name(p) for c, p in t.tree.parent.items()},
-                           {name(v): w for v, w in t.weight.items()},
-                           {name(v): x for v, x in t.level.items()})
-
-
-def test_contractions_match_their_validated_rebuilds(instances):
-    for t in instances:
-        for tree in (t, relevel(t, lambda x: 2 * x), relevel(t, lambda x: F(3, 2) * x),
-                     renamed(t)):
-            for I in index_partition(tree).subsets():
-                nt = contract(tree, I).tree
-                rebuilt = make_level_tree(nt.root, dict(nt.tree.parent),
-                                          dict(nt.weight), dict(nt.level))
-                assert nt.base == rebuilt.base and nt.level == rebuilt.level
-                assert list(nt.tree.preorder()) == list(rebuilt.tree.preorder())
-                assert nt.ranks() == rebuilt.ranks()
 
 
 def test_each_equivalence_is_proven_once_per_partner_object(nested_tree, monkeypatch):
@@ -284,9 +267,7 @@ def test_phi_bijection_moves_a_subset_with_its_mask(instances):
     """The transported subset keeps its mask on the partner tree: its labels,
     read there as a plain set, give the same mask."""
     for t in instances[::2]:
-        m = level_data(t).m
-        for t2 in (relevel(t, lambda x: 2 * x),
-                   relevel(t, lambda x: x if x >= m else x - 1)):
+        for t2 in relevelings(t):
             part2 = index_partition(t2)
             for I in index_partition(t).subsets():
                 moved = phi_bijection(t, t2, I)
