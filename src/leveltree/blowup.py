@@ -31,15 +31,17 @@ edge, so their bookkeeping is monomial arithmetic.
 The centers and divisors read the level tree alone, the same on every chart
 of its class; they are cumulative in ``k`` and in the stage, so the tables
 they read are built once per class.  The cross-sections are read by rank
-from ``LevelData.sections``.  The tree's memo keeps the traverse sections
-of its weight-contracted tree (``"sections"``), those touching the
-non-dropping hat edges sorted by size, with the least ``k`` at which each
-has a witness edge (``"zk_components"``), the ranks sorted by cross-section
-size (``"ranks_by_size"``), the ``Y_k`` pullback of the last ``k`` asked for
-(``"yk"``), the ``t:eps`` gap symbol of each rank (``"t:eps"``), and the
-scaling monomial of the last stage asked for (``"stage_factor"``).  The next
-``k`` extends that ``Y_k``, and the next stage that scaling monomial.  The
-two sides of the bundle identity are running products down the tree.
+from ``LevelData.sections``.  The tables built once per tree are ``kept``
+functions of it (see ``levels.kept``): the traverse sections of its
+weight-contracted tree (``sections_of``), those touching the non-dropping
+hat edges sorted by size, with the least ``k`` at which each has a witness
+edge (``_zk_table``), the ranks sorted by cross-section size
+(``_ranks_by_size``) and the ``t:eps`` gap symbol of each rank
+(``_gap_symbols``).  The tree's memo also keeps the ``Y_k`` pullback of the
+last ``k`` asked for (``"yk"``) and the scaling monomial of the last stage
+asked for (``"stage_factor"``); the next ``k`` extends that ``Y_k``, and the
+next stage that scaling monomial.  The two sides of the bundle identity are
+running products down the tree.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Iterator, Sequence
 from .charts import CHECK_TAGS, ONE, TwistedChart, build_chart, eps, sigma, zeta
 from .errors import DomainError, InfeasibleError, VerificationError
 from .levels import (WeightedLevelTree, default_special_by_rank,
-                     index_partition, level_data)
+                     index_partition, kept, level_data)
 from .monomial import Monomial, MonomialMap, Symbol, compose
 from .tree import Edge, RootedTree, Vertex, WeightedTree
 
@@ -90,13 +92,11 @@ def traverse_sections(tree: RootedTree) -> frozenset[TraverseSection]:
     return frozenset(below[tree.root])
 
 
+@kept
 def sections_of(t: WeightedLevelTree) -> frozenset[TraverseSection]:
     """The traverse sections of the weight-contracted tree of ``t``, listed
-    once per class and kept in its memo."""
-    memo = t._memo
-    if "sections" not in memo:
-        memo["sections"] = traverse_sections(weight_contracted_tree(t.base))
-    return memo["sections"]
+    once per class."""
+    return traverse_sections(weight_contracted_tree(t.base))
 
 
 def weight_contracted_tree(wt: WeightedTree) -> RootedTree:
@@ -118,29 +118,26 @@ def order_compatible(bar: RootedTree) -> bool:
     return all(len(bar.children(v)) != 1 for v in bar.edges)
 
 
+@kept
 def _zk_table(t: WeightedLevelTree) -> tuple[list, list, list, list]:
     """The traverse sections touching the non-dropping hat edges, sorted by
     size and then by their sorted edges, so that a failure names the same
     witness under every hash seed: their sizes, the sections, the least
     ``k`` at which each has a witness edge, and the running maximum of
     those.  An edge is a witness once each rank it crosses qualifies, so
-    from the largest size among them on.  Built once per class and kept in
-    the tree's memo."""
-    memo = t._memo
-    if "zk_components" not in memo:
-        data = level_data(t)
-        keep = data.hat_edges - index_partition(t).i_m
-        sizes = [len(s) for s in data.sections]
-        rank = t.ranks().of_vertex
-        edge_ready = {e: max(sizes[rank[t.tree.parent[e]] + 1:data.edge_rank[e] + 1])
-                      for e in keep}
-        rows = sorted(((len(s), min(edge_ready[e] for e in s & keep), s)
-                       for s in sections_of(t) if s & keep),
-                      key=lambda row: (row[0], sorted(row[2])))
-        ready = [w for _, w, _ in rows]
-        memo["zk_components"] = ([n for n, _, _ in rows], [s for _, _, s in rows], ready,
-                                 list(itertools.accumulate(ready, max)))
-    return memo["zk_components"]
+    from the largest size among them on.  Built once per class."""
+    data = level_data(t)
+    keep = data.hat_edges - index_partition(t).i_m
+    sizes = [len(s) for s in data.sections]
+    rank = t.ranks().of_vertex
+    edge_ready = {e: max(sizes[rank[t.tree.parent[e]] + 1:data.edge_rank[e] + 1])
+                  for e in keep}
+    rows = sorted(((len(s), min(edge_ready[e] for e in s & keep), s)
+                   for s in sections_of(t) if s & keep),
+                  key=lambda row: (row[0], sorted(row[2])))
+    ready = [w for _, w, _ in rows]
+    return ([n for n, _, _ in rows], [s for _, _, s in rows], ready,
+            list(itertools.accumulate(ready, max)))
 
 
 def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
@@ -161,15 +158,13 @@ def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
     return frozenset(listed[:n])
 
 
+@kept
 def _ranks_by_size(t: WeightedLevelTree) -> tuple[list[int], list[int]]:
     """The ranks ``1..m_rank`` sorted by the size of their cross-section,
     and those sizes, built once per class."""
-    memo = t._memo
-    if "ranks_by_size" not in memo:
-        sections = level_data(t).sections
-        ranks = sorted(range(1, len(sections)), key=lambda r: len(sections[r]))
-        memo["ranks_by_size"] = [len(sections[r]) for r in ranks], ranks
-    return memo["ranks_by_size"]
+    sections = level_data(t).sections
+    ranks = sorted(range(1, len(sections)), key=lambda r: len(sections[r]))
+    return [len(sections[r]) for r in ranks], ranks
 
 
 def yk_pullback(t: WeightedLevelTree, k: int) -> Monomial:
@@ -309,16 +304,14 @@ def bundle_identity(t: WeightedLevelTree) -> bool:
 # The blowup-side chart and its comparison with the twisted chart
 # ---------------------------------------------------------------------------
 
+@kept
 def _gap_symbols(t: WeightedLevelTree) -> tuple[tuple, dict[Symbol, int]]:
     """The blowup chart's gap symbol ``t:eps`` of each rank ``1..m_rank``
     (entry 0 is ``None``), and the rank of each, built once per class."""
-    memo = t._memo
-    if "t:eps" not in memo:
-        levels = t.ranks().levels
-        at = (None,) + tuple(Symbol("t:eps", levels[k])
-                             for k in range(1, level_data(t).m_rank + 1))
-        memo["t:eps"] = at, {s: k for k, s in enumerate(at) if k}
-    return memo["t:eps"]
+    levels = t.ranks().levels
+    at = (None,) + tuple(Symbol("t:eps", levels[k])
+                         for k in range(1, level_data(t).m_rank + 1))
+    return at, {s: k for k, s in enumerate(at) if k}
 
 
 def blowup_side_maps(t: WeightedLevelTree

@@ -62,7 +62,7 @@ from .contraction import ContractionResult, contract
 from .errors import DomainError, MonomialError, VerificationError
 from .levels import (IndexPartition, IndexSubset, Level, LevelData, SpecialMap,
                      WeightedLevelTree, default_special_by_rank,
-                     index_partition, level_data, special_by_rank)
+                     index_partition, kept, level_data, special_by_rank)
 from .monomial import (EVERYWHERE, Monomial, MonomialMap, Stratum, Symbol,
                        SymbolFamily, compose, equal_on_stratum)
 from .tree import Edge
@@ -107,8 +107,8 @@ class ChartFrame:
     eps_at: tuple = field(init=False, compare=False, repr=False)
     _specials: frozenset = field(init=False, compare=False, repr=False)
     _coords: frozenset = field(init=False, compare=False, repr=False)
-    # built on first use: the identity map, the record of the last index
-    # subset asked for (see ``stratum_target``) and the gap products
+    # built on first use: the identity map (``kept``), the record of the last
+    # index subset asked for (see ``stratum_target``) and the gap products
     _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -158,12 +158,10 @@ class ChartFrame:
     def coords(self) -> frozenset[Symbol]:
         return self._coords
 
+    @kept
     def identity(self) -> MonomialMap:
         """The identity map on the chart's coordinates."""
-        memo = self._memo
-        if "identity" not in memo:
-            memo["identity"] = MonomialMap.identity(self.coords())
-        return memo["identity"]
+        return MonomialMap.identity(self.coords())
 
     # products along ascents ------------------------------------------------
 
@@ -465,7 +463,7 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     frame = chart.frame
     t = frame.t
     subset = frame.part.read(subset)
-    mask, i_m = subset.plus_mask, subset.i_m
+    mask = subset.plus_mask
     rank = t.ranks().of_vertex
     target = stratum_target(frame, subset)
     res = target.result
@@ -520,17 +518,13 @@ def build_inverse(chart: TwistedChart, subset: Iterable) -> MonomialMap:
     for j in frame.extra_tags:
         built[frame.wsym(j)] = Monomial.sym(sigma(j))
 
-    # the vanishing pattern promised by the induction
-    for k in range(1, frame.data.m_rank + 1):
-        if built[frame.eps_at[k]].is_zero != (not mask >> k & 1):
-            raise VerificationError("a gap coordinate of the inverse vanishes off "
-                                    "the collapsed levels",
-                                    witness=(frame.t, subset, frame.eps_at[k]))
-    for e in frame.data.hat_edges - frame.special_edges():
-        if built[frame.usym(e)].is_zero != (e in frame.part.i_m - i_m):
-            raise VerificationError("a u coordinate of the inverse vanishes off "
-                                    "the surviving dropping edges",
-                                    witness=(frame.t, subset, frame.usym(e)))
+    # the vanishing pattern promised by the induction: the stratum's zeros
+    zeros = target.stratum.zeros
+    vanishing = {s for s, value in built.items() if value.is_zero}
+    if vanishing != zeros:
+        s = min(vanishing ^ zeros, key=lambda s: s.sort_key)
+        raise VerificationError("the inverse vanishes off the stratum's zeros",
+                                witness=(frame.t, subset, s))
 
     return MonomialMap(source_coords=target.coords,
                        target_coords=frame.coords(), assignment=built)

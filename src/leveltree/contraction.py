@@ -12,11 +12,11 @@ endpoint, and re-leveling:
   edges are lifted exactly to the new bottom level ``min(I_plus \\ I)``;
   everything else keeps the highest level merged into it.
 
-``contract`` makes one pass over a per-tree plan, built on first use and
-kept in the tree's memo: one row per non-root vertex, parents first, with
-its parent, the kind of its edge, its span mask, its bit in a subset's
-mask, its rank and its weight, and the tree's vertices sorted once.  The pass tests each row
-for collapse on masks, builds the projection, the new parent and weight maps
+``contract`` makes one pass over a per-tree plan, a ``kept`` table of the
+tree: one row per non-root vertex, parents first, with its parent, the kind
+of its edge, its span mask, its bit in a subset's mask, its rank and its
+weight, and the tree's vertices sorted once.  The pass tests each row for
+collapse on masks, builds the projection, the new parent and weight maps
 and the contracted edges, and gives each survivor its rank from one lift
 table per subset.  The contraction's rank table is read off the same pass.
 
@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 from .errors import DomainError
 from .levels import (LevelData, LevelRanks, WeightedLevelTree,
                      _derived_level_tree, canonical_form, index_partition, is_equivalent,
-                     level_data, phi_bijection)
+                     kept, level_data, phi_bijection)
 from .tree import Edge, Vertex, _derived_weighted_tree
 
 
@@ -66,10 +66,11 @@ class _Plan:
     m_rank: int
 
 
+@kept
 def _contraction_plan(t: WeightedLevelTree) -> _Plan:
-    """The plan of ``t``, built on first use and kept in ``t``'s memo.  It is
-    read off ``t``'s own tables, never shared with another level tree on the
-    same base, so that each of two equivalent trees contracts by itself."""
+    """The plan of ``t``, built on first use.  It is read off ``t``'s own
+    tables, never shared with another level tree on the same base, so that
+    each of two equivalent trees contracts by itself."""
     data = level_data(t)
     part = index_partition(t)
     rank = t.ranks().of_vertex
@@ -82,9 +83,7 @@ def _contraction_plan(t: WeightedLevelTree) -> _Plan:
         kind = OTHER if v not in data.hat_edges else I_M if v in part.i_m else HAT
         bit = 0 if kind == HAT else 1 << edge_bit[v]
         rows.append((v, parent[v], kind, data.span.get(v, 0), bit, rank[v], weight[v]))
-    plan = _Plan(rows=tuple(rows), ordered=tuple(sorted(tree.vertices)), m_rank=data.m_rank)
-    t._memo["plan"] = plan
-    return plan
+    return _Plan(rows=tuple(rows), ordered=tuple(sorted(tree.vertices)), m_rank=data.m_rank)
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def contract(t: WeightedLevelTree, subset: Iterable) -> ContractionResult:
     last = memo.get("contract")
     if last is not None and last[0] == sub.mask:
         return last[1]
-    plan = memo.get("plan") or _contraction_plan(t)
+    plan = _contraction_plan(t)
     mask, plus_mask = sub.mask, sub.plus_mask
     lift = _lift(plan.m_rank, plus_mask)
     bottom = lift[-1]  # the rank of the new bottom level min(I_plus \ I)

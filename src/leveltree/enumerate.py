@@ -15,6 +15,7 @@ which skip the level constructor's validation
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,14 +40,10 @@ class EnumSpec:
 # canonical shape: (weight, (child_shape, child_shape, ...)) with children sorted
 Shape = tuple
 
-_SHAPE_CACHE: dict[tuple[int, int], list[Shape]] = {}
 
-
+@functools.cache
 def _shapes(n_edges: int, max_weight: int) -> list[Shape]:
     """All canonical weighted shapes with exactly ``n_edges`` edges."""
-    cached = _SHAPE_CACHE.get((n_edges, max_weight))
-    if cached is not None:
-        return cached
     if n_edges == 0:
         out = [(w, ()) for w in range(max_weight + 1)]
     else:
@@ -54,7 +51,6 @@ def _shapes(n_edges: int, max_weight: int) -> list[Shape]:
         for parts in _child_partitions(n_edges, max_weight):
             for w in range(max_weight + 1):
                 out.append((w, parts))
-    _SHAPE_CACHE[(n_edges, max_weight)] = out
     return out
 
 

@@ -21,11 +21,13 @@ its memo: the occupied levels and every vertex's rank
 (``WeightedLevelTree.ranks``), each hat edge's span as a bitmask over ranks
 (``LevelData.span``), the cross-section of each rank
 (``LevelData.sections``, built on first read) and the default special edges
-by rank.  They are built on first use, except that ``contract`` hands a
-contraction its rank table, built in its one pass over the parent tree's
-plan: the contraction's levels are levels of its parent tree, so its table
-is the parent's, restricted to the surviving ranks, with each rank's
-vertices read off the parent's sorted vertex list.
+by rank.  A table built once per tree is a ``kept`` function of it, kept in
+the tree's memo under that function, so no module names a key.  They are
+built on first use, except that ``contract`` hands a contraction its rank
+table, built in its one pass over the parent tree's plan: the contraction's
+levels are levels of its parent tree, so its table is the parent's,
+restricted to the surviving ranks, with each rank's vertices read off the
+parent's sorted vertex list.
 
 Trees come from two paths.  The public constructors -- used for file and
 CLI input, ``make_level_tree``, relevelings, ``canonical_form`` and the
@@ -52,7 +54,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Mapping
 
 from .errors import DomainError, StructureError
@@ -69,6 +71,22 @@ MAX_SUBSET_LABELS = 10
 
 _LEVEL_TEXT = re.compile(r"(?a)(?P<sign>[-+]?)(?:(?P<num>\d+)/(?P<den>0*[1-9]\d*)|(?=\.?\d)"
                          r"(?P<int>\d*)(?:\.(?P<frac>\d*))?(?:[eE](?P<exp>[-+]?\d{1,9}))?)")
+
+
+def kept(build):
+    """``build(x)`` as a table of ``x``: built on the first call and kept in
+    ``x._memo`` under the returned function, which is its key, so a hit is
+    one membership test and one lookup.  A table takes no other argument:
+    state keyed by an argument would need a key built on every call, so
+    those few memo entries are written by hand under string keys."""
+    @wraps(build)
+    def table(x):
+        memo = x._memo
+        if table in memo:
+            return memo[table]
+        out = memo[table] = build(x)
+        return out
+    return table
 
 
 def as_level(x) -> Level:
@@ -164,20 +182,17 @@ class WeightedLevelTree:
     def edges(self) -> frozenset[Edge]:
         return self.base.tree.edges
 
+    @kept
     def ranks(self) -> LevelRanks:
         """The rank table of the level map, built once on first use."""
-        memo = self._memo
-        if "ranks" not in memo:
-            by_level: dict[Level, list[Vertex]] = {}
-            for v, x in self.level.items():
-                by_level.setdefault(x, []).append(v)
-            ordered = sorted(by_level.items(), key=lambda item: item[0], reverse=True)
-            levels = tuple(x for x, _ in ordered)
-            of_vertex = {v: k for k, (_, vs) in enumerate(ordered) for v in vs}
-            memo["ranks"] = LevelRanks(
-                levels=levels, of_vertex=of_vertex,
-                at=tuple(tuple(sorted(vs)) for _, vs in ordered))
-        return memo["ranks"]
+        by_level: dict[Level, list[Vertex]] = {}
+        for v, x in self.level.items():
+            by_level.setdefault(x, []).append(v)
+        ordered = sorted(by_level.items(), key=lambda item: item[0], reverse=True)
+        levels = tuple(x for x, _ in ordered)
+        of_vertex = {v: k for k, (_, vs) in enumerate(ordered) for v in vs}
+        return LevelRanks(levels=levels, of_vertex=of_vertex,
+                          at=tuple(tuple(sorted(vs)) for _, vs in ordered))
 
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
@@ -204,7 +219,7 @@ def _derived_level_tree(base: WeightedTree, level: dict,
     out = object.__new__(WeightedLevelTree)
     object.__setattr__(out, "base", base)
     object.__setattr__(out, "level", level)
-    object.__setattr__(out, "_memo", {} if ranks is None else {"ranks": ranks})
+    object.__setattr__(out, "_memo", {} if ranks is None else {WeightedLevelTree.ranks: ranks})
     return out
 
 
@@ -247,11 +262,9 @@ class LevelData:
         return tuple(tuple(sorted(edges)) for edges in out)
 
 
+@kept
 def level_data(t: WeightedLevelTree) -> LevelData:
     """``m``, hat edges and their levels; errors if every weight is zero."""
-    memo = t._memo
-    if "level_data" in memo:
-        return memo["level_data"]
     positive = t.base.positive_vertices()
     if not positive:
         raise DomainError("no positively weighted vertex: m is undefined")
@@ -260,14 +273,12 @@ def level_data(t: WeightedLevelTree) -> LevelData:
     m_rank = min(rank[v] for v in positive)
     parent = t.tree.parent
     edge_rank = {e: min(rank[e], m_rank) for e, p in parent.items() if rank[p] < m_rank}
-    out = LevelData(
+    return LevelData(
         m=ranks.levels[m_rank], hat_edges=frozenset(edge_rank),
         edge_level={e: ranks.levels[k] for e, k in edge_rank.items()},
         m_rank=m_rank, edge_rank=edge_rank,
         # the ranks strictly below the upper endpoint, down to the edge level
         span={e: (2 << k) - (2 << rank[parent[e]]) for e, k in edge_rank.items()})
-    memo["level_data"] = out
-    return out
 
 
 def level_successor(t: WeightedLevelTree, i) -> Level:
@@ -414,19 +425,15 @@ class IndexPartition:
         return [IndexSubset(self, mask) for mask in masks]
 
 
+@kept
 def index_partition(t: WeightedLevelTree) -> IndexPartition:
-    memo = t._memo
-    if "index_partition" in memo:
-        return memo["index_partition"]
     data = level_data(t)
     ranks = t.ranks()
     plus_rank = {ranks.levels[k]: k for k in range(1, data.m_rank + 1)}
-    out = IndexPartition(
+    return IndexPartition(
         i_plus=frozenset(plus_rank),
         i_m=frozenset(e for e in data.hat_edges if ranks.of_vertex[e] > data.m_rank),
         i_minus=t.tree.edges - data.hat_edges, plus_rank=plus_rank)
-    memo["index_partition"] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +449,13 @@ def special_choices(t: WeightedLevelTree) -> dict[Level, tuple[Edge, ...]]:
     return {ranks.levels[k]: ranks.at[k] for k in range(1, level_data(t).m_rank + 1)}
 
 
+@kept
 def default_special_by_rank(t: WeightedLevelTree) -> tuple:
     """The default special edges by rank, as ``special_by_rank`` reads a map:
     the lexicographically smallest vertex at each level of ``I_plus``, read
-    off the rank table without a level lookup and kept in ``t``'s memo."""
-    memo = t._memo
-    if "default_special" not in memo:
-        at = t.ranks().at
-        memo["default_special"] = (None,) + tuple(
-            at[k][0] for k in range(1, level_data(t).m_rank + 1))
-    return memo["default_special"]
+    off the rank table without a level lookup."""
+    at = t.ranks().at
+    return (None,) + tuple(at[k][0] for k in range(1, level_data(t).m_rank + 1))
 
 
 def special_by_rank(t: WeightedLevelTree, special: SpecialMap) -> tuple:

@@ -505,7 +505,7 @@ PLANTED = {
 
 
 def test_no_planted_fault_fails_ideal_transform(monkeypatch):
-    """The declared exception (ROADMAP item 3): ``ideal-transform`` divides
+    """The declared exception (ROADMAP item 2): ``ideal-transform`` divides
     the generators it built as ``g * factor`` by ``factor`` again, so even a
     scaling monomial one stage short passes it.  Once the check is built
     from its definition, this fault belongs in ``PLANTED``."""

@@ -120,7 +120,7 @@ def test_every_check_has_a_planted_fault():
     """Every registry check fails under a planted fault of the library, but
     two: ``divisor-containment`` fails under a wrong cached cross-section in
     its own test, and ``ideal-transform`` is the declared exception of
-    ROADMAP item 3."""
+    ROADMAP item 2."""
     caught = {name for planted in PLANTED.values()
               for _, names in planted.values() for name in names}
     assert caught | {"divisor-containment", "ideal-transform"} == set(CHECKS)

@@ -282,24 +282,25 @@ def test_a_suite_pass_builds_each_plan_once(nested_tree, monkeypatch):
     its three relevelings once, and no child lists of the contracted trees,
     which nothing walks: the only child lists built are those of the trees
     ``contract-validity`` rebuilds, one per subset."""
-    plans, walked, results = Counter(), [], []
-    real_plan = contraction_mod._contraction_plan
+    plans, walked, results, contracting = Counter(), [], [], []
+    real_plan = contraction_mod._Plan
     real_lists = tree_mod._child_lists
     real_contract = contraction_mod.contract
 
-    def plan_spy(t):
-        plans[id(t)] += 1
-        return real_plan(t)
+    def plan_spy(**fields):  # a plan is built inside the contract call of its tree
+        plans[id(contracting[-1])] += 1
+        return real_plan(**fields)
 
     def lists_spy(root, parent):
         walked.append(parent)
         return real_lists(root, parent)
 
     def contract_spy(t, subset):
+        contracting.append(t)
         results.append(real_contract(t, subset))
         return results[-1]
 
-    monkeypatch.setattr(contraction_mod, "_contraction_plan", plan_spy)
+    monkeypatch.setattr(contraction_mod, "_Plan", plan_spy)
     monkeypatch.setattr(tree_mod, "_child_lists", lists_spy)
     monkeypatch.setattr(contraction_mod, "contract", contract_spy)
     report = RunReport(suite="contraction")
@@ -311,3 +312,19 @@ def test_a_suite_pass_builds_each_plan_once(nested_tree, monkeypatch):
     assert len(results) >= 5 * subsets
     assert not [p for p in walked if id(p) in contracted]
     assert len(walked) <= subsets
+
+
+def test_a_contraction_keeps_the_rank_table_contract_built(nested_tree, monkeypatch):
+    """``contract`` seeds the contracted tree's memo with the rank table of
+    its pass, so ``ranks()`` returns that object and builds no other."""
+    built = []
+
+    def ranks_spy(**fields):
+        built.append(LevelRanks(**fields))
+        return built[-1]
+
+    monkeypatch.setattr(contraction_mod, "LevelRanks", ranks_spy)
+    for subset in index_partition(nested_tree).subsets():
+        nt = contract(nested_tree, subset).tree
+        assert nt.ranks() is built[-1]
+    assert len(built) == 4

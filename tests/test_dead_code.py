@@ -117,3 +117,72 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def memo_keys() -> dict[str, list[str]]:
+    """Every string key that ``src/`` reads or writes in a ``_memo``, with the
+    places that use it: a subscript, an ``in`` test or a ``get``,
+    ``setdefault`` or ``pop`` call on ``x._memo`` or on a name the module
+    binds to one (``memo = t._memo``), and the string keys of a dict literal
+    handed over beside the name ``"_memo"``
+    (``object.__setattr__(out, "_memo", {...})``)."""
+    out: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def key(node):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.setdefault(node.value, []).append(f"{path.name}:{node.lineno}")
+
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple)
+                             else zip(target.elts, getattr(node.value, "elts", ())))
+                    aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                                and isinstance(v, ast.Attribute) and v.attr == "_memo"}
+
+        def is_memo(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "_memo"
+                    or isinstance(node, ast.Name) and node.id in aliases)
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and is_memo(node.value):
+                key(node.slice)
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.In, ast.NotIn)) and is_memo(right)
+                    for op, right in zip(node.ops, node.comparators)):
+                key(node.left)
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Attribute) and f.attr in ("get", "setdefault", "pop")
+                        and is_memo(f.value) and node.args):
+                    key(node.args[0])
+                for name, value in zip(node.args, node.args[1:]):
+                    if (isinstance(name, ast.Constant) and name.value == "_memo"
+                            and isinstance(value, ast.Dict)):
+                        for k in value.keys:
+                            key(k)
+    return out
+
+
+# The string keys of the memos, each with the reason it is not a ``kept``
+# table: each holds state keyed by an argument, read and written by one
+# module.  The list may only shrink: a table built once per object is a
+# ``levels.kept`` function of it, which names no key.
+MEMO_KEYS = {
+    "contract": "contract's last result, keyed by the subset's mask",
+    "equivalent": "phi_bijection's proofs, one per partner tree",
+    "charts": "build_chart's charts by special edges and tags; drop_charts drops them",
+    "target": "a frame's record of the last subset, keyed by its mask",
+    "yk": "yk_pullback's last Y_k, extended to the next k",
+    "stage_factor": "_stage_factor's last scaling monomial, extended to the next stage",
+}
+
+
+def test_memo_string_keys_are_the_stateful_ones():
+    keys = memo_keys()
+    new = {k: places for k, places in keys.items() if k not in MEMO_KEYS}
+    assert not new, f"string memo keys that are no stateful entry: {new}"
+    assert sorted(keys) == sorted(MEMO_KEYS)
