@@ -140,13 +140,11 @@ def _zk_table(t: WeightedLevelTree) -> tuple[list, list, list, list]:
             list(itertools.accumulate(ready, max)))
 
 
-def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
-    """Chart components of the ``k``-th cumulative center: the traverse
-    sections of the weight-contracted tree of size at most ``k`` that touch
-    the non-dropping hat edges.  Each is checked to pull back into the
-    ``Y_k`` divisor via a witness edge all of whose crossed gaps qualify.
-    The sections are sorted by size once per class, so ``k`` reads a
-    prefix."""
+def zk_count(t: WeightedLevelTree, k: int) -> int:
+    """The number of chart components of the ``k``-th cumulative center
+    (``zk_components``), each checked to pull back into the ``Y_k`` divisor
+    via a witness edge all of whose crossed gaps qualify.  The sections are
+    sorted by size once per class, so ``k`` reads a prefix and lists none."""
     if k < 1:
         raise DomainError("divisor index must be positive")
     sizes, listed, ready, worst = _zk_table(t)
@@ -155,7 +153,14 @@ def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
         s = next(s for s, w in zip(listed, ready) if w > k)
         raise VerificationError(
             "no witness edge places the component inside the divisor", witness=sorted(s))
-    return frozenset(listed[:n])
+    return n
+
+
+def zk_components(t: WeightedLevelTree, k: int) -> frozenset[TraverseSection]:
+    """Chart components of the ``k``-th cumulative center: the traverse
+    sections of the weight-contracted tree of size at most ``k`` that touch
+    the non-dropping hat edges, checked as ``zk_count`` checks them."""
+    return frozenset(_zk_table(t)[1][:zk_count(t, k)])
 
 
 @kept

@@ -150,7 +150,7 @@ def _divisor_indices(t):
 
 def _divisor_containment(t, k):
     try:
-        blowup_mod.zk_components(t, k)
+        blowup_mod.zk_count(t, k)
     except VerificationError as exc:
         return False, f"k={k}: {exc.witness}"
     return True, ""

@@ -207,8 +207,9 @@ def cmd_blowup_report(args) -> int:
     return 0
 
 
-# ``enumerate --max-edges 6 --count-only`` prints 223741 in 10.8 s, while
-# ``--max-edges 3 --max-weight 30`` runs for minutes (2-vCPU host).
+# ``enumerate --max-edges 6 --count-only`` prints 223741 in 2.2-2.6 s
+# in-process, while ``--max-edges 3 --max-weight 30`` runs for minutes
+# (2-vCPU host).
 ENUM_MAX_EDGES = 6
 ENUM_MAX_WEIGHT = 2
 

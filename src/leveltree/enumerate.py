@@ -3,14 +3,19 @@
 Weighted rooted trees are produced up to root-preserving isomorphism by
 building canonical encodings (weight plus the sorted multiset of child
 encodings) directly; a child pool pairs each shape with its edge cost, so
-no shape is measured twice.  Level trees are produced one canonical
-representative per equivalence class by generating the class keys
-themselves -- the ordered partitions by level of the vertices at or above
-the highest weighted level -- each exactly once, so neither generator
-keeps a set of what it has seen.  Representatives are built and sorted on
-integer levels; ``Fraction`` levels are made only for the trees returned,
-which skip the level constructor's validation
-(``levels._derived_level_tree``).
+no shape is measured twice.  The trees are valid by construction, so they
+skip the tree constructors' validation (``tree._derived_weighted_tree``)
+and build their child lists only when something walks them.  Level trees
+are produced one canonical representative per equivalence class by
+generating the class keys themselves -- the ordered partitions by level of
+the vertices at or above the highest weighted level -- each exactly once,
+so neither generator keeps a set of what it has seen.  The keys depend only
+on the tree and on which of its vertices are weighted, so ``gen_instances``
+computes them once per such skeleton and reuses them for every weighting
+of it, in a dict that lives as long as the call.  Representatives are
+built and sorted on integer ranks; ``Fraction`` levels are made only for
+the trees returned, one shared value per level, and those trees skip the
+level constructor's validation (``levels._derived_level_tree``).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterator
 
 from .errors import DomainError
 from .levels import WeightedLevelTree, _derived_level_tree
-from .tree import RootedTree, Vertex, WeightedTree
+from .tree import Vertex, WeightedTree, _derived_weighted_tree
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ def _materialize(shape: Shape) -> WeightedTree:
             walk(child, cname)
 
     walk(shape, "o")
-    return WeightedTree(tree=RootedTree(root="o", parent=parent), weight=weight)
+    return _derived_weighted_tree("o", parent, weight)
 
 
 def gen_weighted_trees(spec: EnumSpec) -> Iterator[WeightedTree]:
@@ -101,14 +106,14 @@ def gen_weighted_trees(spec: EnumSpec) -> Iterator[WeightedTree]:
     root-preserving isomorphism, in a fixed order."""
     for n in range(spec.max_edges + 1):
         for shape in sorted(_shapes(n, spec.max_weight)):
-            if _total(shape) == 0:
+            if not _weighted(shape):
                 continue
             yield _materialize(shape)
 
 
-def _total(shape: Shape) -> int:
+def _weighted(shape: Shape) -> bool:
     w, children = shape
-    return w + sum(_total(c) for c in children)
+    return w > 0 or any(_weighted(c) for c in children)
 
 
 def gen_level_trees(base: WeightedTree, spec: EnumSpec) -> Iterator[WeightedLevelTree]:
@@ -117,42 +122,58 @@ def gen_level_trees(base: WeightedTree, spec: EnumSpec) -> Iterator[WeightedLeve
 
     A class is determined by its key: the ordered partition by level of the
     vertices at or above the highest weighted level (the frontier), whose
-    last part holds a weighted vertex unless the root is weighted.  The
-    recursion builds each key exactly once.  Taking the non-root vertices in
-    preorder, a vertex whose parent lies at or above the frontier either
-    stays below it, joins a class strictly below its parent's class, or
-    founds a new class at any position strictly below it.  A weighted vertex
-    may only join or found the last class, which closes the frontier: no
-    class may come after it.  A weighted root closes it at the start.  The
-    representative puts the key's classes on levels -1, -2, ... and every
-    vertex below the frontier one level below its parent or the frontier,
-    whichever is lower.  The classes are returned sorted by level map.
+    last part holds a weighted vertex unless the root is weighted
+    (``_class_keys``).  The representative puts the key's classes on levels
+    -1, -2, ... and every vertex below the frontier one level below its
+    parent or the frontier, whichever is lower.  The classes are returned
+    sorted by level map.
+    """
+    names, keys = _class_keys(base, spec.max_levels)
+    levels = tuple(Fraction(-k) for k in range(min(spec.max_levels, len(names))))
+    yield from _representatives(base, names, keys, levels)
+
+
+def _class_keys(base: WeightedTree, max_levels: int) -> tuple[list[Vertex], list[tuple[int, ...]]]:
+    """The sorted vertex names of ``base`` and the ranks of its class
+    representatives with at most ``max_levels`` occupied levels, each a
+    tuple in ``names`` order, sorted as their level maps are.
+
+    The keys depend only on the tree and on which vertices are weighted.
+    The recursion builds each key exactly once.  Taking the non-root
+    vertices in preorder, a vertex whose parent lies at or above the
+    frontier either stays below it, joins a class strictly below its
+    parent's class, or founds a new class at any position strictly below
+    it.  A weighted vertex may only join or found the last class, which
+    closes the frontier: no class may come after it.  A weighted root
+    closes it at the start.  Vertices are read as positions in ``names``.
     """
     if not base.positive_vertices():
         raise DomainError("level trees need at least one positive weight")
     tree = base.tree
-    root, parent = tree.root, tree.parent
-    order = [v for v in tree.preorder() if v != root]
-    weighted = {v for v in order if base.weight[v] > 0}
     names = sorted(tree.vertices)
+    pos = {v: p for p, v in enumerate(names)}
+    root = pos[tree.root]
+    up = [pos[tree.parent.get(v, tree.root)] for v in names]
+    weighted = [base.weight[v] > 0 for v in names]
+    order = [pos[v] for v in tree.preorder()][1:]
     n = len(order)
-    classes: list[list[Vertex]] = []
-    class_of: dict[Vertex, list[Vertex]] = {}
-    found: list[tuple[int, ...]] = []  # integer level maps, in ``names`` order
+    classes: list[list[int]] = []
+    class_of: list[list[int] | None] = [None] * len(names)
+    found: list[tuple[int, ...]] = []
 
     def finish():
-        # ranks: the key's classes take 1..r_m, everything lower goes by depth
+        # the key's classes take ranks 1..r_m, everything lower goes by depth
         r_m = len(classes)
-        rank = {root: 0}
+        rank = [0] * len(names)
         for k, cls in enumerate(classes, 1):
-            for v in cls:
-                rank[v] = k
-        for v in order:
-            if v not in rank:
-                rank[v] = max(rank[parent[v]], r_m) + 1
+            for p in cls:
+                rank[p] = k
+        for p in order:
+            if not rank[p]:
+                rank[p] = max(rank[up[p]], r_m) + 1
         # the ranks are consecutive, so the deepest one counts the levels
-        if max(rank.values()) < spec.max_levels:
-            found.append(tuple(-rank[v] for v in names))
+        if max(rank) < max_levels:
+            found.append(tuple(rank))
 
     def rec(idx: int, closed: bool):
         if idx == n:
@@ -160,48 +181,65 @@ def gen_level_trees(base: WeightedTree, spec: EnumSpec) -> Iterator[WeightedLeve
                 finish()
             return
         rec(idx + 1, closed)  # order[idx] stays below the frontier
-        v = order[idx]
-        par = parent[v]
+        p = order[idx]
+        par = up[p]
         if par == root:
             lo = 0
-        elif par in class_of:
+        elif class_of[par] is not None:
             lo = classes.index(class_of[par]) + 1
         else:
             return
         # a new class may go at any position from ``lo`` up to the end, but
         # never after a closed frontier
         end = len(classes) + (not closed)
-        if v in weighted:
+        if weighted[p]:
             joins = range(max(lo, len(classes) - 1), len(classes))
             founds = range(len(classes), end)
             closed = True
         else:
             joins, founds = range(lo, len(classes)), range(lo, end)
         for j in joins:
-            classes[j].append(v)
-            class_of[v] = classes[j]
+            classes[j].append(p)
+            class_of[p] = classes[j]
             rec(idx + 1, closed)
             classes[j].pop()
-        fresh = [v]
-        class_of[v] = fresh
+        fresh = [p]
+        class_of[p] = fresh
         for j in founds:
             classes.insert(j, fresh)
             rec(idx + 1, closed)
             classes.pop(j)
-        del class_of[v]
+        class_of[p] = None
 
-    rec(0, base.weight[root] > 0)
-    found.sort()
-    # a class key proves its level map valid, so the representatives skip
-    # validation; their rank tables stay lazy
-    levels = [Fraction(-k) for k in range(n + 1)]
-    for key in found:
-        yield _derived_level_tree(base, {v: levels[-x] for v, x in zip(names, key)})
+    rec(0, weighted[root])
+    # a level map is minus its ranks, so the maps ascend as the ranks descend
+    found.sort(reverse=True)
+    return names, found
+
+
+def _representatives(base: WeightedTree, names: list[Vertex], keys: list[tuple[int, ...]],
+                     levels: tuple[Fraction, ...]) -> Iterator[WeightedLevelTree]:
+    """The level trees on ``base`` of the ranks ``keys`` of ``_class_keys``,
+    with rank ``k`` at level ``levels[k]``.  A class key proves its level
+    map valid, so the representatives skip validation; their rank tables
+    stay lazy."""
+    for key in keys:
+        yield _derived_level_tree(base, {v: levels[k] for v, k in zip(names, key)})
 
 
 def gen_instances(spec: EnumSpec, stable_only: bool = False) -> Iterator[WeightedLevelTree]:
-    """Every canonical weighted level tree within the bounds."""
+    """Every canonical weighted level tree within the bounds.  Bases that
+    differ only in the values of their positive weights share their class
+    keys, which are computed once per call for each such skeleton."""
+    levels = tuple(Fraction(-k) for k in range(min(spec.max_levels, spec.max_edges + 1)))
+    keys_of: dict[tuple, tuple[list[Vertex], list[tuple[int, ...]]]] = {}
     for base in gen_weighted_trees(spec):
         if stable_only and not base.is_stable():
             continue
-        yield from gen_level_trees(base, spec)
+        tree = base.tree
+        skeleton = (tree.root, tuple(tree.parent.items()),
+                    tuple(v for v, w in base.weight.items() if w > 0))
+        found = keys_of.get(skeleton)
+        if found is None:
+            found = keys_of[skeleton] = _class_keys(base, spec.max_levels)
+        yield from _representatives(base, *found, levels)

@@ -34,8 +34,10 @@ CLI input, ``make_level_tree``, relevelings, ``canonical_form`` and the
 blowup's reconstructed trees -- validate every level with integer
 comparisons.  ``_derived_level_tree`` takes the maps of a tree that is valid
 by construction as they are: contractions and the class representatives of
-``enumerate.gen_level_trees``.  A proven equivalence ``t ~ t2`` is kept in
-``t``'s memo, so ``phi_bijection`` proves it once per partner tree.
+``enumerate``, whose bases are themselves built unvalidated from canonical
+shapes (``tree._derived_weighted_tree``).  A proven equivalence ``t ~ t2``
+is kept in ``t``'s memo, so ``phi_bijection`` proves it once per partner
+tree.
 
 Labels become ranks only here.  An index subset is an ``IndexSubset``, a
 bitmask over its partition's label order (levels at the bits of their ranks,

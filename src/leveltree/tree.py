@@ -34,10 +34,11 @@ class RootedTree:
     ``parent`` maps every non-root vertex to its parent; the edge set is
     derived (one edge per non-root vertex).  Instances are immutable after
     construction.  The constructor validates eagerly, and builds the child
-    lists to check every parent; only a tree derived from an already valid
-    one (``_derived_weighted_tree``) skips the walk that proves the parent
-    map acyclic, and builds its child lists on first read, when something
-    walks it.
+    lists to check every parent; only a tree that is valid by construction
+    (``_derived_weighted_tree``: a contraction of a valid tree, or a base
+    that ``enumerate`` builds from a canonical shape) skips the walk that
+    proves the parent map acyclic, and builds its child lists on first
+    read, when something walks it.
     """
 
     root: Vertex
@@ -190,11 +191,12 @@ class WeightedTree:
 
 
 def _derived_weighted_tree(root: Vertex, parent: dict, weight: dict) -> WeightedTree:
-    """A weighted tree from maps derived from a valid tree, taken as they
-    are: the parent checks, the acyclicity walk and the weight checks are
-    skipped, and the child lists are built on first read, so a contraction
-    that nothing walks never builds them.  The caller owns the dicts and
-    must not change them afterwards."""
+    """A weighted tree from maps that are valid by construction (derived
+    from a valid tree, or built from a canonical shape), taken as they are:
+    the parent checks, the acyclicity walk and the weight checks are
+    skipped, and the child lists are built on first read, so a tree that
+    nothing walks never builds them.  The caller owns the dicts and must
+    not change them afterwards."""
     tree = object.__new__(RootedTree)
     object.__setattr__(tree, "root", root)
     object.__setattr__(tree, "parent", parent)

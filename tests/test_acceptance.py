@@ -16,7 +16,6 @@ counted; and levels are reconstructed from divisor slots on stable trees
 without dropping edges, the classes the slots determine.
 """
 
-import functools
 import multiprocessing as mp
 import time
 from fractions import Fraction
@@ -68,18 +67,26 @@ def _sweep_groups(args):
     return report, covered
 
 
-@functools.cache
-def _corpus(spec: EnumSpec):
+_CORPORA: dict = {}  # spec -> its groups, shared by the rows on the spec
+
+
+def _corpus(capsys, spec: EnumSpec):
     """The instance set of ``spec`` in its groups, enumerated once per
-    session and shared by the rows on ``spec``."""
-    return group_by_class(gen_instances(spec))
+    session; the first call prints its size and the time it took."""
+    if spec not in _CORPORA:
+        start = time.perf_counter()
+        groups = _CORPORA[spec] = group_by_class(gen_instances(spec))
+        with capsys.disabled():
+            print(f"CORPUS {spec}: {sum(map(len, groups))} instances in {len(groups)} "
+                  f"groups, enumerated and grouped in {time.perf_counter() - start:.2f}s")
+    return _CORPORA[spec]
 
 
-def _sweep(spec: EnumSpec, names):
+def _sweep(capsys, spec: EnumSpec, names):
     """Run the named checks on every group of the instance set; the merged
     report, the number of groups and the (tree, subset) pairs they cover."""
     global _GROUPS
-    _GROUPS = _corpus(spec)
+    _GROUPS = _corpus(capsys, spec)
     with mp.get_context("fork").Pool(WORKERS) as pool:
         parts = pool.map(_sweep_groups, [(range(w, len(_GROUPS), WORKERS), names)
                                          for w in range(WORKERS)])
@@ -108,7 +115,7 @@ def _check_row(capsys, criterion: int, summary, failures=()):
     groups, covered)`` says what was checked."""
     title, spec, names, budget = ROWS[criterion]
     start = time.perf_counter()
-    report, groups, covered = _sweep(spec, names)
+    report, groups, covered = _sweep(capsys, spec, names)
     failures = [*failures, *report.failures]
     elapsed = time.perf_counter() - start
     ok = not failures and (budget is None or elapsed < budget)

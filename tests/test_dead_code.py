@@ -87,6 +87,11 @@ TEST_ONLY = {
     "levels.py: edge_span": "a layer of bench/tracing.LAYERS, which names it "
                             "as a string, and that does not count",
     "monomial.py: parse_monomial": "how the tests read rendered monomials",
+    "enumerate.py: gen_level_trees": "the classes of one base; gen_instances shares "
+                                     "each skeleton's class keys, and the tests hold "
+                                     "the two streams equal",
+    "blowup.py: zk_components": "the components themselves; divisor-containment "
+                                "reads only their count and witness (zk_count)",
     "contraction.py: nested_contraction_coherent":
         "becomes a registry check with the declared count change of ROADMAP item 3",
 }

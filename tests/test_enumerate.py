@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,15 @@ F = Fraction
 # first-run totals, frozen so regressions in either generator are loud
 GOLDEN_WEIGHTED_COUNTS = {0: 2, 1: 8, 2: 43, 3: 242, 4: 1476}
 GOLDEN_CLASS_COUNTS = {1: 10, 2: 63, 3: 451, 4: 3637, 5: 29097}
+# (max_edges, max_weight, max_levels, stable_only) -> the count and the
+# sha256 of the ``to_json_dict`` stream of ``gen_instances``, one sorted-key
+# JSON line per instance: order, names and levels are all pinned
+GOLDEN_STREAMS = {
+    (5, 2, 5, False): (29097, "ebc5351f9df5e3e67b70d647d715db9618b507c88219536ceebe69789e1b7eef"),
+    (5, 1, 7, False): (6367, "b574ff09f59e1c4f8a3773198879fb274b317b9da2a69224772bc8e55a2f45bd"),
+    (4, 2, 3, False): (1302, "c45856f226f2a4604f0844ebe3fe4250646e571ebef4d5fd63677f58fa4b6492"),
+    (5, 2, 5, True): (4513, "b34cd43a6b1bc6a9b960f557c94e9d895533437265374e627bd5206ff7529c39"),
+}
 
 
 def test_weighted_tree_counts_match_hand_count():
@@ -170,6 +181,34 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
+def stream_digest(instances) -> tuple[int, str]:
+    digest, count = hashlib.sha256(), 0
+    for t in instances:
+        digest.update(json.dumps(t.to_json_dict(), sort_keys=True).encode() + b"\n")
+        count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("key", GOLDEN_STREAMS)
+def test_instance_stream_is_pinned(key):
+    *bounds, stable_only = key
+    spec = EnumSpec(*bounds)
+    assert stream_digest(gen_instances(spec, stable_only)) == GOLDEN_STREAMS[key]
+
+
+@pytest.mark.parametrize("key", GOLDEN_STREAMS)
+def test_instances_are_the_level_trees_of_each_base(key):
+    # the classes computed once per skeleton give, base by base, what the
+    # base alone gives
+    *bounds, stable_only = key
+    spec = EnumSpec(*bounds)
+    alone = (t for base in gen_weighted_trees(spec)
+             if not stable_only or base.is_stable()
+             for t in gen_level_trees(base, spec))
+    for got, expected in itertools.zip_longest(gen_instances(spec, stable_only), alone):
+        assert got == expected
+
+
 def test_max_levels_bound():
     base = WeightedTree(tree=RootedTree(root="o", parent={"a": "o", "b": "a"}),
                         weight={"o": 0, "a": 1, "b": 1})
@@ -186,5 +225,6 @@ def test_enumerated_trees_pass_the_public_constructors():
         base = WeightedTree(tree=RootedTree(root=t.root, parent=dict(t.tree.parent)),
                             weight=dict(t.weight))
         assert WeightedLevelTree(base=base, level=dict(t.level)) == t
+        assert all(t.tree.children(v) == base.tree.children(v) for v in base.tree.vertices)
         count += 1
     assert count == GOLDEN_CLASS_COUNTS[5]
